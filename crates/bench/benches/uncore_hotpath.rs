@@ -2,7 +2,7 @@
 //! advanced cycle-by-cycle (`advance(1)` in a loop — the dense-loop
 //! cost model) versus in one skip-ahead call. The ratio between the
 //! `dense` and `skip` variants is the per-component payoff behind the
-//! suite-level speedup recorded in `BENCH_sim_throughput.json`.
+//! `mem_stream` workload's wall time in `benchmark/`.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 

@@ -32,7 +32,7 @@ fn main() {
         }
     }
 
-    let md = report::generate_with_scope(small, per_cluster, &pool);
+    let md = report::generate(small, per_cluster, &pool);
     std::fs::write(&out_path, md).expect("write EXPERIMENTS.md");
     eprintln!("wrote {out_path}");
 }

@@ -1,66 +1,20 @@
 //! Generates the full EXPERIMENTS.md report — every table and figure of
 //! the paper's evaluation, rendered as markdown.
-//!
-//! Lives in the library (rather than the `run_all_experiments` binary)
-//! so `perf_baseline` can time the exact same workload it reports in
-//! `BENCH_sim_throughput.json` and CI can gate on it.
 
 use std::fmt::Write as _;
-use std::time::Instant;
 
 use crate::{experiments, render};
 use gpusimpow_kernels::all_benchmarks;
 use gpusimpow_sim::{GpuConfig, SimPool};
 
-/// Wall-clock time of one numbered stage of [`generate`], labelled as
-/// the progress line prints it. `perf_baseline` records these per-stage
-/// times (schema v3) so speedup claims on the dominant stages are
-/// measured rather than inferred from the suite total.
-#[derive(Debug, Clone)]
-pub struct StageTiming {
-    /// Stage label, e.g. `"Fig. 4"`.
-    pub name: &'static str,
-    /// Wall-clock seconds the stage took.
-    pub wall_s: f64,
-}
-
 /// Runs every experiment stage (`small` selects reduced workload sizes)
 /// and returns the rendered markdown. Progress goes to stderr. The
 /// output is byte-identical for any `pool` thread count.
-pub fn generate(small: bool, pool: &SimPool) -> String {
-    generate_with_scope(small, false, pool)
-}
-
-/// Like [`generate`], additionally returning per-stage wall times. The
-/// markdown is identical — timing is observation only.
-pub fn generate_timed(small: bool, pool: &SimPool) -> (String, Vec<StageTiming>) {
-    let mut timings = Vec::new();
-    let md = generate_inner(small, false, pool, &mut timings);
-    (md, timings)
-}
-
-/// Like [`generate`], with `per_cluster` appending the scoped
-/// per-cluster power-attribution section (the `--per-cluster` flag of
-/// `run_all_experiments`). The default report is unchanged when the
-/// flag is off, so the committed `EXPERIMENTS.md` stays byte-identical.
-pub fn generate_with_scope(small: bool, per_cluster: bool, pool: &SimPool) -> String {
-    generate_inner(small, per_cluster, pool, &mut Vec::new())
-}
-
-fn generate_inner(
-    small: bool,
-    per_cluster: bool,
-    pool: &SimPool,
-    timings: &mut Vec<StageTiming>,
-) -> String {
-    let mut stage_start = Instant::now();
-    let mut stage_done = |name: &'static str, timings: &mut Vec<StageTiming>| {
-        timings.push(StageTiming {
-            name,
-            wall_s: stage_start.elapsed().as_secs_f64(),
-        });
-        stage_start = Instant::now();
-    };
+///
+/// `per_cluster` appends the scoped per-cluster power-attribution
+/// section (the `--per-cluster` flag of `run_all_experiments`); the
+/// committed `EXPERIMENTS.md` is generated without it.
+pub fn generate(small: bool, per_cluster: bool, pool: &SimPool) -> String {
     let mut md = String::new();
     let w = &mut md;
 
@@ -108,8 +62,6 @@ fn generate_inner(
          lists 11 benchmarks; needle appears in Fig. 6 and is included).\n"
     )
     .unwrap();
-
-    stage_done("Table I", timings);
 
     // ---- Table II --------------------------------------------------------
     eprintln!("[2/8] Table II");
@@ -181,8 +133,6 @@ fn generate_inner(
     )
     .unwrap();
 
-    stage_done("Table II", timings);
-
     // ---- Fig. 4 ----------------------------------------------------------
     eprintln!("[3/8] Fig. 4");
     writeln!(w, "## Fig. 4 — cluster-activation staircase (GT240)\n").unwrap();
@@ -201,8 +151,6 @@ fn generate_inner(
     )
     .unwrap();
 
-    stage_done("Fig. 4", timings);
-
     // ---- Table IV --------------------------------------------------------
     eprintln!("[4/8] Table IV");
     writeln!(w, "## Table IV — static power and area\n").unwrap();
@@ -217,15 +165,11 @@ fn generate_inner(
     )
     .unwrap();
 
-    stage_done("Table IV", timings);
-
     // ---- §III-D ----------------------------------------------------------
     eprintln!("[5/8] §III-D microbenchmarks");
     writeln!(w, "## §III-D — per-operation energy microbenchmarks\n").unwrap();
     let micro = experiments::microbench_energy(experiments::BOARD_SEED, pool);
     writeln!(w, "{}", render::microbench(&micro)).unwrap();
-
-    stage_done("§III-D microbenchmarks", timings);
 
     // ---- §IV-B -----------------------------------------------------------
     eprintln!("[6/8] §IV-B static estimation");
@@ -233,15 +177,11 @@ fn generate_inner(
     let est = experiments::static_estimation(experiments::BOARD_SEED);
     writeln!(w, "```text\n{}```\n", render::static_estimation(&est)).unwrap();
 
-    stage_done("§IV-B static estimation", timings);
-
     // ---- §IV-A -----------------------------------------------------------
     eprintln!("[7/8] §IV-A error budget");
     writeln!(w, "## §IV-A — measurement-chain error budget\n").unwrap();
     let budget = experiments::measurement_error_budget(25, pool);
     writeln!(w, "```text\n{}```\n", render::error_budget(&budget)).unwrap();
-
-    stage_done("§IV-A error budget", timings);
 
     // ---- Fig. 6 + Table V -------------------------------------------------
     eprintln!("[8/8] Fig. 6 validation (both GPUs) + Table V");
@@ -279,8 +219,6 @@ fn generate_inner(
          are pinned by `crates/power/tests/paper_tables.rs`.\n"
     )
     .unwrap();
-
-    stage_done("Fig. 6 + Table V", timings);
 
     if per_cluster {
         eprintln!("[+] per-cluster attribution");

@@ -1,5 +1,8 @@
-//! `loadgen` — replays mixed job streams against the simulation
-//! service and writes `BENCH_service_throughput.json`.
+//! `loadgen` — the service's load client and CI smoke test: replays
+//! mixed job streams against the simulation service and prints a JSON
+//! summary (also written to `out.json` when that argument is given).
+//! The repo's throughput and latency numbers come from the
+//! `serve_cold` / `serve_warm` workloads of `benchmark/`, not from here.
 //!
 //! ```text
 //! cargo run --release -p gpusimpow-serve --bin loadgen -- \
@@ -31,9 +34,6 @@ use gpusimpow_serve::proto::ResultSource;
 use gpusimpow_serve::{
     Client, GovernorSpec, GpuPreset, JobSpec, KernelSpec, Server, ServerConfig, StoreConfig,
 };
-
-/// Monotonic schema version of `BENCH_service_throughput.json`.
-const SCHEMA_VERSION: u32 = 1;
 
 /// Wall-clock readings, isolated in one module so the simlint
 /// wall-clock allowance stays confined to the measurement edge.
@@ -79,17 +79,6 @@ fn parse_flag<T: std::str::FromStr>(args: &[String], flag: &str, default: T) -> 
                 .unwrap_or_else(|_| panic!("{flag} got an unparsable value {v:?}"))
         })
         .unwrap_or(default)
-}
-
-/// The HEAD commit, for attributing bench trajectories across PRs.
-fn git_commit() -> String {
-    std::process::Command::new("git")
-        .args(["rev-parse", "HEAD"])
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string())
-        .unwrap_or_else(|| "unknown".to_string())
 }
 
 /// Deterministic stream of small jobs: rotates through the five micro
@@ -178,9 +167,7 @@ fn main() {
     let out_path = args
         .iter()
         .skip(1)
-        .find(|a| !a.starts_with("--") && a.ends_with(".json"))
-        .cloned()
-        .unwrap_or_else(|| "BENCH_service_throughput.json".to_string());
+        .find(|a| !a.starts_with("--") && a.ends_with(".json"));
 
     let unique = ((jobs as f64) * (1.0 - dup_ratio)).round().max(1.0) as usize;
     let unique = unique.min(jobs);
@@ -294,8 +281,6 @@ fn main() {
     let mut json = String::new();
     json.push_str("{\n");
     let _ = writeln!(json, "  \"generated_by\": \"loadgen\",");
-    let _ = writeln!(json, "  \"schema_version\": {SCHEMA_VERSION},");
-    let _ = writeln!(json, "  \"git_commit\": \"{}\",", git_commit());
     let _ = writeln!(json, "  \"jobs\": {jobs},");
     let _ = writeln!(json, "  \"unique_jobs\": {unique},");
     let _ = writeln!(json, "  \"duplicate_ratio\": {configured_ratio:.4},");
@@ -321,8 +306,10 @@ fn main() {
     let _ = writeln!(json, "  \"coalesced_waits\": {},", stats.coalesced_waits);
     let _ = writeln!(json, "  \"errors\": {}", stats.errors);
     json.push_str("}\n");
-    std::fs::write(&out_path, &json).expect("write throughput json");
-    eprintln!("wrote {out_path}");
+    if let Some(out_path) = out_path {
+        std::fs::write(out_path, &json).expect("write the summary json");
+        eprintln!("wrote {out_path}");
+    }
     print!("{json}");
 
     if expect_hits {

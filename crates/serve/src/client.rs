@@ -6,9 +6,20 @@
 
 use std::net::{TcpStream, ToSocketAddrs};
 
+use gpusimpow_trace::wire::CodecError;
+
 use crate::job::{JobSpec, SweepSpec};
 use crate::proto::{read_frame, write_frame, JobOutcome, Request, Response, StatsSnapshot};
 use crate::wire::WireError;
+
+/// A reply of the wrong kind, or a request-level server error.
+fn unexpected(expected: &str, got: Response) -> WireError {
+    CodecError::Malformed(match got {
+        Response::Error(msg) => format!("server error: {msg}"),
+        other => format!("expected {expected}, got {other:?}"),
+    })
+    .into()
+}
 
 /// A connected service client.
 #[derive(Debug)]
@@ -30,9 +41,8 @@ impl Client {
 
     fn roundtrip(&mut self, request: &Request) -> Result<Response, WireError> {
         write_frame(&mut self.stream, &request.encode())?;
-        let payload = read_frame(&mut self.stream)?.ok_or(WireError::Truncated {
+        let payload = read_frame(&mut self.stream)?.ok_or(CodecError::Truncated {
             what: "response frame",
-            missing: 4,
         })?;
         Response::decode(&payload)
     }
@@ -46,10 +56,7 @@ impl Client {
     pub fn submit(&mut self, jobs: &[JobSpec]) -> Result<Vec<JobOutcome>, WireError> {
         match self.roundtrip(&Request::Submit(jobs.to_vec()))? {
             Response::Results(outcomes) => Ok(outcomes),
-            Response::Error(msg) => Err(WireError::Malformed(format!("server error: {msg}"))),
-            other => Err(WireError::Malformed(format!(
-                "expected Results, got {other:?}"
-            ))),
+            other => Err(unexpected("Results", other)),
         }
     }
 
@@ -63,10 +70,7 @@ impl Client {
     pub fn submit_sweep(&mut self, sweep: &SweepSpec) -> Result<Vec<JobOutcome>, WireError> {
         match self.roundtrip(&Request::SubmitSweep(sweep.clone()))? {
             Response::Results(outcomes) => Ok(outcomes),
-            Response::Error(msg) => Err(WireError::Malformed(format!("server error: {msg}"))),
-            other => Err(WireError::Malformed(format!(
-                "expected Results, got {other:?}"
-            ))),
+            other => Err(unexpected("Results", other)),
         }
     }
 
@@ -78,9 +82,7 @@ impl Client {
     pub fn stats(&mut self) -> Result<StatsSnapshot, WireError> {
         match self.roundtrip(&Request::Stats)? {
             Response::Stats(stats) => Ok(stats),
-            other => Err(WireError::Malformed(format!(
-                "expected Stats, got {other:?}"
-            ))),
+            other => Err(unexpected("Stats", other)),
         }
     }
 
@@ -92,9 +94,7 @@ impl Client {
     pub fn ping(&mut self) -> Result<(), WireError> {
         match self.roundtrip(&Request::Ping)? {
             Response::Pong => Ok(()),
-            other => Err(WireError::Malformed(format!(
-                "expected Pong, got {other:?}"
-            ))),
+            other => Err(unexpected("Pong", other)),
         }
     }
 
@@ -107,9 +107,7 @@ impl Client {
     pub fn shutdown(&mut self) -> Result<(), WireError> {
         match self.roundtrip(&Request::Shutdown)? {
             Response::ShuttingDown => Ok(()),
-            other => Err(WireError::Malformed(format!(
-                "expected ShuttingDown, got {other:?}"
-            ))),
+            other => Err(unexpected("ShuttingDown", other)),
         }
     }
 }

@@ -1,148 +1,11 @@
-//! The content-address: a hand-rolled 128-bit digest over a job's
-//! canonical byte encoding.
+//! The content address of a job: the workspace's one 128-bit digest
+//! ([`gpusimpow_trace::digest`]) over the job's canonical byte
+//! encoding, under the name the service knows it by.
 //!
-//! The container has no crates.io access, so there is no `sha2` to
-//! lean on. The digest here is two independent FNV-1a-style 64-bit
-//! lanes over the same byte stream (distinct offset bases and
-//! multipliers, the second lane additionally whitening each input
-//! byte), finished with a SplitMix64-style avalanche that folds the
-//! length in and cross-mixes the lanes. It is *not* cryptographic —
-//! nothing here defends against adversarial collisions — but it is
-//! deterministic across platforms, avalanche-complete in the finisher,
-//! and 128 bits wide, which is what a result cache keyed by honest job
-//! descriptions needs.
-//!
-//! The digest is versioned *indirectly*: it hashes the canonical job
-//! encoding, which carries its own version field
+//! The digest is versioned *indirectly*: the canonical encoding
+//! carries its own version field
 //! ([`crate::job::JOB_ENCODING_VERSION`]). Changing the encoding bumps
 //! that version, which changes every digest, which cleanly orphans all
 //! previously cached results rather than silently serving stale ones.
 
-use std::fmt;
-
-use crate::wire::WireError;
-
-/// FNV-1a 64-bit offset basis (lane 0).
-const OFFSET0: u64 = 0xcbf2_9ce4_8422_2325;
-/// FNV-1a 64-bit prime (lane 0 multiplier).
-const PRIME0: u64 = 0x0000_0100_0000_01b3;
-/// Lane 1 offset basis: the golden-ratio constant, unrelated to lane 0.
-const OFFSET1: u64 = 0x9e37_79b9_7f4a_7c15;
-/// Lane 1 multiplier: an odd constant with good bit dispersion
-/// (from MurmurHash3's 64-bit finalizer family).
-const PRIME1: u64 = 0xff51_afd7_ed55_8ccd;
-
-/// SplitMix64 finalizer: full-avalanche bijection on 64 bits.
-fn avalanche(mut x: u64) -> u64 {
-    x ^= x >> 30;
-    x = x.wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x ^= x >> 27;
-    x = x.wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^= x >> 31;
-    x
-}
-
-/// A 128-bit content address of one canonical job encoding.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct JobDigest(pub [u8; 16]);
-
-impl JobDigest {
-    /// Digests `bytes`.
-    pub fn compute(bytes: &[u8]) -> JobDigest {
-        let mut h0 = OFFSET0;
-        let mut h1 = OFFSET1;
-        for &b in bytes {
-            h0 = (h0 ^ u64::from(b)).wrapping_mul(PRIME0);
-            h1 = (h1 ^ u64::from(b.rotate_left(3) ^ 0xa5)).wrapping_mul(PRIME1);
-        }
-        let len = bytes.len() as u64;
-        let a = avalanche(h0 ^ len);
-        let b = avalanche(h1 ^ len.rotate_left(32) ^ a);
-        let a = avalanche(a ^ b.rotate_left(17));
-        let mut out = [0u8; 16];
-        out[..8].copy_from_slice(&a.to_le_bytes());
-        out[8..].copy_from_slice(&b.to_le_bytes());
-        JobDigest(out)
-    }
-
-    /// Lowercase 32-character hex form (file names, logs, goldens).
-    pub fn to_hex(self) -> String {
-        let mut s = String::with_capacity(32);
-        for b in self.0 {
-            s.push_str(&format!("{b:02x}"));
-        }
-        s
-    }
-
-    /// Parses the 32-character hex form.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`WireError::Malformed`] unless `hex` is exactly 32
-    /// lowercase/uppercase hex digits.
-    pub fn from_hex(hex: &str) -> Result<JobDigest, WireError> {
-        if hex.len() != 32 || !hex.bytes().all(|b| b.is_ascii_hexdigit()) {
-            return Err(WireError::Malformed(format!(
-                "digest hex must be 32 hex digits, got {hex:?}"
-            )));
-        }
-        let mut out = [0u8; 16];
-        for (i, chunk) in hex.as_bytes().chunks(2).enumerate() {
-            let s = std::str::from_utf8(chunk).expect("hex is ASCII");
-            out[i] = u8::from_str_radix(s, 16).expect("validated hex digit pair");
-        }
-        Ok(JobDigest(out))
-    }
-}
-
-impl fmt::Display for JobDigest {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.to_hex())
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn single_bit_flips_avalanche() {
-        let base = JobDigest::compute(b"the quick brown fox");
-        let mut flipped = b"the quick brown fox".to_vec();
-        flipped[0] ^= 1;
-        let other = JobDigest::compute(&flipped);
-        assert_ne!(base, other);
-        // A decent digest flips roughly half the 128 output bits.
-        let differing: u32 = base
-            .0
-            .iter()
-            .zip(other.0.iter())
-            .map(|(a, b)| (a ^ b).count_ones())
-            .sum();
-        assert!(
-            (32..=96).contains(&differing),
-            "only {differing}/128 bits differ"
-        );
-    }
-
-    #[test]
-    fn length_extension_changes_digest() {
-        // Same prefix, appended zero byte: the length fold must matter.
-        assert_ne!(
-            JobDigest::compute(b""),
-            JobDigest::compute(&[0u8]),
-            "empty vs single zero byte"
-        );
-        assert_ne!(JobDigest::compute(&[0u8]), JobDigest::compute(&[0u8, 0]));
-    }
-
-    #[test]
-    fn hex_roundtrip() {
-        let d = JobDigest::compute(b"roundtrip");
-        let hex = d.to_hex();
-        assert_eq!(hex.len(), 32);
-        assert_eq!(JobDigest::from_hex(&hex).unwrap(), d);
-        assert!(JobDigest::from_hex("xyz").is_err());
-        assert!(JobDigest::from_hex(&hex[..30]).is_err());
-    }
-}
+pub use gpusimpow_trace::digest::Digest as JobDigest;

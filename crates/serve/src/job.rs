@@ -22,14 +22,15 @@ use gpusimpow_pm::{Baseline, ClusterOndemand, Governor, Ondemand, PowerCap, Powe
 use gpusimpow_power::{GpuChip, ScopedPowerReport};
 use gpusimpow_sim::{Gpu, GpuConfig, LaunchReport, RecordedLaunch, WindowRecorder};
 use gpusimpow_tech::units::Power;
-use gpusimpow_trace::{KernelTrace, TraceDigest};
+use gpusimpow_trace::wire::{CodecError, Reader, Writer};
+use gpusimpow_trace::KernelTrace;
 
 use crate::digest::JobDigest;
-use crate::wire::{Reader, WireError, Writer};
+use crate::wire::WireError;
 
 /// Version of the canonical job encoding. Bumping this changes every
 /// job digest, deliberately orphaning all previously cached results
-/// (see `crates/serve/src/digest.rs` for why that is the safe failure
+/// (see `crates/trace/src/digest.rs` for why that is the safe failure
 /// mode).
 pub const JOB_ENCODING_VERSION: u16 = 1;
 
@@ -49,9 +50,9 @@ const MAX_BLOCKS: u32 = 65_536;
 const MAX_ITERATIONS: u32 = 1 << 20;
 
 /// Upper bound on an embedded trace payload. Well under the wire
-/// frame limit (`crate::wire::MAX_LEN`), and far above any trace the
-/// small suite captures, but low enough that a garbage submission
-/// cannot pin a worker decoding gigabytes.
+/// frame limit (`gpusimpow_trace::wire::MAX_LEN`), and far above any
+/// trace the small suite captures, but low enough that a garbage
+/// submission cannot pin a worker decoding gigabytes.
 pub const MAX_TRACE_BYTES: usize = 16 << 20;
 
 /// A job failure: the spec was invalid, or the simulation itself
@@ -108,11 +109,11 @@ impl GpuPreset {
         }
     }
 
-    fn from_tag(tag: u8) -> Result<Self, WireError> {
+    fn from_tag(tag: u8) -> Result<Self, CodecError> {
         match tag {
             0 => Ok(GpuPreset::Gt240),
             1 => Ok(GpuPreset::Gtx580),
-            t => Err(WireError::Malformed(format!("unknown GPU preset tag {t}"))),
+            t => Err(CodecError::Malformed(format!("unknown GPU preset tag {t}"))),
         }
     }
 }
@@ -161,7 +162,7 @@ impl GovernorSpec {
         }
     }
 
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
+    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
         match r.u8("governor tag")? {
             0 => Ok(GovernorSpec::Baseline),
             1 => Ok(GovernorSpec::Ondemand),
@@ -169,7 +170,7 @@ impl GovernorSpec {
             3 => Ok(GovernorSpec::PowerCap {
                 cap_mw: r.u64("powercap milliwatts")?,
             }),
-            t => Err(WireError::Malformed(format!("unknown governor tag {t}"))),
+            t => Err(CodecError::Malformed(format!("unknown governor tag {t}"))),
         }
     }
 }
@@ -291,7 +292,7 @@ impl KernelSpec {
             ),
             KernelSpec::Trace { bytes } => format!(
                 "trace({}, {} bytes)",
-                &TraceDigest::compute(bytes).to_hex()[..8],
+                &JobDigest::compute(bytes).to_hex()[..8],
                 bytes.len()
             ),
         }
@@ -367,7 +368,7 @@ impl KernelSpec {
         }
     }
 
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
+    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
         Ok(match r.u8("kernel tag")? {
             0 => KernelSpec::ClusterStep {
                 iterations: r.u32("iterations")?,
@@ -403,7 +404,7 @@ impl KernelSpec {
                     0 => false,
                     1 => true,
                     f => {
-                        return Err(WireError::Malformed(format!(
+                        return Err(CodecError::Malformed(format!(
                             "suite size flag must be 0/1, got {f}"
                         )))
                     }
@@ -412,7 +413,7 @@ impl KernelSpec {
             6 => KernelSpec::Trace {
                 bytes: r.bytes("trace bytes")?.to_vec(),
             },
-            t => Err(WireError::Malformed(format!("unknown kernel tag {t}")))?,
+            t => Err(CodecError::Malformed(format!("unknown kernel tag {t}")))?,
         })
     }
 
@@ -558,8 +559,7 @@ impl JobSpec {
     /// and the wire form of a submitted job.
     pub fn canonical_bytes(&self) -> Vec<u8> {
         let mut w = Writer::new();
-        w.put_raw(&JOB_MAGIC);
-        w.put_u16(JOB_ENCODING_VERSION);
+        w.put_header(&JOB_MAGIC, JOB_ENCODING_VERSION);
         w.put_u8(self.gpu.tag());
         self.governor.encode(&mut w);
         w.put_u64(self.window_cycles);
@@ -571,21 +571,12 @@ impl JobSpec {
     ///
     /// # Errors
     ///
-    /// Returns [`WireError`] on structural problems and maps
-    /// [`JobError::Invalid`] domain violations to
-    /// [`WireError::Malformed`].
+    /// Returns a [`CodecError`] (as [`WireError::Codec`]) on structural
+    /// problems and maps [`JobError::Invalid`] domain violations to
+    /// [`CodecError::Malformed`].
     pub fn decode(bytes: &[u8]) -> Result<JobSpec, WireError> {
         let mut r = Reader::new(bytes);
-        let magic = r.raw(4, "job magic")?;
-        if magic != JOB_MAGIC {
-            return Err(WireError::Malformed(format!("bad job magic {magic:02x?}")));
-        }
-        let version = r.u16("job encoding version")?;
-        if version != JOB_ENCODING_VERSION {
-            return Err(WireError::Malformed(format!(
-                "job encoding version {version} (this build speaks {JOB_ENCODING_VERSION})"
-            )));
-        }
+        r.header(&JOB_MAGIC, JOB_ENCODING_VERSION)?;
         let gpu = GpuPreset::from_tag(r.u8("gpu tag")?)?;
         let governor = GovernorSpec::decode(&mut r)?;
         let window_cycles = r.u64("window cycles")?;
@@ -598,7 +589,7 @@ impl JobSpec {
             window_cycles,
         };
         spec.validate()
-            .map_err(|e| WireError::Malformed(e.to_string()))?;
+            .map_err(|e| CodecError::Malformed(e.to_string()))?;
         Ok(spec)
     }
 
@@ -683,7 +674,7 @@ impl SweepSpec {
     }
 
     /// Decodes and validates a sweep body.
-    pub(crate) fn decode(r: &mut Reader<'_>) -> Result<SweepSpec, WireError> {
+    pub(crate) fn decode(r: &mut Reader<'_>) -> Result<SweepSpec, CodecError> {
         let governor = GovernorSpec::decode(r)?;
         let window_cycles = r.u64("sweep window cycles")?;
         let kernel = KernelSpec::decode(r)?;
@@ -700,7 +691,7 @@ impl SweepSpec {
         };
         sweep
             .validate()
-            .map_err(|e| WireError::Malformed(e.to_string()))?;
+            .map_err(|e| CodecError::Malformed(e.to_string()))?;
         Ok(sweep)
     }
 }

@@ -19,9 +19,14 @@
 //!    same uncached job coalesce onto a single simulation
 //!    ([`server`]).
 //!
-//! The `gpusimpow-serve` bin runs the server; the `loadgen` bin replays
-//! mixed job streams against it and writes
-//! `BENCH_service_throughput.json`.
+//! The `gpusimpow-serve` bin runs the server; the `loadgen` bin is its
+//! load client and CI smoke test (throughput and latency are measured
+//! by the `serve_cold` / `serve_warm` workloads of `benchmark/`).
+//!
+//! Every byte format here — jobs, results, cache entries, frames — is
+//! built from the one cursor, header check and digest in
+//! `gpusimpow_trace::{wire, digest}`; [`wire`] adds only the transport
+//! failure a socket can add.
 
 #![warn(missing_docs)]
 

@@ -11,11 +11,10 @@
 //! payload = msg-type: u8 | body (type-specific)
 //! ```
 //!
-//! `len` covers the payload only and is capped at
-//! [`crate::wire::MAX_LEN`]; a peer announcing more is treated as
-//! corrupt and the connection is dropped. One request frame yields
-//! exactly one response frame, so a client can pipeline batches and
-//! match responses by order.
+//! `len` covers the payload only and is capped at [`MAX_LEN`]; a peer
+//! announcing more is treated as corrupt and the connection is
+//! dropped. One request frame yields exactly one response frame, so a
+//! client can pipeline batches and match responses by order.
 //!
 //! ## Result encoding
 //!
@@ -26,7 +25,7 @@
 //! travel as exact IEEE-754 bit patterns, so decoding reproduces the
 //! simulator's reports bit-for-bit.
 
-use std::io::{Read, Write};
+use std::io::{ErrorKind, Read, Write};
 
 use gpusimpow_power::{
     ChipBreakdown, ClusterPowerRow, CoreBreakdown, DramPowerBreakdown, PowerReport, PowerSplit,
@@ -34,9 +33,11 @@ use gpusimpow_power::{
 };
 use gpusimpow_tech::units::{Power, Time};
 
+use gpusimpow_trace::wire::{CodecError, Reader, Writer, MAX_LEN};
+
 use crate::digest::JobDigest;
 use crate::job::{JobResult, JobSpec, SweepSpec, TraceSample, TraceSummary};
-use crate::wire::{Reader, WireError, Writer, MAX_LEN};
+use crate::wire::WireError;
 
 /// Version of the result encoding, stored alongside every cached
 /// payload; a bump invalidates cached results at read time.
@@ -65,11 +66,11 @@ const MSG_SHUTTING_DOWN: u8 = 0x85;
 ///
 /// # Errors
 ///
-/// Returns [`WireError::TooLarge`] for oversized payloads and
+/// Returns [`CodecError::TooLarge`] for oversized payloads and
 /// [`WireError::Io`] on socket failure.
 pub fn write_frame(stream: &mut impl Write, payload: &[u8]) -> Result<(), WireError> {
     if payload.len() > MAX_LEN {
-        return Err(WireError::TooLarge(payload.len()));
+        return Err(CodecError::TooLarge(payload.len()).into());
     }
     // One contiguous write: prefix + payload in separate writes would
     // hand Nagle + delayed-ACK a ~40 ms stall per frame.
@@ -86,43 +87,42 @@ pub fn write_frame(stream: &mut impl Write, payload: &[u8]) -> Result<(), WireEr
 ///
 /// # Errors
 ///
-/// Returns [`WireError::TooLarge`] for frames above the wire limit,
-/// [`WireError::Truncated`] for mid-frame EOF and [`WireError::Io`] on
-/// socket failure.
+/// Returns [`CodecError::TooLarge`] for frames above the wire limit,
+/// [`CodecError::Truncated`] for mid-frame EOF and [`WireError::Io`]
+/// on socket failure.
 pub fn read_frame(stream: &mut impl Read) -> Result<Option<Vec<u8>>, WireError> {
+    // The prefix is read by hand rather than with `read_exact` because
+    // EOF before its first byte is a clean hang-up, not an error.
     let mut len_bytes = [0u8; 4];
     let mut filled = 0;
-    while filled < 4 {
-        // simlint: allow(panic_path): `filled` stays below 4 by the loop
-        // condition and `read` returns at most the slice length, so the
-        // range start can never pass the end of the 4-byte buffer.
-        let n = stream.read(&mut len_bytes[filled..])?;
-        if n == 0 {
-            if filled == 0 {
-                return Ok(None);
+    while let Some(rest) = len_bytes.get_mut(filled..).filter(|r| !r.is_empty()) {
+        match stream.read(rest) {
+            Ok(0) if filled == 0 => return Ok(None),
+            Ok(0) => {
+                return Err(CodecError::Truncated {
+                    what: "frame length",
+                }
+                .into())
             }
-            return Err(WireError::Truncated {
-                what: "frame length",
-                missing: 4 - filled,
-            });
+            Ok(n) => filled += n,
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            Err(e) => return Err(e.into()),
         }
-        filled += n;
     }
     let len = u32::from_le_bytes(len_bytes) as usize;
     if len > MAX_LEN {
-        return Err(WireError::TooLarge(len));
+        return Err(CodecError::TooLarge(len).into());
     }
     let mut payload = vec![0u8; len];
-    stream.read_exact(&mut payload).map_err(|e| {
-        if e.kind() == std::io::ErrorKind::UnexpectedEof {
-            WireError::Truncated {
+    stream
+        .read_exact(&mut payload)
+        .map_err(|e| match e.kind() {
+            ErrorKind::UnexpectedEof => CodecError::Truncated {
                 what: "frame payload",
-                missing: len,
             }
-        } else {
-            WireError::Io(e)
-        }
-    })?;
+            .into(),
+            _ => WireError::Io(e),
+        })?;
     Ok(Some(payload))
 }
 
@@ -192,11 +192,7 @@ impl Request {
             MSG_STATS => Request::Stats,
             MSG_SHUTDOWN => Request::Shutdown,
             MSG_PING => Request::Ping,
-            t => {
-                return Err(WireError::Malformed(format!(
-                    "unknown request tag {t:#04x}"
-                )))
-            }
+            t => return Err(CodecError::Malformed(format!("unknown request tag {t:#04x}")).into()),
         };
         r.finish("request")?;
         Ok(req)
@@ -228,13 +224,13 @@ impl ResultSource {
         }
     }
 
-    fn from_tag(tag: u8) -> Result<Self, WireError> {
+    fn from_tag(tag: u8) -> Result<Self, CodecError> {
         match tag {
             0 => Ok(ResultSource::Simulated),
             1 => Ok(ResultSource::MemoryHit),
             2 => Ok(ResultSource::DiskHit),
             3 => Ok(ResultSource::Coalesced),
-            t => Err(WireError::Malformed(format!("unknown result source {t}"))),
+            t => Err(CodecError::Malformed(format!("unknown result source {t}"))),
         }
     }
 
@@ -319,7 +315,7 @@ impl StatsSnapshot {
         }
     }
 
-    fn decode_from(r: &mut Reader<'_>) -> Result<Self, WireError> {
+    fn decode_from(r: &mut Reader<'_>) -> Result<Self, CodecError> {
         Ok(StatsSnapshot {
             jobs_received: r.u64("jobs_received")?,
             batches: r.u64("batches")?,
@@ -400,21 +396,16 @@ impl Response {
                 let count = r.u32("outcome count")? as usize;
                 let mut outcomes = Vec::with_capacity(count.min(1024));
                 for _ in 0..count {
-                    let digest =
-                        JobDigest(r.raw(16, "outcome digest")?.try_into().map_err(|_| {
-                            WireError::Truncated {
-                                what: "outcome digest",
-                                missing: 16,
-                            }
-                        })?);
+                    let digest = JobDigest(r.array("outcome digest")?);
                     let source = ResultSource::from_tag(r.u8("result source")?)?;
                     let payload = match r.u8("outcome kind")? {
                         1 => Ok(r.bytes("result payload")?.to_vec()),
                         0 => Err(r.str("job error")?),
                         k => {
-                            return Err(WireError::Malformed(format!(
+                            return Err(CodecError::Malformed(format!(
                                 "outcome kind must be 0/1, got {k}"
-                            )))
+                            ))
+                            .into())
                         }
                     };
                     outcomes.push(JobOutcome {
@@ -430,9 +421,7 @@ impl Response {
             MSG_PONG => Response::Pong,
             MSG_SHUTTING_DOWN => Response::ShuttingDown,
             t => {
-                return Err(WireError::Malformed(format!(
-                    "unknown response tag {t:#04x}"
-                )))
+                return Err(CodecError::Malformed(format!("unknown response tag {t:#04x}")).into())
             }
         };
         r.finish("response")?;
@@ -447,7 +436,7 @@ fn put_split(w: &mut Writer, s: PowerSplit) {
     w.put_f64(s.dynamic_power.watts());
 }
 
-fn get_split(r: &mut Reader<'_>, what: &'static str) -> Result<PowerSplit, WireError> {
+fn get_split(r: &mut Reader<'_>, what: &'static str) -> Result<PowerSplit, CodecError> {
     Ok(PowerSplit::new(
         Power::new(r.f64(what)?),
         Power::new(r.f64(what)?),
@@ -489,7 +478,7 @@ fn put_report(w: &mut Writer, report: &PowerReport) {
     }
 }
 
-fn get_report(r: &mut Reader<'_>) -> Result<PowerReport, WireError> {
+fn get_report(r: &mut Reader<'_>) -> Result<PowerReport, CodecError> {
     Ok(PowerReport {
         kernel: r.str("report kernel")?,
         gpu: r.str("report gpu")?,
@@ -533,14 +522,14 @@ fn put_scoped(w: &mut Writer, scoped: &ScopedPowerReport) {
     put_split(w, scoped.uncore);
 }
 
-fn get_scoped(r: &mut Reader<'_>) -> Result<ScopedPowerReport, WireError> {
+fn get_scoped(r: &mut Reader<'_>) -> Result<ScopedPowerReport, CodecError> {
     let report = get_report(r)?;
     let n = r.u32("cluster row count")? as usize;
     let mut clusters = Vec::with_capacity(n.min(4096));
     for _ in 0..n {
         clusters.push(ClusterPowerRow {
             cluster: usize::try_from(r.u64("cluster index")?)
-                .map_err(|_| WireError::Malformed("cluster index does not fit usize".into()))?,
+                .map_err(|_| CodecError::Malformed("cluster index does not fit usize".into()))?,
             power: get_split(r, "cluster power")?,
             busy_fraction: r.f64("cluster busy fraction")?,
             avg_busy_cores: r.f64("cluster avg busy cores")?,
@@ -570,7 +559,7 @@ fn put_trace(w: &mut Writer, trace: &TraceSummary) {
     }
 }
 
-fn get_trace(r: &mut Reader<'_>) -> Result<TraceSummary, WireError> {
+fn get_trace(r: &mut Reader<'_>) -> Result<TraceSummary, CodecError> {
     let kernel = r.str("trace kernel")?;
     let governor = r.str("trace governor")?;
     let n = r.u32("trace sample count")? as usize;
@@ -599,8 +588,7 @@ fn get_trace(r: &mut Reader<'_>) -> Result<TraceSummary, WireError> {
 /// input bit-for-bit.
 pub fn encode_result(result: &JobResult) -> Vec<u8> {
     let mut w = Writer::new();
-    w.put_raw(&RESULT_MAGIC);
-    w.put_u16(RESULT_ENCODING_VERSION);
+    w.put_header(&RESULT_MAGIC, RESULT_ENCODING_VERSION);
     w.put_u32(result.reports.len() as u32);
     for scoped in &result.reports {
         put_scoped(&mut w, scoped);
@@ -620,18 +608,7 @@ pub fn encode_result(result: &JobResult) -> Vec<u8> {
 /// structural corruption.
 pub fn decode_result(bytes: &[u8]) -> Result<JobResult, WireError> {
     let mut r = Reader::new(bytes);
-    let magic = r.raw(4, "result magic")?;
-    if magic != RESULT_MAGIC {
-        return Err(WireError::Malformed(format!(
-            "bad result magic {magic:02x?}"
-        )));
-    }
-    let version = r.u16("result encoding version")?;
-    if version != RESULT_ENCODING_VERSION {
-        return Err(WireError::Malformed(format!(
-            "result encoding version {version} (this build speaks {RESULT_ENCODING_VERSION})"
-        )));
-    }
+    r.header(&RESULT_MAGIC, RESULT_ENCODING_VERSION)?;
     let n_reports = r.u32("report count")? as usize;
     let mut reports = Vec::with_capacity(n_reports.min(4096));
     for _ in 0..n_reports {
@@ -793,6 +770,39 @@ mod tests {
         assert!(read_frame(&mut cursor).unwrap().is_none());
     }
 
+    /// A `Read` that hands out one byte per call and fails with
+    /// `Interrupted` (a signal landing mid-`read`) before the third.
+    struct Interrupting<'a> {
+        bytes: &'a [u8],
+        calls: usize,
+    }
+
+    impl Read for Interrupting<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            self.calls += 1;
+            if self.calls == 3 {
+                return Err(ErrorKind::Interrupted.into());
+            }
+            let n = buf.len().min(self.bytes.len()).min(1);
+            buf[..n].copy_from_slice(&self.bytes[..n]);
+            self.bytes = &self.bytes[n..];
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn interrupted_read_mid_prefix_is_retried() {
+        let mut buf = Vec::new();
+        write_frame(&mut buf, b"hello").unwrap();
+        let mut stream = Interrupting {
+            bytes: &buf,
+            calls: 0,
+        };
+        assert_eq!(read_frame(&mut stream).unwrap().unwrap(), b"hello");
+        assert!(stream.calls > 3, "the interrupted call was reached");
+        assert!(read_frame(&mut stream).unwrap().is_none());
+    }
+
     #[test]
     fn truncated_frame_is_detected() {
         let mut buf = Vec::new();
@@ -800,14 +810,14 @@ mod tests {
         let mut cursor = std::io::Cursor::new(&buf[..7]);
         assert!(matches!(
             read_frame(&mut cursor),
-            Err(WireError::Truncated { .. })
+            Err(WireError::Codec(CodecError::Truncated { .. }))
         ));
         // Oversized announced length.
         let huge = (MAX_LEN as u32 + 1).to_le_bytes();
         let mut cursor = std::io::Cursor::new(&huge[..]);
         assert!(matches!(
             read_frame(&mut cursor),
-            Err(WireError::TooLarge(_))
+            Err(WireError::Codec(CodecError::TooLarge(_)))
         ));
     }
 }

@@ -31,8 +31,9 @@ use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
+use gpusimpow_trace::wire::{CodecError, Reader, Writer};
+
 use crate::digest::JobDigest;
-use crate::wire::{Reader, Writer, MAX_LEN};
 
 /// Magic prefix of an on-disk cache entry.
 pub const CACHE_MAGIC: [u8; 4] = *b"GSPC";
@@ -185,8 +186,7 @@ impl ResultStore {
     /// Encodes one disk entry: header, payload, trailing checksum.
     fn encode_entry(digest: JobDigest, payload: &[u8]) -> Vec<u8> {
         let mut w = Writer::new();
-        w.put_raw(&CACHE_MAGIC);
-        w.put_u16(CACHE_ENTRY_VERSION);
+        w.put_header(&CACHE_MAGIC, CACHE_ENTRY_VERSION);
         w.put_raw(&digest.0);
         w.put_bytes(payload);
         w.put_raw(&JobDigest::compute(payload).0);
@@ -194,28 +194,21 @@ impl ResultStore {
     }
 
     /// Decodes and fully verifies one disk entry.
-    fn decode_entry(digest: JobDigest, bytes: &[u8]) -> Option<Vec<u8>> {
+    fn decode_entry(digest: JobDigest, bytes: &[u8]) -> Result<Vec<u8>, CodecError> {
         let mut r = Reader::new(bytes);
-        if r.raw(4, "cache magic").ok()? != CACHE_MAGIC {
-            return None;
+        r.header(&CACHE_MAGIC, CACHE_ENTRY_VERSION)?;
+        if JobDigest(r.array("bound job digest")?) != digest {
+            return Err(CodecError::Malformed(format!(
+                "entry is bound to another job, not {digest}"
+            )));
         }
-        if r.u16("cache entry version").ok()? != CACHE_ENTRY_VERSION {
-            return None;
+        let payload = r.bytes("cached payload")?;
+        let check = JobDigest(r.array("content digest")?);
+        r.finish("cache entry")?;
+        if check != JobDigest::compute(payload) {
+            return Err(CodecError::DigestMismatch);
         }
-        let bound: [u8; 16] = r.raw(16, "bound job digest").ok()?.try_into().ok()?;
-        if JobDigest(bound) != digest {
-            return None;
-        }
-        let payload = r.bytes("cached payload").ok()?.to_vec();
-        if payload.len() > MAX_LEN {
-            return None;
-        }
-        let check: [u8; 16] = r.raw(16, "content digest").ok()?.try_into().ok()?;
-        r.finish("cache entry").ok()?;
-        if JobDigest(check) != JobDigest::compute(&payload) {
-            return None;
-        }
-        Some(payload)
+        Ok(payload.to_vec())
     }
 
     /// Reads a digest from the disk tier; any verification failure
@@ -223,16 +216,13 @@ impl ResultStore {
     fn disk_read(&mut self, digest: JobDigest) -> Option<Vec<u8>> {
         let dir = self.config.dir.as_ref()?;
         let path = Self::entry_path(dir, digest);
-        let bytes = match std::fs::read(&path) {
-            Ok(b) => b,
-            Err(_) => return None,
-        };
+        let bytes = std::fs::read(&path).ok()?;
         match Self::decode_entry(digest, &bytes) {
-            Some(payload) => {
+            Ok(payload) => {
                 self.counters.disk_reads += 1;
                 Some(payload)
             }
-            None => {
+            Err(_) => {
                 let _ = std::fs::remove_file(&path);
                 self.counters.corrupt_evictions += 1;
                 None

@@ -1,36 +1,21 @@
-//! Byte-level codec primitives shared by the job encoding, the result
-//! encoding, the on-disk cache entries and the TCP frames.
+//! The service's error type: a codec failure or a transport failure.
 //!
-//! Everything on the wire and on disk is little-endian, fixed-width,
-//! and *exact*: `f64` values travel as their IEEE-754 bit patterns
-//! ([`Writer::put_f64`] / [`Reader::f64`]), so a decoded
-//! [`gpusimpow_power::ScopedPowerReport`] compares bit-for-bit equal to
-//! the one the simulator produced. That exactness is what makes the
-//! content-addressed cache sound: a cached result *is* the result.
+//! The byte-level primitives every service format is built from — the
+//! bounds-checked `Reader`, the `Writer`, the magic + version header
+//! check and the [`CodecError`] vocabulary — live in
+//! [`gpusimpow_trace::wire`], shared with the trace format. What is
+//! the service's own is the socket: a frame can also fail because the
+//! connection did.
 
 use std::fmt;
 
-/// Hard ceiling on any length field (frames, strings, blobs). A power
-/// trace of a long kernel is the largest payload we ship; 64 MiB is two
-/// orders of magnitude above anything the suite produces and cheap
-/// insurance against a corrupt length field allocating the moon.
-pub const MAX_LEN: usize = 64 << 20;
+use gpusimpow_trace::wire::CodecError;
 
-/// A decode (or transport) failure.
+/// A decode or transport failure.
 #[derive(Debug)]
 pub enum WireError {
-    /// The buffer ended before the announced content did.
-    Truncated {
-        /// What was being decoded.
-        what: &'static str,
-        /// Bytes needed beyond the buffer end.
-        missing: usize,
-    },
-    /// Structurally valid bytes with an invalid meaning (bad tag, bad
-    /// magic, version mismatch, non-UTF-8 string, ...).
-    Malformed(String),
-    /// A length field exceeded [`MAX_LEN`].
-    TooLarge(usize),
+    /// The bytes were truncated, malformed or oversized.
+    Codec(CodecError),
     /// The underlying socket failed.
     Io(std::io::Error),
 }
@@ -38,13 +23,7 @@ pub enum WireError {
 impl fmt::Display for WireError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            WireError::Truncated { what, missing } => {
-                write!(f, "truncated {what}: {missing} byte(s) missing")
-            }
-            WireError::Malformed(msg) => write!(f, "malformed message: {msg}"),
-            WireError::TooLarge(n) => {
-                write!(f, "length {n} exceeds the {MAX_LEN}-byte wire limit")
-            }
+            WireError::Codec(e) => e.fmt(f),
             WireError::Io(e) => write!(f, "transport error: {e}"),
         }
     }
@@ -52,234 +31,14 @@ impl fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
+impl From<CodecError> for WireError {
+    fn from(e: CodecError) -> Self {
+        WireError::Codec(e)
+    }
+}
+
 impl From<std::io::Error> for WireError {
     fn from(e: std::io::Error) -> Self {
         WireError::Io(e)
-    }
-}
-
-/// An append-only byte buffer with typed put operations.
-#[derive(Debug, Default)]
-pub struct Writer {
-    buf: Vec<u8>,
-}
-
-impl Writer {
-    /// An empty writer.
-    pub fn new() -> Self {
-        Writer::default()
-    }
-
-    /// The bytes written so far.
-    pub fn into_bytes(self) -> Vec<u8> {
-        self.buf
-    }
-
-    /// Appends one byte.
-    pub fn put_u8(&mut self, v: u8) {
-        self.buf.push(v);
-    }
-
-    /// Appends a little-endian `u16`.
-    pub fn put_u16(&mut self, v: u16) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Appends a little-endian `u32`.
-    pub fn put_u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Appends a little-endian `u64`.
-    pub fn put_u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Appends an `f64` as its exact IEEE-754 bit pattern.
-    pub fn put_f64(&mut self, v: f64) {
-        self.put_u64(v.to_bits());
-    }
-
-    /// Appends a `u32`-length-prefixed UTF-8 string.
-    pub fn put_str(&mut self, s: &str) {
-        self.put_u32(s.len() as u32);
-        self.buf.extend_from_slice(s.as_bytes());
-    }
-
-    /// Appends a `u32`-length-prefixed byte blob.
-    pub fn put_bytes(&mut self, b: &[u8]) {
-        self.put_u32(b.len() as u32);
-        self.buf.extend_from_slice(b);
-    }
-
-    /// Appends raw bytes with no length prefix (fixed-width fields).
-    pub fn put_raw(&mut self, b: &[u8]) {
-        self.buf.extend_from_slice(b);
-    }
-}
-
-/// A cursor over a byte slice with typed, bounds-checked reads.
-#[derive(Debug)]
-pub struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    /// A reader over `buf`, positioned at the start.
-    pub fn new(buf: &'a [u8]) -> Self {
-        Reader { buf, pos: 0 }
-    }
-
-    /// Bytes not yet consumed.
-    pub fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
-    }
-
-    fn take(&mut self, n: usize, what: &'static str) -> Result<&'a [u8], WireError> {
-        if self.remaining() < n {
-            return Err(WireError::Truncated {
-                what,
-                missing: n - self.remaining(),
-            });
-        }
-        let end = self.pos.checked_add(n).ok_or(WireError::TooLarge(n))?;
-        let out = self
-            .buf
-            .get(self.pos..end)
-            .ok_or(WireError::Truncated { what, missing: n })?;
-        self.pos = end;
-        Ok(out)
-    }
-
-    /// Reads one byte.
-    pub fn u8(&mut self, what: &'static str) -> Result<u8, WireError> {
-        let b = self.take(1, what)?;
-        b.first()
-            .copied()
-            .ok_or(WireError::Truncated { what, missing: 1 })
-    }
-
-    /// Reads a little-endian `u16`.
-    pub fn u16(&mut self, what: &'static str) -> Result<u16, WireError> {
-        let bytes = self
-            .take(2, what)?
-            .try_into()
-            .map_err(|_| WireError::Truncated { what, missing: 2 })?;
-        Ok(u16::from_le_bytes(bytes))
-    }
-
-    /// Reads a little-endian `u32`.
-    pub fn u32(&mut self, what: &'static str) -> Result<u32, WireError> {
-        let bytes = self
-            .take(4, what)?
-            .try_into()
-            .map_err(|_| WireError::Truncated { what, missing: 4 })?;
-        Ok(u32::from_le_bytes(bytes))
-    }
-
-    /// Reads a little-endian `u64`.
-    pub fn u64(&mut self, what: &'static str) -> Result<u64, WireError> {
-        let bytes = self
-            .take(8, what)?
-            .try_into()
-            .map_err(|_| WireError::Truncated { what, missing: 8 })?;
-        Ok(u64::from_le_bytes(bytes))
-    }
-
-    /// Reads an `f64` from its exact bit pattern.
-    pub fn f64(&mut self, what: &'static str) -> Result<f64, WireError> {
-        Ok(f64::from_bits(self.u64(what)?))
-    }
-
-    /// Reads a `u32`-length-prefixed UTF-8 string.
-    pub fn str(&mut self, what: &'static str) -> Result<String, WireError> {
-        let bytes = self.bytes(what)?;
-        String::from_utf8(bytes.to_vec())
-            .map_err(|_| WireError::Malformed(format!("{what}: invalid UTF-8")))
-    }
-
-    /// Reads a `u32`-length-prefixed byte blob.
-    pub fn bytes(&mut self, what: &'static str) -> Result<&'a [u8], WireError> {
-        let len = self.u32(what)? as usize;
-        if len > MAX_LEN {
-            return Err(WireError::TooLarge(len));
-        }
-        self.take(len, what)
-    }
-
-    /// Reads `n` raw bytes (a fixed-width field).
-    pub fn raw(&mut self, n: usize, what: &'static str) -> Result<&'a [u8], WireError> {
-        self.take(n, what)
-    }
-
-    /// Asserts the buffer was consumed exactly; trailing garbage after
-    /// a valid prefix is corruption, not padding.
-    pub fn finish(&self, what: &'static str) -> Result<(), WireError> {
-        if self.remaining() != 0 {
-            return Err(WireError::Malformed(format!(
-                "{what}: {} trailing byte(s)",
-                self.remaining()
-            )));
-        }
-        Ok(())
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn scalar_roundtrip_is_exact() {
-        let mut w = Writer::new();
-        w.put_u8(7);
-        w.put_u16(0xBEEF);
-        w.put_u32(0xDEAD_BEEF);
-        w.put_u64(u64::MAX - 1);
-        w.put_f64(0.1 + 0.2); // a value with no short decimal form
-        w.put_f64(f64::NEG_INFINITY);
-        w.put_str("kernel µ");
-        w.put_bytes(&[1, 2, 3]);
-        let bytes = w.into_bytes();
-        let mut r = Reader::new(&bytes);
-        assert_eq!(r.u8("a").unwrap(), 7);
-        assert_eq!(r.u16("b").unwrap(), 0xBEEF);
-        assert_eq!(r.u32("c").unwrap(), 0xDEAD_BEEF);
-        assert_eq!(r.u64("d").unwrap(), u64::MAX - 1);
-        assert_eq!(r.f64("e").unwrap().to_bits(), (0.1f64 + 0.2).to_bits());
-        assert!(r.f64("f").unwrap().is_infinite());
-        assert_eq!(r.str("g").unwrap(), "kernel µ");
-        assert_eq!(r.bytes("h").unwrap(), &[1, 2, 3]);
-        r.finish("buffer").unwrap();
-    }
-
-    #[test]
-    fn truncation_is_detected() {
-        let mut w = Writer::new();
-        w.put_u64(42);
-        let bytes = w.into_bytes();
-        let mut r = Reader::new(&bytes[..5]);
-        match r.u64("field") {
-            Err(WireError::Truncated { missing: 3, .. }) => {}
-            other => panic!("expected 3 missing bytes, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn oversized_length_is_rejected() {
-        let mut w = Writer::new();
-        w.put_u32(u32::MAX);
-        let bytes = w.into_bytes();
-        let mut r = Reader::new(&bytes);
-        assert!(matches!(r.bytes("blob"), Err(WireError::TooLarge(_))));
-    }
-
-    #[test]
-    fn trailing_bytes_fail_finish() {
-        let bytes = [0u8; 3];
-        let mut r = Reader::new(&bytes);
-        let _ = r.u8("x").unwrap();
-        assert!(matches!(r.finish("message"), Err(WireError::Malformed(_))));
     }
 }

@@ -3,9 +3,10 @@
 
 use std::sync::Arc;
 
+use gpusimpow_serve::proto::{decode_result, encode_result};
 use gpusimpow_serve::store::StoreTier;
 use gpusimpow_serve::{
-    GovernorSpec, GpuPreset, JobDigest, JobSpec, KernelSpec, ResultStore, StoreConfig,
+    run_job, GovernorSpec, GpuPreset, JobDigest, JobSpec, KernelSpec, ResultStore, StoreConfig,
 };
 
 fn golden_specs() -> Vec<(&'static str, JobSpec, &'static str)> {
@@ -139,6 +140,56 @@ fn temp_dir(tag: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join(format!("gpusimpow-cache-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     dir
+}
+
+/// The result encoding (GSPR) and the on-disk entry layout (GSPC) are
+/// pinned the way the job goldens pin GSPJ: the digests below were
+/// captured at the commit before the codec primitives moved into
+/// `gpusimpow-trace`, over one plain and one windowed golden job. An
+/// intentional change bumps `RESULT_ENCODING_VERSION` or
+/// `CACHE_ENTRY_VERSION` and refreshes them in the same commit.
+#[test]
+fn result_and_cache_entry_encodings_match_checked_in_goldens() {
+    let goldens = [
+        (
+            "cluster_step",
+            "705d21c585afad6a3b3a11fe4789a2de",
+            "6ff30212a089f46be0c9711c970e8e2c",
+        ),
+        (
+            "lfsr",
+            "bc389da584c090bf12f6110aa4c8f63f",
+            "53352d758185a35aecb8cb52818d95e1",
+        ),
+    ];
+    let dir = temp_dir("freeze");
+    let cfg = StoreConfig {
+        dir: Some(dir.clone()),
+        mem_capacity: 8,
+    };
+    let mut store = ResultStore::new(cfg.clone()).unwrap();
+    for (name, gspr, gspc) in goldens {
+        let (_, spec, _) = golden_specs()
+            .into_iter()
+            .find(|(n, _, _)| *n == name)
+            .unwrap();
+        let result = run_job(&spec).unwrap();
+        let payload = encode_result(&result);
+        assert_eq!(JobDigest::compute(&payload).to_hex(), gspr, "{name} GSPR");
+        assert_eq!(decode_result(&payload).unwrap(), result, "{name} GSPR");
+
+        store.insert(spec.digest(), Arc::new(payload.clone()));
+        let entry = dir.join(format!("{}.gspc", spec.digest().to_hex()));
+        let on_disk = std::fs::read(&entry).unwrap();
+        assert_eq!(JobDigest::compute(&on_disk).to_hex(), gspc, "{name} GSPC");
+        let (back, tier) = ResultStore::new(cfg.clone())
+            .unwrap()
+            .get(spec.digest())
+            .expect("a cold store reads the entry back");
+        assert_eq!(tier, StoreTier::Disk);
+        assert_eq!(*back, payload, "{name} GSPC");
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 /// End-to-end disk-tier corruption: a truncated entry and a garbage

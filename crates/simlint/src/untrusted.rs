@@ -2,11 +2,12 @@
 //! decode paths.
 //!
 //! The serve and trace crates parse bytes that arrive from outside the
-//! process — a socket frame, a capture file on disk. Those bytes are
-//! adversarial by assumption: a malformed length prefix must surface as
-//! a typed `WireError`/`TraceError`, never as a panic (a denial of
-//! service for the batch server, a corrupted-archive crash for replay)
-//! and never as silently wrong arithmetic. Two passes enforce that,
+//! process — a socket frame, a cache entry or capture file on disk.
+//! Those bytes are adversarial by assumption: a malformed length prefix
+//! must surface as a typed `CodecError` (alias `TraceError`; wrapped in
+//! `WireError` at the socket), never as a panic (a denial of service
+//! for the batch server, a corrupted-archive crash for replay) and
+//! never as silently wrong arithmetic. Two passes enforce that,
 //! both confined to the decode surface:
 //!
 //! * [`PANIC_PATH`]: inside functions reachable from a decode entry
@@ -24,9 +25,10 @@
 //!   fixpoint. `checked_add`/`saturating_mul`/`try_into` are method
 //!   calls, not operators, so the approved spellings pass untouched.
 //!
-//! Scope: the files that decode external bytes —
-//! `crates/serve/src/{wire,proto,job}.rs` and
-//! `crates/trace/src/{codec,wire,format}.rs`. Encoders in the same
+//! Scope: the files that decode external bytes — the shared cursor and
+//! digest in `crates/trace/src/{wire,digest}.rs`, the trace format in
+//! `crates/trace/src/{codec,format}.rs`, and the service's three
+//! formats in `crates/serve/src/{proto,job,store}.rs`. Encoders in the same
 //! files are out of the blast radius automatically: they return plain
 //! values, so they are not entry points, and nothing on the decode
 //! side calls them.
@@ -50,7 +52,7 @@ pub const DECODE_ARITH: &str = "decode_arith";
 
 /// Error types whose appearance in a return type marks a decode entry
 /// point.
-const WIRE_ERRORS: &[&str] = &["WireError", "TraceError", "JobError"];
+const WIRE_ERRORS: &[&str] = &["CodecError", "WireError", "TraceError", "JobError"];
 
 /// Macros that panic at runtime. `debug_assert*` is deliberately
 /// absent: it compiles out of release builds.
@@ -98,10 +100,11 @@ const TYPE_WIDTHS: &[(&str, u32)] = &[
 pub fn scope(rel_path: &str) -> bool {
     matches!(
         rel_path,
-        "crates/serve/src/wire.rs"
-            | "crates/serve/src/proto.rs"
+        "crates/serve/src/proto.rs"
             | "crates/serve/src/job.rs"
+            | "crates/serve/src/store.rs"
             | "crates/trace/src/codec.rs"
+            | "crates/trace/src/digest.rs"
             | "crates/trace/src/wire.rs"
             | "crates/trace/src/format.rs"
     )

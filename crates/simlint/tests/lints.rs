@@ -294,7 +294,7 @@ fn queue_good_is_clean_with_justified_allow() {
 
 #[test]
 fn untrusted_bad_flags_reachable_panics_and_tainted_arithmetic() {
-    let diags = check_source("crates/serve/src/wire.rs", &fixture("untrusted_bad.rs"));
+    let diags = check_source("crates/serve/src/store.rs", &fixture("untrusted_bad.rs"));
     let mut panics: Vec<u32> = diags
         .iter()
         .filter(|d| d.lint == "panic_path")
@@ -324,7 +324,7 @@ fn untrusted_bad_flags_reachable_panics_and_tainted_arithmetic() {
 
 #[test]
 fn untrusted_good_checked_spellings_are_clean() {
-    let diags = check_source("crates/serve/src/wire.rs", &fixture("untrusted_good.rs"));
+    let diags = check_source("crates/serve/src/store.rs", &fixture("untrusted_good.rs"));
     assert!(diags.is_empty(), "{diags:#?}");
 }
 

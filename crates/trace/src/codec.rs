@@ -8,20 +8,21 @@
 
 use gpusimpow_isa::{CmpOp, FpOp, Instr, IntOp, MemSpace, Operand, Reg, SfuOp, SpecialReg};
 
-use crate::wire::{TraceError, TraceReader, TraceWriter};
+use crate::wire::{Reader, Writer};
+use crate::TraceError;
 
 const OPERAND_REG: u8 = 0;
 const OPERAND_IMM: u8 = 1;
 
-fn put_reg(w: &mut TraceWriter, r: Reg) {
+fn put_reg(w: &mut Writer, r: Reg) {
     w.put_u8(r.0);
 }
 
-fn get_reg(r: &mut TraceReader<'_>) -> Result<Reg, TraceError> {
+fn get_reg(r: &mut Reader<'_>) -> Result<Reg, TraceError> {
     Ok(Reg(r.u8("register")?))
 }
 
-fn put_operand(w: &mut TraceWriter, op: Operand) {
+fn put_operand(w: &mut Writer, op: Operand) {
     match op {
         Operand::Reg(reg) => {
             w.put_u8(OPERAND_REG);
@@ -34,7 +35,7 @@ fn put_operand(w: &mut TraceWriter, op: Operand) {
     }
 }
 
-fn get_operand(r: &mut TraceReader<'_>) -> Result<Operand, TraceError> {
+fn get_operand(r: &mut Reader<'_>) -> Result<Operand, TraceError> {
     match r.u8("operand tag")? {
         OPERAND_REG => Ok(Operand::Reg(get_reg(r)?)),
         OPERAND_IMM => Ok(Operand::Imm(r.varint_u32("immediate")?)),
@@ -44,14 +45,14 @@ fn get_operand(r: &mut TraceReader<'_>) -> Result<Operand, TraceError> {
 
 macro_rules! enum_codec {
     ($put:ident, $get:ident, $ty:ident, $what:literal, [$($variant:ident = $idx:literal),+ $(,)?]) => {
-        fn $put(w: &mut TraceWriter, v: $ty) {
+        fn $put(w: &mut Writer, v: $ty) {
             let idx: u8 = match v {
                 $($ty::$variant => $idx,)+
             };
             w.put_u8(idx);
         }
 
-        fn $get(r: &mut TraceReader<'_>) -> Result<$ty, TraceError> {
+        fn $get(r: &mut Reader<'_>) -> Result<$ty, TraceError> {
             match r.u8($what)? {
                 $($idx => Ok($ty::$variant),)+
                 t => Err(TraceError::Malformed(format!(
@@ -134,7 +135,7 @@ enum_codec!(
     ]
 );
 
-pub(crate) fn put_instr(w: &mut TraceWriter, instr: Instr) {
+pub(crate) fn put_instr(w: &mut Writer, instr: Instr) {
     match instr {
         Instr::IAlu { op, dst, a, b } => {
             w.put_u8(0);
@@ -257,7 +258,7 @@ pub(crate) fn put_instr(w: &mut TraceWriter, instr: Instr) {
     }
 }
 
-pub(crate) fn get_instr(r: &mut TraceReader<'_>) -> Result<Instr, TraceError> {
+pub(crate) fn get_instr(r: &mut Reader<'_>) -> Result<Instr, TraceError> {
     Ok(match r.u8("instruction tag")? {
         0 => Instr::IAlu {
             op: get_int_op(r)?,
@@ -459,12 +460,12 @@ mod tests {
     #[test]
     fn every_variant_roundtrips() {
         let instrs = sample_instrs();
-        let mut w = TraceWriter::new();
+        let mut w = Writer::new();
         for &i in &instrs {
             put_instr(&mut w, i);
         }
         let bytes = w.into_bytes();
-        let mut r = TraceReader::new(&bytes);
+        let mut r = Reader::new(&bytes);
         for &i in &instrs {
             assert_eq!(get_instr(&mut r).unwrap(), i);
         }
@@ -474,7 +475,7 @@ mod tests {
     #[test]
     fn unknown_tags_are_typed_errors() {
         for bad in [[19u8], [200u8], [255u8]] {
-            let mut r = TraceReader::new(&bad);
+            let mut r = Reader::new(&bad);
             assert!(matches!(get_instr(&mut r), Err(TraceError::Malformed(_))));
         }
     }

@@ -40,8 +40,8 @@
 use gpusimpow_isa::{Dim2, Instr, Kernel, LaunchConfig};
 
 use crate::codec::{get_instr, put_instr};
-use crate::digest::TraceDigest;
-use crate::wire::{TraceError, TraceReader, TraceWriter};
+use crate::wire::{Reader, Writer};
+use crate::{TraceDigest, TraceError};
 
 /// Leading magic of every encoded trace.
 pub const TRACE_MAGIC: [u8; 4] = *b"GSPT";
@@ -116,10 +116,10 @@ impl KernelTrace {
     /// Encodes the trace into the v1 byte format, digest footer
     /// included.
     pub fn encode(&self) -> Vec<u8> {
-        let mut w = TraceWriter::new();
-        w.put_raw(&TRACE_MAGIC);
-        w.put_u16(TRACE_VERSION);
-        w.put_str(&self.name);
+        let mut w = Writer::new();
+        w.put_header(&TRACE_MAGIC, TRACE_VERSION);
+        w.put_varint(self.name.len() as u64);
+        w.put_raw(self.name.as_bytes());
         w.put_u8(self.num_regs);
         w.put_varint(self.smem_bytes as u64);
         w.put_varint(self.grid_x as u64);
@@ -165,40 +165,23 @@ impl KernelTrace {
     /// flipped bits, absurd counts, inconsistent geometry — yields a
     /// typed [`TraceError`]; no partially-decoded value escapes.
     pub fn decode(bytes: &[u8]) -> Result<Self, TraceError> {
-        let mut r = TraceReader::new(bytes);
-        if r.raw(4, "magic")? != TRACE_MAGIC {
-            return Err(TraceError::BadMagic);
-        }
-        let version = r.u16("version")?;
-        if version != TRACE_VERSION {
-            return Err(TraceError::UnsupportedVersion(version));
-        }
+        let mut r = Reader::new(bytes);
+        r.header(&TRACE_MAGIC, TRACE_VERSION)?;
         // Verify the footer digest before decoding the body: a bit
         // flip then fails here even when it would also parse.
-        if bytes.len() < 4 + 2 + 16 {
-            return Err(TraceError::Truncated {
-                what: "digest footer",
-            });
-        }
-        let body_end = bytes.len() - 16;
-        let body = bytes.get(..body_end).ok_or(TraceError::Truncated {
+        let no_footer = || TraceError::Truncated {
             what: "digest footer",
-        })?;
-        let footer: [u8; 16] = bytes
-            .get(body_end..)
-            .and_then(|f| f.try_into().ok())
-            .ok_or(TraceError::Truncated {
-                what: "digest footer",
-            })?;
-        if TraceDigest::compute(body).0 != footer {
+        };
+        let body_len = r.remaining().checked_sub(16).ok_or_else(no_footer)?;
+        let mut body = Reader::new(r.take(body_len, "trace body")?);
+        let covered = bytes.get(..r.consumed()).ok_or_else(no_footer)?;
+        if TraceDigest::compute(covered) != TraceDigest(r.array("digest footer")?) {
             return Err(TraceError::DigestMismatch);
         }
-        let mut r_body = TraceReader::new(body);
-        r_body.raw(4, "magic")?;
-        r_body.u16("version")?;
-        let mut r = r_body;
+        let r = &mut body;
 
-        let name = r.str(MAX_NAME_BYTES, "kernel name")?;
+        let name_len = r.count(MAX_NAME_BYTES, 1, "kernel name")?;
+        let name = r.utf8(name_len, "kernel name")?;
         let num_regs = r.u8("register count")?;
         let smem_bytes = r.varint_u32("shared-memory bytes")?;
         let grid_x = r.varint_u32("grid x")?;
@@ -216,7 +199,7 @@ impl KernelTrace {
         let n_code = r.count(MAX_CODE, 1, "code")?;
         let mut code = Vec::with_capacity(n_code);
         for _ in 0..n_code {
-            code.push(get_instr(&mut r)?);
+            code.push(get_instr(r)?);
         }
         let n_streams = r.count(MAX_STREAMS, 1, "streams")?;
         let mut streams = Vec::with_capacity(n_streams);

@@ -14,10 +14,16 @@
 //! The on-disk encoding (`v1`) is a compact hand-rolled binary format:
 //! a `GSPT` magic + version header, msgpack-style LEB128 varints for
 //! all counts and scalars, and a 128-bit integrity digest in the
-//! footer (same construction as the serve crate's job digests). The
-//! reader is hardened against hostile input: truncation, bit flips and
-//! unknown versions produce typed [`TraceError`]s, never panics and
-//! never partially-initialised values.
+//! footer. The reader is hardened against hostile input: truncation,
+//! bit flips and unknown versions produce typed [`TraceError`]s, never
+//! panics and never partially-initialised values.
+//!
+//! This crate is also the lowest one both the simulator and the batch
+//! service depend on, so it owns the primitives every byte format in
+//! the workspace is built from: the bounds-checked cursor and append
+//! buffer in [`wire`] and the 128-bit [`digest`]. The service's job,
+//! result and cache-entry encodings use the same `Reader`, `Writer`,
+//! header check and digest as the trace format does.
 //!
 //! # Examples
 //!
@@ -43,6 +49,6 @@ pub mod wire;
 
 mod codec;
 
-pub use digest::TraceDigest;
+pub use digest::Digest as TraceDigest;
 pub use format::{KernelTrace, WarpStream, TRACE_MAGIC, TRACE_VERSION};
-pub use wire::TraceError;
+pub use wire::CodecError as TraceError;
