@@ -1,8 +1,11 @@
-//! Microbenchmarks of the event-driven uncore hot path: the same spans
-//! advanced cycle-by-cycle (`advance(1)` in a loop — the dense-loop
-//! cost model) versus in one skip-ahead call. The ratio between the
-//! `dense` and `skip` variants is the per-component payoff behind the
-//! `mem_stream` workload's wall time in `benchmark/`.
+//! Microbenchmarks of the event-driven uncore hot path. The idle pair
+//! advances the same span cycle-by-cycle (`advance(1)` in a loop — the
+//! dense-loop cost model) and in one skip-ahead call; the drain cases
+//! push traffic at cycle 0 and advance until every response is back.
+//! `mc-backpressure-storm` is the regime that dominates the
+//! `mem_stream` workload of `benchmark/`: thousands of reads parked
+//! behind full memory-controller queues, where the engine's cost must
+//! follow the requests admitted and scheduled, not the number parked.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
@@ -86,10 +89,46 @@ fn bench_drain_burst(c: &mut Criterion) {
     });
 }
 
+/// Memory-controller back-pressure at the scale `VectorAdd{n:131072}`
+/// produces on GTX580 (1 773 requests parked at its peak): 2 048 reads
+/// of distinct lines — so every one misses the L2 — pushed at cycle 0,
+/// either interleaved over all six channels or all on channel 0, then
+/// drained. All but 6 × 32 (or 32) of them wait in the per-channel
+/// FIFOs behind the MC queues.
+fn bench_backpressure_storm(c: &mut Criterion) {
+    const READS: u32 = 2_048;
+    let cfg = GpuConfig::gtx580();
+    for (name, slice_stride) in [
+        ("all-channels", 1),
+        ("one-channel", cfg.mem_channels as u32),
+    ] {
+        c.bench_function(&format!("uncore/mc-backpressure-storm-{name}"), |b| {
+            b.iter(|| {
+                let mut uncore = Uncore::new(&cfg);
+                let mut stats = ActivityVector::new();
+                let mut resps = Vec::new();
+                for i in 0..READS {
+                    let addr = (i * slice_stride) << 8;
+                    uncore.push_request(read_req(i as usize % 16, addr), &mut stats);
+                }
+                let mut delivered = 0usize;
+                while !uncore.is_idle() {
+                    uncore.advance(u64::MAX, &mut resps, &mut stats);
+                    delivered += resps.len();
+                    resps.clear();
+                }
+                assert_eq!(delivered, READS as usize);
+                black_box(stats[EventKind::McQueueOps])
+            })
+        });
+    }
+}
+
 criterion_group!(
     benches,
     bench_idle_dense,
     bench_idle_skip,
-    bench_drain_burst
+    bench_drain_burst,
+    bench_backpressure_storm
 );
 criterion_main!(benches);

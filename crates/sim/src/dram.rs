@@ -31,11 +31,20 @@ struct Bank {
     ready_at: u64,
 }
 
+/// A queued request with its address decomposition, computed once at
+/// [`DramChannel::push`] so the scheduler scans never divide.
+#[derive(Debug, Clone, Copy)]
+struct Queued<T> {
+    req: DramRequest<T>,
+    bank: usize,
+    row: u64,
+}
+
 /// One GDDR5 channel: request queue, banks, shared data bus.
 #[derive(Debug, Clone)]
 pub struct DramChannel<T> {
     cfg: DramConfig,
-    queue: VecDeque<DramRequest<T>>,
+    queue: VecDeque<Queued<T>>,
     banks: Vec<Bank>,
     data_bus_free_at: u64,
     next_refresh: u64,
@@ -78,7 +87,8 @@ impl<T: Copy> DramChannel<T> {
     pub fn push(&mut self, req: DramRequest<T>, stats: &mut ActivityVector) {
         assert!(self.can_accept(), "dram queue overflow");
         stats[Ev::McQueueOps] += 1;
-        self.queue.push_back(req);
+        let (bank, row) = Self::map(&self.cfg, req.addr);
+        self.queue.push_back(Queued { req, bank, row });
     }
 
     /// Advances one command-clock cycle; schedules at most one request.
@@ -98,25 +108,26 @@ impl<T: Copy> DramChannel<T> {
             return;
         }
 
-        // FR-FCFS: first pass looks for a row hit on a ready bank, second
-        // pass takes the oldest request whose bank is ready.
-        let pick = self
-            .queue
-            .iter()
-            .position(|r| {
-                let (bank, row) = self.map(r.addr);
-                self.banks[bank].ready_at <= cycle && self.banks[bank].open_row == Some(row)
-            })
-            .or_else(|| {
-                self.queue.iter().position(|r| {
-                    let (bank, _) = self.map(r.addr);
-                    self.banks[bank].ready_at <= cycle
-                })
-            });
-        let Some(idx) = pick else { return };
-        let req = self.queue.remove(idx).expect("index from position");
-        let (bank_idx, row) = self.map(req.addr);
-        let bank = &mut self.banks[bank_idx];
+        // FR-FCFS: the oldest row hit on a ready bank, else the oldest
+        // request whose bank is ready.
+        let mut oldest_ready = None;
+        let mut pick = None;
+        for (idx, q) in self.queue.iter().enumerate() {
+            let bank = &self.banks[q.bank];
+            if bank.ready_at > cycle {
+                continue;
+            }
+            if bank.open_row == Some(q.row) {
+                pick = Some(idx);
+                break;
+            }
+            oldest_ready.get_or_insert(idx);
+        }
+        let Some(idx) = pick.or(oldest_ready) else {
+            return;
+        };
+        let Queued { req, bank, row } = self.queue.remove(idx).expect("index from the scan");
+        let bank = &mut self.banks[bank];
 
         // Command latency depends on the row state.
         let mut latency = self.cfg.t_cas as u64;
@@ -197,10 +208,7 @@ impl<T: Copy> DramChannel<T> {
             let schedulable = self
                 .queue
                 .iter()
-                .map(|r| {
-                    let (bank, _) = self.map(r.addr);
-                    self.banks[bank].ready_at
-                })
+                .map(|q| self.banks[q.bank].ready_at)
                 .min()
                 .expect("queue non-empty")
                 .max(self.refreshing_until);
@@ -233,10 +241,10 @@ impl<T: Copy> DramChannel<T> {
     }
 
     /// Decomposes a channel-local address into (bank, global row id).
-    fn map(&self, addr: u32) -> (usize, u64) {
-        let row_of = addr as u64 / self.cfg.row_bytes as u64;
-        let bank = (row_of % self.cfg.banks as u64) as usize;
-        let row = row_of / self.cfg.banks as u64;
+    fn map(cfg: &DramConfig, addr: u32) -> (usize, u64) {
+        let row_of = addr as u64 / cfg.row_bytes as u64;
+        let bank = (row_of % cfg.banks as u64) as usize;
+        let row = row_of / cfg.banks as u64;
         (bank, row)
     }
 }
@@ -244,6 +252,8 @@ impl<T: Copy> DramChannel<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn ch() -> DramChannel<u32> {
         DramChannel::new(DramConfig::gddr5(), 16)
@@ -473,6 +483,132 @@ mod tests {
         assert_eq!(dense_done, sparse_done, "completion cycles/order differ");
         assert_eq!(dense_stats, sparse_stats, "activity stats differ");
         assert!(dense.is_idle() && sparse.is_idle());
+    }
+
+    /// The channel as it was before queue entries carried their
+    /// `(bank, row)`: the queue holds bare requests and both FR-FCFS
+    /// passes call `map` per request per visit.
+    struct MapPerScan {
+        cfg: DramConfig,
+        queue: VecDeque<DramRequest<u32>>,
+        banks: Vec<Bank>,
+        data_bus_free_at: u64,
+        next_refresh: u64,
+        refreshing_until: u64,
+        completions: Vec<(u64, u32)>,
+    }
+
+    impl MapPerScan {
+        fn tick(&mut self, cycle: u64, stats: &mut ActivityVector) {
+            let cfg = self.cfg;
+            let map = |addr| DramChannel::<u32>::map(&cfg, addr);
+            if cycle >= self.next_refresh && cycle >= self.refreshing_until {
+                self.refreshing_until = cycle + cfg.t_rfc as u64;
+                self.next_refresh += cfg.t_refi as u64;
+                stats[Ev::DramRefreshes] += 1;
+                for b in &mut self.banks {
+                    b.open_row = None;
+                    b.ready_at = b.ready_at.max(self.refreshing_until);
+                }
+            }
+            if cycle < self.refreshing_until {
+                return;
+            }
+            let banks = &self.banks;
+            let pick = self
+                .queue
+                .iter()
+                .position(|r| {
+                    let (bank, row) = map(r.addr);
+                    banks[bank].ready_at <= cycle && banks[bank].open_row == Some(row)
+                })
+                .or_else(|| {
+                    self.queue
+                        .iter()
+                        .position(|r| banks[map(r.addr).0].ready_at <= cycle)
+                });
+            let Some(idx) = pick else { return };
+            let req = self.queue.remove(idx).expect("index from position");
+            let (bank_idx, row) = map(req.addr);
+            let bank = &mut self.banks[bank_idx];
+            let mut latency = cfg.t_cas as u64;
+            if bank.open_row != Some(row) {
+                if bank.open_row.is_some() {
+                    stats[Ev::DramPrecharges] += 1;
+                    latency += cfg.t_rp as u64;
+                }
+                stats[Ev::DramActivates] += 1;
+                latency += cfg.t_rcd as u64;
+                bank.ready_at = cycle + cfg.t_rc as u64;
+            }
+            bank.open_row = Some(row);
+            let bursts = req.bytes.div_ceil(32).max(1) as u64;
+            let busy = bursts * cfg.burst_cycles as u64;
+            let data_start = (cycle + latency).max(self.data_bus_free_at);
+            self.data_bus_free_at = data_start + busy;
+            stats[Ev::DramDataBusBusyCycles] += busy;
+            if req.write {
+                stats[Ev::DramWriteBursts] += bursts;
+            } else {
+                stats[Ev::DramReadBursts] += bursts;
+                self.completions.push((data_start + busy, req.token));
+            }
+            bank.ready_at = bank.ready_at.max(self.data_bus_free_at);
+        }
+    }
+
+    #[test]
+    fn cached_mapping_schedules_like_map_per_scan() {
+        // Random traffic into a small queue, refilled as it drains,
+        // across two refreshes. After every cycle both queues must hold
+        // the same requests in the same order (so every pick agreed) and
+        // the stats must match; at the end, so must every completion.
+        let cfg = DramConfig::gddr5();
+        let mut rng = StdRng::seed_from_u64(0xD4A3);
+        let mut c = DramChannel::<u32>::new(cfg, 8);
+        let mut stats = ActivityVector::new();
+        let mut reference = MapPerScan {
+            cfg,
+            queue: VecDeque::new(),
+            banks: c.banks.clone(),
+            data_bus_free_at: 0,
+            next_refresh: cfg.t_refi as u64,
+            refreshing_until: 0,
+            completions: Vec::new(),
+        };
+        let mut ref_stats = ActivityVector::new();
+        let mut pushed = 0u32;
+        for cycle in 0..2 * cfg.t_refi as u64 + 500 {
+            while c.can_accept() && rng.gen_range(0..4u32) != 0 {
+                // A few hot rows over a few banks, so row hits, row
+                // conflicts and busy-bank skips all occur.
+                let row_of = rng.gen_range(0..4u32) + cfg.banks as u32 * rng.gen_range(0..3u32);
+                let req = DramRequest {
+                    write: rng.gen_range(0..3u32) == 0,
+                    addr: row_of * cfg.row_bytes as u32 + rng.gen_range(0..16u32) * 128,
+                    bytes: [32, 64, 128][rng.gen_range(0..3usize)],
+                    token: pushed,
+                };
+                pushed += 1;
+                c.push(req, &mut stats);
+                ref_stats[Ev::McQueueOps] += 1;
+                reference.queue.push_back(req);
+            }
+            c.tick(cycle, &mut stats);
+            reference.tick(cycle, &mut ref_stats);
+            assert!(
+                c.queue.iter().map(|q| &q.req).eq(reference.queue.iter()),
+                "pick diverged at cycle {cycle}"
+            );
+            assert_eq!(stats, ref_stats, "stats diverged at cycle {cycle}");
+        }
+        assert!(pushed > 500, "only {pushed} requests entered the channel");
+        assert!(stats[Ev::DramPrecharges] > 0 && stats[Ev::DramRefreshes] == 2);
+        assert!(
+            reference.completions.windows(2).any(|w| w[0].1 > w[1].1),
+            "traffic never made FR-FCFS reorder"
+        );
+        assert!(c.completions.iter().copied().eq(reference.completions));
     }
 
     #[test]

@@ -198,6 +198,8 @@ pub struct Gpu {
     tracing: bool,
     /// Traces banked by capture-enabled launches, in launch order.
     captured: Vec<KernelTrace>,
+    /// Per-cluster resident-CTA counts, scratch of `dispatch_blocks`.
+    cluster_load: Vec<usize>,
 }
 
 /// An attached sampling sink plus its window width.
@@ -244,6 +246,7 @@ impl Gpu {
             .map(|id| Core::new(id, id / config.cores_per_cluster, &config))
             .collect();
         Ok(Gpu {
+            cluster_load: vec![0; config.clusters],
             config,
             cores,
             memory,
@@ -1240,8 +1243,9 @@ impl Gpu {
     /// Breadth-first CTA placement over clusters, then cores.
     fn dispatch_blocks(&mut self, ctx: &LaunchCtx<'_>, mut next: u32, total: u32) -> u32 {
         let cfg = &self.config;
+        let cluster_load = &mut self.cluster_load;
         while next < total {
-            let mut cluster_load = vec![0usize; cfg.clusters];
+            cluster_load.fill(0);
             for core in &self.cores {
                 cluster_load[core.cluster()] += core.resident_ctas();
             }

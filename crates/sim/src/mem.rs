@@ -18,8 +18,13 @@ impl DevicePtr {
     }
 
     /// Pointer `bytes` past this one.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the result leaves the 32-bit address space.
     pub fn offset(self, bytes: u32) -> DevicePtr {
-        DevicePtr(self.0 + bytes)
+        let addr = self.0.checked_add(bytes);
+        DevicePtr(addr.expect("device pointer offset wraps the 32-bit address space"))
     }
 }
 
@@ -83,8 +88,13 @@ impl GpuMemory {
     ///
     /// Panics when the capacity is exhausted.
     pub fn alloc(&mut self, bytes: u32) -> DevicePtr {
+        self.alloc_bytes(bytes as u64)
+    }
+
+    /// The bump allocator, in `u64` so no request size can wrap.
+    fn alloc_bytes(&mut self, bytes: u64) -> DevicePtr {
         let base = (self.next + 255) & !255;
-        let end = base as u64 + bytes as u64;
+        let end = base as u64 + bytes;
         assert!(
             end <= self.data.len() as u64,
             "simulated memory exhausted: need {end} of {}",
@@ -95,8 +105,12 @@ impl GpuMemory {
     }
 
     /// Allocates space for `count` f32/u32 words.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the capacity is exhausted.
     pub fn alloc_f32(&mut self, count: u32) -> DevicePtr {
-        self.alloc(count * 4)
+        self.alloc_bytes(count as u64 * 4)
     }
 
     /// Reads one 32-bit word.
@@ -220,6 +234,20 @@ mod tests {
     fn exhaustion_panics() {
         let mut mem = GpuMemory::new(1 << 12);
         let _ = mem.alloc(1 << 13);
+    }
+
+    #[test]
+    #[should_panic(expected = "exhausted")]
+    fn word_count_that_wraps_u32_bytes_panics() {
+        // 2^30 words are 2^32 bytes: zero after a wrapping `* 4`.
+        let mut mem = GpuMemory::new(1 << 12);
+        let _ = mem.alloc_f32(1 << 30);
+    }
+
+    #[test]
+    #[should_panic(expected = "wraps")]
+    fn pointer_offset_past_the_address_space_panics() {
+        let _ = DevicePtr(u32::MAX - 3).offset(4);
     }
 
     #[test]

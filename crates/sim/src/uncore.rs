@@ -27,14 +27,30 @@
 //!
 //! Within one uncore cycle the phases run in the fixed order of the
 //! dense loop: request link delivery → routing (L2 probe / MC enqueue)
-//! → L2 hit-pipe drain → DRAM cycles (overflow retry, then per-channel
-//! tick + completion pop in channel order) → response link delivery.
+//! → L2 hit-pipe drain → DRAM cycles (per channel, in channel order:
+//! admit parked requests, tick, pop completions) → response link
+//! delivery.
 //! Event caches are refreshed at the point state changes (pushes reset
 //! them, processed events recompute them), so a push and its same-cycle
 //! consequences are observed exactly where the dense loop observed
 //! them. These rules also preserve the serial-commit ordering of the
 //! parallel core step: requests enter [`Uncore::push_request`] in
 //! core-id order and the engine never reorders them.
+//!
+//! # Memory-controller back-pressure
+//!
+//! A request routed to a channel whose MC queue is full is parked in
+//! that channel's FIFO. The dense loop retried every parked request on
+//! every DRAM cycle; here a retry is an event like any other. A queue
+//! only shrinks inside [`DramChannel::tick`] at one of the channel's
+//! own event cycles, so every retry in between would have failed and
+//! parked requests add nothing to the channel's `next_event`. The one
+//! extra event source is a channel left with a free slot *and* a
+//! non-empty FIFO: its head is admitted at the top of the next DRAM
+//! cycle, exactly where the dense loop's retry succeeded. Whether a
+//! retry succeeds depends only on the request's own channel and on
+//! older requests parked for that channel, so per-channel FIFOs make
+//! the dense loop's accept decisions in the dense loop's order.
 
 use std::collections::VecDeque;
 
@@ -73,8 +89,11 @@ pub struct Uncore {
     resp_link: Link<RouteToken>,
     l2: Option<L2Bank<RouteToken>>,
     channels: Vec<DramChannel<RouteToken>>,
-    /// Requests bounced off a full MC queue, retried every DRAM cycle.
-    dram_overflow: VecDeque<(usize, DramRequest<RouteToken>)>,
+    /// Requests bounced off a full MC queue, one FIFO per channel,
+    /// admitted in order as the channel's queue frees slots.
+    parked: Vec<VecDeque<DramRequest<RouteToken>>>,
+    /// Total entries across `parked`.
+    parked_count: usize,
 
     // Clock-domain state (see the module docs).
     uncore_cycle: u64,
@@ -124,8 +143,9 @@ impl Uncore {
                     l2cfg.latency as u64,
                 )
             }),
+            parked: vec![VecDeque::new(); channels.len()],
+            parked_count: 0,
             channels,
-            dram_overflow: VecDeque::new(),
             uncore_cycle: 0,
             dram_cycle: 0,
             uacc: 0.0,
@@ -158,7 +178,7 @@ impl Uncore {
         self.req_link.is_empty()
             && self.resp_link.is_empty()
             && self.l2.as_ref().is_none_or(L2Bank::is_empty)
-            && self.dram_overflow.is_empty()
+            && self.parked_count == 0
             && self.channels.iter().all(DramChannel::is_idle)
     }
 
@@ -296,19 +316,21 @@ impl Uncore {
         }
     }
 
-    /// One due DRAM cycle: overflow retries, then every channel ticks
-    /// and drains completions, in channel order (the dense-loop order).
+    /// One due DRAM cycle: every channel admits parked requests into
+    /// its freed slots, ticks and drains completions, in channel order.
+    /// (The dense loop ran all admissions before the first tick; an
+    /// admission touches only its own channel and a commutative
+    /// counter, so doing it per channel is the same computation.)
     fn step_dram_cycle(&mut self, stats: &mut ActivityVector) {
         let dc = self.dram_cycle;
-        for _ in 0..self.dram_overflow.len() {
-            let (ch, req) = self.dram_overflow.pop_front().expect("len checked");
-            if self.channels[ch].can_accept() {
-                self.channels[ch].push(req, stats);
-            } else {
-                self.dram_overflow.push_back((ch, req));
-            }
-        }
         for i in 0..self.channels.len() {
+            while self.channels[i].can_accept() {
+                let Some(req) = self.parked[i].pop_front() else {
+                    break;
+                };
+                self.parked_count -= 1;
+                self.channels[i].push(req, stats);
+            }
             self.channels[i].tick(dc, stats);
             let mut tokens = std::mem::take(&mut self.scratch_done);
             self.channels[i].pop_completed_into(dc, &mut tokens);
@@ -327,19 +349,23 @@ impl Uncore {
         }
     }
 
-    /// Refreshes the DRAM event cache from the channels. Overflowed
-    /// requests force per-cycle stepping: a retry can succeed the cycle
-    /// after any channel pops, and per-cycle retry is what the dense
-    /// loop did.
+    /// Refreshes the DRAM event cache from the channels. A parked
+    /// request is due only when its channel has a slot for it (the next
+    /// DRAM cycle admits it); behind a full queue it waits for the
+    /// channel event that frees one.
     fn recompute_dram_event(&mut self) {
-        if !self.dram_overflow.is_empty() {
-            self.next_dram_event = 0;
-            return;
-        }
+        let now = self.dram_cycle;
         self.next_dram_event = self
             .channels
             .iter()
-            .map(|c| c.next_event(self.dram_cycle))
+            .zip(&self.parked)
+            .map(|(channel, parked)| {
+                if !parked.is_empty() && channel.can_accept() {
+                    now + 1
+                } else {
+                    channel.next_event(now)
+                }
+            })
             .min()
             .unwrap_or(u64::MAX);
     }
@@ -347,8 +373,9 @@ impl Uncore {
     /// L2 probe + forwarding for one request, exactly as the dense loop:
     /// write-through writes probe and always forward, read hits enter
     /// the bank's return pipe, read misses (or no L2) go to DRAM.
-    /// Returns `true` when a request entered a channel or the overflow
-    /// queue (the DRAM event cache must be refreshed).
+    /// Returns `true` when a request entered a channel (the DRAM event
+    /// cache must be refreshed); parking one behind a full queue moves
+    /// no channel's next event.
     fn route_request(
         &mut self,
         req: MemRequest,
@@ -377,12 +404,17 @@ impl Uncore {
         // 256-byte channel interleave.
         let ch = ((req.addr >> 8) as usize) % self.mem_channels;
         let dreq = to_dram(&req, token);
-        if self.channels[ch].can_accept() {
+        // A free slot goes to the newcomer even when older requests
+        // are parked for this channel, as in the dense loop: they are
+        // retried at the top of a DRAM cycle, this runs between two.
+        let accepted = self.channels[ch].can_accept();
+        if accepted {
             self.channels[ch].push(dreq, stats);
         } else {
-            self.dram_overflow.push_back((ch, dreq));
+            self.parked[ch].push_back(dreq);
+            self.parked_count += 1;
         }
-        true
+        accepted
     }
 }
 
@@ -390,6 +422,8 @@ impl Uncore {
 mod tests {
     use super::*;
     use crate::config::GpuConfig;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn read_req(core: usize, addr: u32) -> MemRequest {
         MemRequest {
@@ -553,12 +587,25 @@ mod tests {
                 responses.extend(self.resp_link.pop_ready(uc));
             }
         }
+
+        fn is_idle(&self) -> bool {
+            self.req_link.is_empty()
+                && self.resp_link.is_empty()
+                && self.l2_out.is_empty()
+                && self.dram_overflow.is_empty()
+                && self.channels.iter().all(DramChannel::is_idle)
+        }
     }
 
     /// Drives the event engine and the dense reference through the same
     /// request schedule and asserts bit-identical responses (token +
-    /// shader-cycle of delivery) and stats.
-    fn check_equivalence(cfg: GpuConfig, requests: &[(u64, MemRequest)], total_cycles: u64) {
+    /// shader-cycle of delivery) and stats. Returns the most requests
+    /// the dense reference ever had parked behind full MC queues.
+    fn check_equivalence(
+        cfg: GpuConfig,
+        requests: &[(u64, MemRequest)],
+        total_cycles: u64,
+    ) -> usize {
         let mut ev = Uncore::new(&cfg);
         let mut ev_stats = ActivityVector::new();
         let mut ev_resps: Vec<(u64, RouteToken)> = Vec::new();
@@ -566,6 +613,7 @@ mod tests {
         let mut dn_stats = ActivityVector::new();
         let mut dn_resps: Vec<(u64, RouteToken)> = Vec::new();
         let mut scratch = Vec::new();
+        let mut peak_parked = 0;
 
         let mut cycle = 0u64;
         while cycle < total_cycles {
@@ -593,6 +641,7 @@ mod tests {
                 scratch.clear();
                 dense.shader_cycle(&mut scratch, &mut dn_stats);
                 dn_resps.extend(scratch.iter().map(|t| (c, *t)));
+                peak_parked = peak_parked.max(dense.dram_overflow.len());
             }
             cycle += consumed;
         }
@@ -601,6 +650,7 @@ mod tests {
         assert_eq!(ev.uncore_cycles(), dense.uncore_cycle);
         assert_eq!(ev.dram_cycles(), dense.dram_cycle);
         assert!(ev.is_idle(), "workload should drain");
+        peak_parked
     }
 
     fn workload() -> Vec<(u64, MemRequest)> {
@@ -648,6 +698,100 @@ mod tests {
             .map(|i| (0u64, read_req(0, (i % 2) * 0x100 + (i / 2) * 0x10000)))
             .collect();
         check_equivalence(cfg, &reqs, 60_000);
+    }
+
+    /// Seeded request storm sized like real traffic (`VectorAdd` parks
+    /// 1 773 requests on GTX580): `count` 128-byte requests, `write_pct`
+    /// percent of them writes, injected in bursts at `burst_cycles`,
+    /// either spread over every channel or pinned to channel 0.
+    fn storm(
+        seed: u64,
+        cfg: &GpuConfig,
+        count: usize,
+        burst_cycles: &[u64],
+        pinned: bool,
+        write_pct: u32,
+    ) -> Vec<(u64, MemRequest)> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let stride = if pinned { cfg.mem_channels as u32 } else { 1 };
+        (0..count)
+            .map(|_| {
+                let at = burst_cycles[rng.gen_range(0..burst_cycles.len())];
+                // 256-byte channel slices; two 128-byte segments each.
+                let slice = rng.gen_range(0..1u32 << 14) * stride;
+                let req = MemRequest {
+                    core: rng.gen_range(0..cfg.total_cores()),
+                    write: rng.gen_range(0..100u32) < write_pct,
+                    addr: (slice << 8) | (rng.gen_range(0..2u32) << 7),
+                    bytes: 128,
+                };
+                (at, req)
+            })
+            .collect()
+    }
+
+    /// Runs a read/write storm, injected in bursts at several cycles,
+    /// on both presets with a one-slot MC queue, the smallest queue
+    /// that reorders, and the preset's own depth.
+    fn check_storms(seed: u64, pinned: bool, min_parked: usize) {
+        for preset in [GpuConfig::gt240(), GpuConfig::gtx580()] {
+            for depth in [1, 2, preset.mc_queue_depth] {
+                let mut cfg = preset.clone();
+                cfg.mc_queue_depth = depth;
+                let bursts = [0, 1, 700, 5_000, 40_000];
+                let reqs = storm(seed + depth as u64, &cfg, 2_400, &bursts, pinned, 35);
+                let parked = check_equivalence(cfg, &reqs, 400_000);
+                assert!(
+                    parked >= min_parked,
+                    "depth {depth}: only {parked} requests parked at the peak"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn storms_over_all_channels_match_dense_loop() {
+        check_storms(11, false, 1);
+    }
+
+    #[test]
+    fn storms_pinned_to_one_channel_match_dense_loop() {
+        check_storms(21, true, 1_001);
+    }
+
+    #[test]
+    fn write_flood_drains_on_the_dense_cycle() {
+        // Writes complete silently, so nothing but the drain itself can
+        // stop `advance`; it must return on the dense loop's drain
+        // cycle, and never report idle while requests are still parked.
+        for preset in [GpuConfig::gt240(), GpuConfig::gtx580()] {
+            let mut ev = Uncore::new(&preset);
+            let mut ev_stats = ActivityVector::new();
+            let mut dense = DenseUncore::new(&preset);
+            let mut dn_stats = ActivityVector::new();
+            for (_, req) in storm(31, &preset, 1_500, &[0], true, 100) {
+                ev.push_request(req, &mut ev_stats);
+                dense.push_request(req, &mut dn_stats);
+            }
+            let mut none = Vec::new();
+            let mut peak_parked = 0;
+            while !dense.is_idle() {
+                let consumed = ev.advance(1_000, &mut none, &mut ev_stats);
+                for _ in 0..consumed {
+                    assert!(!dense.is_idle(), "advance ran past the drain cycle");
+                    dense.shader_cycle(&mut none, &mut dn_stats);
+                    peak_parked = peak_parked.max(dense.dram_overflow.len());
+                }
+                assert!(none.is_empty(), "writes complete silently");
+                assert_eq!(ev.is_idle(), dense.is_idle());
+                if consumed < 1_000 {
+                    assert!(ev.is_idle(), "an early return means the drain");
+                }
+            }
+            assert!(peak_parked > 1_000, "only {peak_parked} writes parked");
+            assert_eq!(ev_stats, dn_stats);
+            assert_eq!(ev.dram_cycles(), dense.dram_cycle);
+        }
     }
 
     #[test]
