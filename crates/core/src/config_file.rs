@@ -299,6 +299,28 @@ mod tests {
     }
 
     #[test]
+    fn configs_the_gpu_cannot_build_are_validation_errors_not_panics() {
+        // Each line used to parse, validate, and then panic inside
+        // `Gpu::new` (or spin until the watchdog) — `from_config_text`
+        // must hand back its line-numbered error instead.
+        for (text, field) in [
+            ("noc_bandwidth_flits = 0", "noc_bandwidth_flits"),
+            ("icache = 0", "icache_bytes"),
+            ("const_cache = 100", "const_cache_bytes"),
+            ("base = gtx580\nl1 = 1000", "l1_bytes"),
+            ("max_ctas_per_core = 0", "max_ctas_per_core"),
+            ("mc_queue_depth = 0", "mc_queue_depth"),
+            ("shader_ratio = NaN", "shader_ratio"),
+            ("uncore_mhz = 1e-300", "uncore_mhz"),
+        ] {
+            let e = parse_config(text).expect_err(text);
+            assert_eq!(e.line, 0, "{text}: a validation error, not a parse error");
+            assert!(e.message.contains(field), "{text}: `{}`", e.message);
+            assert!(crate::Simulator::from_config_text(text).is_err(), "{text}");
+        }
+    }
+
+    #[test]
     fn l2_none_disables() {
         let cfg = parse_config("base = gtx580\nl2 = none").unwrap();
         assert!(cfg.l2.is_none());

@@ -17,7 +17,7 @@ use gpusimpow_sim::{Gpu, GpuConfig, RecordedLaunch, WindowRecorder};
 /// down across epochs — the trace is sensitive to every window delta.
 fn record(fast_forward: bool, window_cycles: u64) -> RecordedLaunch {
     let mut gpu = Gpu::new(GpuConfig::gt240()).expect("preset is valid");
-    gpu.set_fast_forward(fast_forward);
+    gpu.set_dense_reference(!fast_forward);
     let buf = gpu.alloc_f32(32);
     let src = format!(
         "

@@ -137,9 +137,10 @@ impl SimCache {
 /// happen at request-routing time, hits enter the return pipe via
 /// [`L2Bank::push_hit`], and the uncore drains ready hits with
 /// [`L2Bank::pop_ready_into`] at the cycles [`L2Bank::next_event`]
-/// reports. The bank has no per-cycle state of its own — state changes
-/// only on probes and pops — so its [`L2Bank::tick_to`] is a documented
-/// no-op and skipping cycles between events is exact by construction.
+/// reports. The bank has no per-cycle state of its own — hit readiness is
+/// a pure function of the queued `(ready, token)` pairs, and state changes
+/// only on probes and pops — so it needs no `tick_to` and skipping cycles
+/// between events is exact by construction.
 ///
 /// `T` is the caller's routing token, returned when a hit's latency
 /// elapses.
@@ -214,13 +215,6 @@ impl<T: Copy> L2Bank<T> {
     pub fn next_event(&self, cycle: u64) -> Option<u64> {
         self.next_ready().map(|ready| ready.max(cycle + 1))
     }
-
-    /// Advances the bank across a span of cycles. The bank has no
-    /// per-cycle state — hit readiness is a pure function of the queued
-    /// `(ready, token)` pairs — so this is a no-op, provided for API
-    /// symmetry with [`crate::noc::Link::tick_to`] and
-    /// [`crate::dram::DramChannel::tick_to`].
-    pub fn tick_to(&mut self, _from: u64, _to: u64) {}
 
     /// `true` when no hit is waiting in the return pipe.
     pub fn is_empty(&self) -> bool {
@@ -417,7 +411,6 @@ mod tests {
         let mut sparse_out = Vec::new();
         let mut c = 0u64;
         while let Some(e) = sparse.next_event(c) {
-            sparse.tick_to(c, e);
             let mut v = Vec::new();
             sparse.pop_ready_into(e, &mut v);
             sparse_out.extend(v.into_iter().map(|t| (e, t)));

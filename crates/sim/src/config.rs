@@ -332,13 +332,36 @@ impl GpuConfig {
         }
     }
 
-    /// Checks internal consistency.
+    /// Checks internal consistency. This is the whole gate: a
+    /// configuration it accepts builds ([`crate::Gpu::new`] cannot
+    /// panic on it) and every launch on it makes progress.
+    ///
+    /// Clocks must lie in 1 MHz ..= 100 GHz and the shader ratio in
+    /// 1 ..= 64; every cache needs a power-of-two line size, at least
+    /// one way, and a non-zero capacity that is a multiple of
+    /// line size × ways.
     ///
     /// # Errors
     ///
     /// Returns a [`ConfigError`] naming the first inconsistency.
     pub fn validate(&self) -> Result<(), ConfigError> {
         let bail = |msg: &str| Err(ConfigError(msg.to_string()));
+        let cache = |field: &str, capacity: usize, line: usize, ways: usize| {
+            if !line.is_power_of_two() || u32::try_from(line).is_err() {
+                return bail(&format!("{field}: line size must be a power of two"));
+            }
+            if ways == 0 {
+                return bail(&format!("{field}: cache needs at least one way"));
+            }
+            let set_bytes = line.checked_mul(ways);
+            if capacity == 0 || !set_bytes.is_some_and(|set| capacity.is_multiple_of(set)) {
+                return bail(&format!(
+                    "{field}: capacity must be a non-zero multiple of \
+                     line size x ways ({line} B x {ways})"
+                ));
+            }
+            Ok(())
+        };
         if self.clusters == 0 || self.cores_per_cluster == 0 {
             return bail("chip must have at least one core");
         }
@@ -360,14 +383,18 @@ impl GpuConfig {
         if self.smem_banks == 0 || !self.smem_banks.is_power_of_two() {
             return bail("shared memory banks must be a power of two");
         }
-        if self.l1_enabled && self.l1_bytes == 0 {
-            return bail("an enabled l1 needs a capacity");
+        // The i-cache and the constant cache are 4-way with 64 B lines.
+        cache("icache_bytes", self.icache_bytes, 64, 4)?;
+        cache("const_cache_bytes", self.const_cache_bytes, 64, 4)?;
+        if self.l1_enabled {
+            cache("l1_bytes", self.l1_bytes, self.l1_line_bytes, self.l1_ways)?;
         }
-        if self.l1_enabled && self.l1_bytes + 16 * 1024 > self.smem_bytes + 16 * 1024 {
-            // L1 carves out of the unified storage; allow equality.
-            if self.l1_bytes > self.smem_bytes {
-                return bail("l1 cannot exceed the unified smem/l1 storage");
-            }
+        if let Some(l2) = self.l2 {
+            cache("l2", l2.capacity_bytes, l2.line_bytes, l2.ways)?;
+        }
+        // L1 carves out of the unified storage; allow equality.
+        if self.l1_enabled && self.l1_bytes > self.smem_bytes {
+            return bail("l1 cannot exceed the unified smem/l1 storage");
         }
         if self.mem_channels == 0 {
             return bail("chip needs at least one memory channel");
@@ -375,16 +402,27 @@ impl GpuConfig {
         if self.sagu_count == 0 {
             return bail("ldst unit needs at least one sub-agu");
         }
-        if self.uncore_mhz <= 0.0
-            || !self.uncore_mhz.is_finite()
-            || self.dram_mhz <= 0.0
-            || !self.dram_mhz.is_finite()
-            || self.shader_ratio < 1.0
-        {
-            return bail("clocks must be positive with shader ratio >= 1");
+        // Range tests rather than comparisons, so NaN is rejected too.
+        for (field, mhz) in [("uncore_mhz", self.uncore_mhz), ("dram_mhz", self.dram_mhz)] {
+            if !(1.0..=100_000.0).contains(&mhz) {
+                return bail(&format!("{field} must be in 1..=100000 MHz"));
+            }
         }
-        if self.issue_width == 0 {
-            return bail("issue width must be at least 1");
+        if !(1.0..=64.0).contains(&self.shader_ratio) {
+            return bail("shader_ratio must be in 1..=64");
+        }
+        for (field, count) in [
+            ("issue_width", self.issue_width),
+            ("max_ctas_per_core", self.max_ctas_per_core),
+            ("noc_bandwidth_flits", self.noc_bandwidth_flits),
+            ("mc_queue_depth", self.mc_queue_depth),
+            ("dram.banks", self.dram.banks),
+            ("dram.row_bytes", self.dram.row_bytes),
+            ("dram.t_refi", self.dram.t_refi as usize),
+        ] {
+            if count == 0 {
+                return bail(&format!("{field} must be at least 1"));
+            }
         }
         if !(233.0..=423.0).contains(&self.junction_temp_k) {
             return bail("junction temperature outside [233, 423] K");
@@ -456,6 +494,60 @@ mod tests {
         let mut cfg = GpuConfig::gt240();
         cfg.smem_banks = 12;
         assert!(cfg.validate().is_err());
+    }
+
+    #[test]
+    fn everything_gpu_new_or_a_launch_would_choke_on_is_rejected_by_name() {
+        // Each of these passed `validate()` before it became the gate
+        // and then panicked in `Gpu::new`, ran into the watchdog, or
+        // (clock ratios) did not return at all.
+        type Case = (&'static str, fn() -> GpuConfig, fn(&mut GpuConfig));
+        let cases: &[Case] = &[
+            ("noc_bandwidth_flits", GpuConfig::gt240, |c| {
+                c.noc_bandwidth_flits = 0
+            }),
+            ("icache_bytes", GpuConfig::gt240, |c| c.icache_bytes = 0),
+            ("icache_bytes", GpuConfig::gt240, |c| {
+                c.icache_bytes = 4096 + 64
+            }),
+            ("const_cache_bytes", GpuConfig::gt240, |c| {
+                c.const_cache_bytes = 0
+            }),
+            ("l1_bytes", GpuConfig::gtx580, |c| c.l1_bytes = 0),
+            ("l1_bytes", GpuConfig::gtx580, |c| c.l1_line_bytes = 0),
+            ("l1_bytes", GpuConfig::gtx580, |c| c.l1_line_bytes = 96),
+            ("l1_bytes", GpuConfig::gtx580, |c| c.l1_ways = 0),
+            ("l1_bytes", GpuConfig::gtx580, |c| c.l1_ways = usize::MAX),
+            ("l2", GpuConfig::gtx580, |c| c.l2.as_mut().unwrap().ways = 0),
+            ("l2", GpuConfig::gtx580, |c| {
+                c.l2.as_mut().unwrap().capacity_bytes = 1000
+            }),
+            ("max_ctas_per_core", GpuConfig::gt240, |c| {
+                c.max_ctas_per_core = 0
+            }),
+            ("mc_queue_depth", GpuConfig::gt240, |c| c.mc_queue_depth = 0),
+            ("dram.banks", GpuConfig::gt240, |c| c.dram.banks = 0),
+            ("dram.row_bytes", GpuConfig::gt240, |c| c.dram.row_bytes = 0),
+            ("dram.t_refi", GpuConfig::gt240, |c| c.dram.t_refi = 0),
+            ("shader_ratio", GpuConfig::gt240, |c| {
+                c.shader_ratio = f64::NAN
+            }),
+            ("shader_ratio", GpuConfig::gt240, |c| c.shader_ratio = 1e9),
+            ("uncore_mhz", GpuConfig::gt240, |c| c.uncore_mhz = 1e-300),
+            ("uncore_mhz", GpuConfig::gt240, |c| c.uncore_mhz = f64::NAN),
+            ("dram_mhz", GpuConfig::gt240, |c| c.dram_mhz = f64::INFINITY),
+        ];
+        for (i, (field, base, break_it)) in cases.iter().enumerate() {
+            let mut cfg = base();
+            break_it(&mut cfg);
+            let err = cfg.validate().expect_err(&format!("case {i} ({field})"));
+            assert!(err.0.contains(field), "case {i}: `{}` names {field}", err.0);
+        }
+        // A disabled L1 may carry any geometry: it is never built.
+        let mut cfg = GpuConfig::gt240();
+        cfg.l1_line_bytes = 0;
+        cfg.l1_ways = 0;
+        cfg.validate().unwrap();
     }
 
     #[test]

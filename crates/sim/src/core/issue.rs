@@ -1,0 +1,390 @@
+//! Issue — the ledger's *issue* row: warp selection (round-robin or
+//! two-level), the dependency and unit-availability probe, issue
+//! accounting, and the stall bookkeeping that lets later cycles skip
+//! probes proven silent (module docs of [`super`], "Scheduler hints").
+
+use gpusimpow_isa::InstrClass;
+
+use crate::config::{GpuConfig, WarpSchedPolicy};
+use crate::events::EventKind as Ev;
+use crate::ldst;
+use crate::mem::GpuMemory;
+use crate::simt_stack::LaneMask;
+
+use super::{
+    class_index, clear_hint, set_hint, Completion, Core, DecodedInstr, LaunchCtx, SlotWalk, Warp,
+};
+
+/// Outcome of one [`Core::try_issue`] probe.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum IssueProbe {
+    /// An instruction issued.
+    Issued,
+    /// Silent failure on a busy execution unit (barrel configs only):
+    /// it lapses with time alone, so the slot stays hinted, and a scan
+    /// where every failure is of this kind proves the core cannot
+    /// issue before [`Core::unit_wake`].
+    UnitBusy,
+    /// Any other failure — sticky states, or scoreboard probes that
+    /// counted activity and must re-probe every cycle. The issue-stall
+    /// sleep must not engage on a scan containing one of these.
+    Blocked,
+}
+
+/// Per execution unit (indexed by [`class_index`]): the event counting
+/// its warp instructions and, for the SIMD pipelines, the one counting
+/// their active lanes.
+const UNIT_EVENTS: [(Ev, Option<Ev>); 4] = [
+    (Ev::IntInstructions, Some(Ev::IntLaneOps)),
+    (Ev::FpInstructions, Some(Ev::FpLaneOps)),
+    (Ev::SfuInstructions, Some(Ev::SfuLaneOps)),
+    (Ev::MemInstructions, None),
+];
+
+impl Core {
+    #[inline]
+    pub(super) fn issue_stage(
+        &mut self,
+        cycle: u64,
+        cfg: &GpuConfig,
+        ctx: &LaunchCtx<'_>,
+        mem: &GpuMemory,
+    ) {
+        // Issue-stall sleep: a previous scan proved no probe can do
+        // anything before `issue_stall_until`. Only the round-robin
+        // scan below ever engages it.
+        if cycle < self.issue_stall_until {
+            return;
+        }
+        let mut issued = 0;
+        match cfg.warp_scheduler {
+            WarpSchedPolicy::RoundRobin => {
+                let mut walk = SlotWalk::new(self.issue_rr, self.max_warps);
+                // Stall-engage bookkeeping: `only_unit_busy` stays true
+                // while every failed probe was a silent unit-busy lapse.
+                // If the scan then *exhausts* the candidates (rather
+                // than filling `issue_width`), nothing can issue before
+                // a unit frees or a hint set-site fires — both covered
+                // below.
+                let mut only_unit_busy = true;
+                while issued < cfg.issue_width {
+                    let Some(slot) = walk.next(self.issue_hints(cycle, cfg)) else {
+                        break;
+                    };
+                    match self.try_issue(slot, cycle, cfg, ctx, mem) {
+                        IssueProbe::Issued => {
+                            issued += 1;
+                            self.issue_rr = walk.select();
+                            self.stats[Ev::IssueSchedulerSelects] += 1;
+                        }
+                        outcome => {
+                            if outcome == IssueProbe::Blocked {
+                                only_unit_busy = false;
+                            }
+                            self.clear_issue_hint_if_blocked(slot, cfg);
+                        }
+                    }
+                }
+                if only_unit_busy && issued < cfg.issue_width {
+                    self.issue_stall_until = self.unit_wake(cycle);
+                }
+            }
+            WarpSchedPolicy::TwoLevel { active_warps } => {
+                self.maintain_active_set(active_warps);
+                if self.active_set.is_empty() {
+                    return;
+                }
+                // Swap the set out instead of cloning it each cycle;
+                // `try_issue` never touches `active_set`.
+                let set = std::mem::take(&mut self.active_set);
+                let mut walk = SlotWalk::new(self.issue_rr, set.len());
+                while issued < cfg.issue_width {
+                    let Some(idx) = walk.next(None) else {
+                        break;
+                    };
+                    if self.try_issue(set[idx], cycle, cfg, ctx, mem) == IssueProbe::Issued {
+                        issued += 1;
+                        self.issue_rr = walk.select();
+                        self.stats[Ev::IssueSchedulerSelects] += 1;
+                    }
+                }
+                self.active_set = set;
+            }
+        }
+    }
+
+    /// The hint mask for the next step of the round-robin issue walk
+    /// (`None` on cores with more than 64 slots), recomputed every step
+    /// because an issue makes its own unit busy mid-scan.
+    ///
+    /// Per-unit-class skip (barrel only): a slot whose published
+    /// next-instruction class targets a busy unit would probe to a
+    /// silent `UnitBusy` — drop it from the mask so the walk folds it
+    /// into the jump distance. The skipped probes mutate nothing and
+    /// keep their hints, the walk's budget advances by the same total
+    /// (gap + 1 arithmetic), and `only_unit_busy` stays true — so
+    /// engage/stall decisions, visit order and all counters are
+    /// bit-identical to the probing scan. Scoreboard probes are
+    /// observable and are never skipped.
+    #[inline]
+    fn issue_hints(&self, cycle: u64, cfg: &GpuConfig) -> Option<u64> {
+        let mut hints = self.hint_window? & self.issue_ready;
+        if !cfg.scoreboard {
+            for (&free, &class) in self.unit_free.iter().zip(&self.class_next) {
+                if free > cycle {
+                    hints &= !class;
+                }
+            }
+        }
+        Some(hints)
+    }
+
+    /// Two-level scheduling (Narasiman et al.): keeps at most
+    /// `active_warps` issue candidates, demoting warps that stall on
+    /// memory or barriers and promoting pending ones round-robin.
+    fn maintain_active_set(&mut self, active_warps: usize) {
+        let eligible = |w: &Warp| !w.done && !w.at_barrier && w.outstanding_groups == 0;
+        let warps = &self.warps;
+        self.active_set
+            .retain(|&s| warps[s].as_ref().is_some_and(&eligible));
+        self.active_set.truncate(active_warps);
+        let mut walk = SlotWalk::new(self.pending_rr, self.max_warps);
+        while self.active_set.len() < active_warps {
+            let Some(slot) = walk.next(None) else {
+                break;
+            };
+            if !self.active_set.contains(&slot) && self.warps[slot].as_ref().is_some_and(&eligible)
+            {
+                self.active_set.push(slot);
+                self.pending_rr = walk.select();
+            }
+        }
+    }
+
+    /// Earliest cycle — not before `earliest` — at which `slot`, which
+    /// just became an issue candidate (writeback retire or i-buffer
+    /// fill), could pass the unit-availability check. `u64::MAX` when
+    /// the slot cannot issue at all until another hint set-site fires
+    /// (empty i-buffer, still-executing, finished or barrier-parked
+    /// warp — for the busy case the commit event performs its own
+    /// refinement when it retires).
+    #[inline]
+    fn candidate_wake(&self, slot: usize, earliest: u64, ctx: &LaunchCtx<'_>) -> u64 {
+        let Some(w) = self.warps[slot].as_ref() else {
+            return u64::MAX;
+        };
+        if w.done || w.at_barrier || w.busy {
+            return u64::MAX;
+        }
+        let Some(pc) = w.ibuf else {
+            return u64::MAX;
+        };
+        let unit = class_index(ctx.decoded[pc as usize].class);
+        unit.map_or(0, |ci| self.unit_free[ci]).max(earliest)
+    }
+
+    /// `slot` just became an issue candidate that can issue at
+    /// `earliest` at the soonest (writeback retire: this cycle; i-buffer
+    /// fill: the next one, as fetch runs after issue within a tick).
+    /// Barrel: refines an engaged issue stall instead of cancelling it
+    /// outright — while every other candidate is silently unit-blocked,
+    /// the new one only forces a re-scan once its own unit frees
+    /// ([`Core::candidate_wake`]), rather than waking the scan for a
+    /// probe that must fail silently. Scoreboard: failed probes are
+    /// observable (`Ev::ScoreboardReads`), so a kept stall would skip
+    /// scans the unrefined pipeline performed — cancel outright.
+    #[inline]
+    pub(super) fn refine_issue_stall(
+        &mut self,
+        slot: usize,
+        earliest: u64,
+        cfg: &GpuConfig,
+        ctx: &LaunchCtx<'_>,
+    ) {
+        if self.issue_stall_until > earliest {
+            self.issue_stall_until = if cfg.scoreboard {
+                0
+            } else {
+                self.issue_stall_until
+                    .min(self.candidate_wake(slot, earliest, ctx))
+            };
+        }
+    }
+
+    /// After a failed [`Core::try_issue`] probe of `slot`, clears its
+    /// issue hint when the failure is *sticky*: it can only end via an
+    /// event that passes a hint set-site (i-buffer fill, writeback
+    /// retire, barrier release, CTA dispatch). Structural-unit and
+    /// scoreboard-dependency failures lapse with time alone — and a
+    /// scoreboard dependency probe counts activity — so those keep the
+    /// hint and stay probed every cycle.
+    #[inline]
+    fn clear_issue_hint_if_blocked(&mut self, slot: usize, cfg: &GpuConfig) {
+        let sticky = match self.warps[slot].as_ref() {
+            None => true,
+            Some(w) => {
+                w.done
+                    || w.at_barrier
+                    || w.ibuf.is_none()
+                    || (!cfg.scoreboard && (w.busy || w.stack.current().is_none()))
+            }
+        };
+        if sticky {
+            clear_hint(&mut self.issue_ready, slot);
+        }
+    }
+
+    fn try_issue(
+        &mut self,
+        slot: usize,
+        cycle: u64,
+        cfg: &GpuConfig,
+        ctx: &LaunchCtx<'_>,
+        mem: &GpuMemory,
+    ) -> IssueProbe {
+        let (di, mask, pc) = {
+            let w = match self.warps[slot].as_ref() {
+                Some(w) => w,
+                None => return IssueProbe::Blocked,
+            };
+            if w.done || w.at_barrier {
+                return IssueProbe::Blocked;
+            }
+            let pc = match w.ibuf {
+                Some(pc) => pc,
+                None => return IssueProbe::Blocked,
+            };
+            // Barrel blocking needs no instruction metadata — bail out
+            // before the decoded-table load on this hot stall path.
+            if !cfg.scoreboard && w.busy {
+                return IssueProbe::Blocked;
+            }
+            let di = ctx.decoded[pc as usize];
+            // Dependency check.
+            if cfg.scoreboard {
+                // A failed probe still counts scoreboard activity, so
+                // this cycle is not quiescent (the idle fast-forward
+                // must not skip it) — and the issue-stall sleep must
+                // never swallow the per-cycle re-probe, so every
+                // scoreboard failure below reports `Blocked`.
+                self.stats[Ev::ScoreboardReads] += 1;
+                self.work = true;
+                if w.pending_writes & di.dep_mask != 0 {
+                    return IssueProbe::Blocked;
+                }
+                // Exit and barriers drain the warp first.
+                if di.drains && (w.pending_writes != 0 || w.outstanding_groups > 0) {
+                    return IssueProbe::Blocked;
+                }
+            }
+            let entry = match w.stack.current() {
+                Some(e) => e,
+                None => return IssueProbe::Blocked,
+            };
+            (di, entry.mask, pc)
+        };
+
+        // Unit availability. On barrel configs these failures are
+        // silent and lapse when the unit frees, which is what lets a
+        // fully unit-blocked scan sleep until [`Core::unit_wake`].
+        let class = di.class;
+        let unit = class_index(class);
+        if unit.is_some_and(|ci| self.unit_free[ci] > cycle) {
+            return if cfg.scoreboard {
+                IssueProbe::Blocked
+            } else {
+                IssueProbe::UnitBusy
+            };
+        }
+        // Cycles the unit is occupied dispatching the warp, and the
+        // pipeline latency behind it.
+        let (dispatch, latency) = match class {
+            InstrClass::Int => (cfg.warp_size / cfg.simd_width, cfg.int_latency),
+            InstrClass::Fp => (cfg.warp_size / cfg.simd_width, cfg.fp_latency),
+            InstrClass::Sfu => (
+                (cfg.warp_size / cfg.sfu_count.max(1)).max(1),
+                cfg.sfu_latency,
+            ),
+            InstrClass::Mem => {
+                // The SAGUs run in parallel, each producing 8 addresses
+                // per cycle (reference [22]). Latency is determined by
+                // the memory path below.
+                let acts = ldst::agu_activations(mask.count_ones(), 8);
+                (acts.div_ceil(cfg.sagu_count as u32).max(1) as usize, 0)
+            }
+            InstrClass::Control => (1, 1),
+        };
+        let (dispatch, latency) = (dispatch as u64, latency as u64);
+
+        // Commit to issuing. The i-buffer empties below, so the slot
+        // stops being a unit-class candidate until the next fetch.
+        if let Some(ci) = unit {
+            clear_hint(&mut self.class_next[ci], slot);
+            self.unit_free[ci] = cycle + dispatch;
+        }
+        self.work = true;
+        self.account_issue(&di, mask);
+        // Capture records the issued PC; replay checks it against the
+        // recorded stream. No-op on the live frontend.
+        self.tracer.on_issue(slot, pc, ctx.replay);
+
+        // Functional execution + architectural bookkeeping.
+        let mem_commit = self.execute(slot, di.instr, mask, cycle, dispatch, cfg, ctx, mem);
+        self.stats[Ev::IbufferReads] += 1;
+        self.stats[Ev::WstWrites] += 1;
+
+        // An `Exit` can retire the warp (and free its slot) inside
+        // `execute`; nothing further to track in that case.
+        let Some(w) = self.warps[slot].as_mut() else {
+            return IssueProbe::Issued;
+        };
+        w.ibuf = None;
+        clear_hint(&mut self.issue_ready, slot);
+        set_hint(&mut self.fetch_ready, slot);
+
+        // When the instruction commits, and which register it writes.
+        // `None`: a load waiting on memory replies — its dependency is
+        // held by the load group; barrel warps stay busy all the same.
+        let commit = if class == InstrClass::Mem {
+            mem_commit
+        } else {
+            Some((cycle + dispatch + latency, di.dst))
+        };
+        if !cfg.scoreboard {
+            w.busy = true;
+        }
+        if let Some((commit_cycle, dst)) = commit {
+            if let Some(d) = dst {
+                w.pending_writes |= 1u64 << d.index().min(63);
+            }
+            self.events
+                .schedule(commit_cycle, Completion::Commit { warp: slot, dst });
+        }
+        IssueProbe::Issued
+    }
+
+    fn account_issue(&mut self, di: &DecodedInstr, mask: LaneMask) {
+        let lanes = mask.count_ones() as u64;
+        self.stats[Ev::WarpInstructions] += 1;
+        self.stats[Ev::ThreadInstructions] += lanes;
+        self.stats[Ev::SimtStackReads] += 1;
+        if let Some(ci) = class_index(di.class) {
+            let (instructions, lane_ops) = UNIT_EVENTS[ci];
+            self.stats[instructions] += 1;
+            if let Some(lane_ops) = lane_ops {
+                self.stats[lane_ops] += lanes;
+            }
+        }
+        // Register-file operand collection (counts precomputed at
+        // decode; see `DecodedInstr`).
+        let n_srcs = di.n_srcs as u64;
+        if n_srcs > 0 || di.dst.is_some() {
+            self.stats[Ev::CollectorAllocations] += 1;
+        }
+        if n_srcs > 0 {
+            self.stats[Ev::RfBankReads] += n_srcs;
+            self.stats[Ev::CollectorXbarTransfers] += n_srcs;
+            self.stats[Ev::RfBankConflicts] += di.bank_conflicts as u64;
+        }
+    }
+}

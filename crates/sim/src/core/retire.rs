@@ -1,0 +1,69 @@
+//! Commit — the ledger's *commit* row: writeback events retire, release
+//! dependencies and re-arm the issue scan; memory replies complete load
+//! groups and schedule their writeback.
+
+use crate::config::GpuConfig;
+use crate::events::EventKind as Ev;
+
+use super::{set_hint, Completion, Core, LaunchCtx};
+
+impl Core {
+    /// Delivers a memory reply for the 128-byte line containing `addr`.
+    pub fn mem_response(&mut self, addr: u32, cycle: u64, ctx: &LaunchCtx<'_>) {
+        // Install into the right cache.
+        let is_const = addr >= ctx.const_base && addr < ctx.const_base + ctx.const_bytes;
+        if is_const {
+            self.const_cache.install(addr);
+        } else if let Some(l1) = &mut self.l1 {
+            l1.install(addr);
+            self.stats[Ev::L1Fills] += 1;
+        }
+        for group_id in self.mshr.complete(addr) {
+            let finished = {
+                let group = self
+                    .groups
+                    .get_mut(&group_id)
+                    .expect("response for unknown group");
+                group.remaining -= 1;
+                group.remaining == 0
+            };
+            if finished {
+                let group = self.groups.remove(&group_id).expect("present");
+                if let Some(w) = self.warps[group.warp].as_mut() {
+                    w.outstanding_groups -= 1;
+                }
+                self.events.schedule(
+                    cycle + 2,
+                    Completion::Commit {
+                        warp: group.warp,
+                        dst: Some(group.dst),
+                    },
+                );
+            }
+        }
+    }
+
+    /// Retires every completion event due at `cycle`.
+    #[inline]
+    pub(super) fn retire(&mut self, cycle: u64, cfg: &GpuConfig, ctx: &LaunchCtx<'_>) {
+        while let Some(completion) = self.events.pop_due(cycle) {
+            self.work = true;
+            let Completion::Commit { warp, dst } = completion;
+            let Some(w) = self.warps[warp].as_mut() else {
+                continue;
+            };
+            if let Some(dst) = dst {
+                w.pending_writes &= !(1u64 << dst.index().min(63));
+                self.stats[Ev::RfBankWrites] += 1;
+                self.stats[Ev::ScoreboardWrites] += 1;
+            }
+            w.busy = false;
+            set_hint(&mut self.issue_ready, warp);
+            // The retired warp may already hold a fetched next
+            // instruction (fetch ignores `busy`); now that it stopped
+            // executing it is a real issue candidate.
+            self.publish_class(warp, ctx);
+            self.refine_issue_stall(warp, cycle, cfg, ctx);
+        }
+    }
+}

@@ -323,8 +323,26 @@ impl SimPool {
     where
         S: Fn(usize, &mut Gpu) -> Result<LaunchConfig, SimError> + Sync,
     {
-        // Shared front end: decode once, specialize per distinct bank
-        // count.
+        self.sweep(kernel, configs, |idx, gpu, table| {
+            let launch = stage(idx, gpu)?;
+            gpu.launch_decoded(kernel, launch, table)
+        })
+    }
+
+    /// The shared front end of the sweeps: decodes `kernel` once,
+    /// specializes the table per distinct register-file bank count, and
+    /// fans one job per config out over the pool. Each job builds its
+    /// own [`Gpu`] and hands it to `launch` together with its config's
+    /// index and table.
+    fn sweep<L>(
+        &self,
+        kernel: &Kernel,
+        configs: &[GpuConfig],
+        launch: L,
+    ) -> Vec<Result<LaunchReport, SimError>>
+    where
+        L: Fn(usize, &mut Gpu, &[DecodedInstr]) -> Result<LaunchReport, SimError> + Sync,
+    {
         let predecoded = PredecodedKernel::new(kernel);
         let mut tables: Vec<(usize, Vec<DecodedInstr>)> = Vec::new();
         for cfg in configs {
@@ -333,7 +351,7 @@ impl SimPool {
             }
         }
         let tables = &tables;
-        let stage = &stage;
+        let launch = &launch;
         let jobs: Vec<(usize, GpuConfig)> = configs.iter().cloned().enumerate().collect();
         self.run(jobs, move |(idx, cfg)| {
             let banks = cfg.regfile_banks;
@@ -343,8 +361,7 @@ impl SimPool {
                 .expect("every config's bank count was specialized")
                 .1;
             let mut gpu = Gpu::new(cfg)?;
-            let launch = stage(idx, &mut gpu)?;
-            gpu.launch_decoded(kernel, launch, table)
+            launch(idx, &mut gpu, table)
         })
     }
 
@@ -384,25 +401,8 @@ impl SimPool {
                 return configs.iter().map(|_| Err(err.clone())).collect();
             }
         };
-        let predecoded = PredecodedKernel::new(&kernel);
-        let mut tables: Vec<(usize, Vec<DecodedInstr>)> = Vec::new();
-        for cfg in configs {
-            if !tables.iter().any(|(banks, _)| *banks == cfg.regfile_banks) {
-                tables.push((cfg.regfile_banks, predecoded.specialize(cfg)));
-            }
-        }
-        let tables = &tables;
-        let stage = &stage;
-        let jobs: Vec<(usize, GpuConfig)> = configs.iter().cloned().enumerate().collect();
-        self.run(jobs, move |(idx, cfg)| {
-            let banks = cfg.regfile_banks;
-            let table = &tables
-                .iter()
-                .find(|(b, _)| *b == banks)
-                .expect("every config's bank count was specialized")
-                .1;
-            let mut gpu = Gpu::new(cfg)?;
-            stage(idx, &mut gpu)?;
+        self.sweep(&kernel, configs, |idx, gpu, table| {
+            stage(idx, gpu)?;
             gpu.launch_replay_decoded(trace, table)
         })
     }

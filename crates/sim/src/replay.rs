@@ -21,7 +21,7 @@ use std::collections::BTreeMap;
 
 use gpusimpow_trace::{KernelTrace, WarpStream};
 
-use crate::simt_stack::LaneMask;
+use crate::simt_stack::{lanes, LaneMask};
 
 /// A decoded trace indexed for replay: resolves `(block_x, block_y,
 /// warp)` to the recorded [`WarpStream`]. Borrowed by every core for
@@ -109,6 +109,17 @@ pub(crate) struct ReplayState {
     desync: Option<String>,
 }
 
+/// Which frontend drives a launch (see [`Tracer`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Frontend {
+    /// Functional execution, nothing recorded.
+    Live,
+    /// Functional execution plus stream recording.
+    Capture,
+    /// Recorded streams instead of functional values.
+    Replay,
+}
+
 /// A core's frontend mode for the current launch. `Off` is the live
 /// frontend; `Capture` is live plus stream recording; `Replay` drives
 /// the pipeline from a [`ReplaySource`] and skips functional values.
@@ -121,25 +132,20 @@ pub(crate) enum Tracer {
 }
 
 impl Tracer {
-    /// Resets to live mode, dropping any capture/replay state.
-    pub(crate) fn set_off(&mut self) {
-        *self = Tracer::Off;
-    }
-
-    /// Arms capture for a core with `max_warps` warp slots.
-    pub(crate) fn set_capture(&mut self, max_warps: usize) {
-        *self = Tracer::Capture(CaptureState {
-            bufs: (0..max_warps).map(|_| None).collect(),
-            finished: Vec::new(),
-        });
-    }
-
-    /// Arms replay for a core with `max_warps` warp slots.
-    pub(crate) fn set_replay(&mut self, max_warps: usize) {
-        *self = Tracer::Replay(ReplayState {
-            cursors: (0..max_warps).map(|_| None).collect(),
-            desync: None,
-        });
+    /// The frontend state for one launch on a core with `max_warps`
+    /// warp slots.
+    pub(crate) fn new(frontend: Frontend, max_warps: usize) -> Self {
+        match frontend {
+            Frontend::Live => Tracer::Off,
+            Frontend::Capture => Tracer::Capture(CaptureState {
+                bufs: (0..max_warps).map(|_| None).collect(),
+                finished: Vec::new(),
+            }),
+            Frontend::Replay => Tracer::Replay(ReplayState {
+                cursors: (0..max_warps).map(|_| None).collect(),
+                desync: None,
+            }),
+        }
     }
 
     /// Whether the functional value layer should be skipped.
@@ -297,12 +303,7 @@ impl Tracer {
         let Some(buf) = cap.bufs[slot].as_mut() else {
             return;
         };
-        let mut m = mask;
-        while m != 0 {
-            let lane = m.trailing_zeros() as usize;
-            m &= m - 1;
-            buf.mem_addrs.push(addrs[lane]);
-        }
+        buf.mem_addrs.extend(lanes(mask).map(|lane| addrs[lane]));
     }
 
     /// Replay: fills the active lanes of the scratch address row from
@@ -325,10 +326,7 @@ impl Tracer {
             return;
         };
         let stream = source.stream(cursor.stream);
-        let mut m = mask;
-        while m != 0 {
-            let lane = m.trailing_zeros() as usize;
-            m &= m - 1;
+        for lane in lanes(mask) {
             match stream.mem_addrs.get(cursor.mem_pos) {
                 Some(&a) => {
                     cursor.mem_pos += 1;

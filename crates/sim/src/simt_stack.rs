@@ -12,6 +12,30 @@ use gpusimpow_isa::Pc;
 /// A thread-participation bitmask (bit `i` = lane `i` active).
 pub type LaneMask = u64;
 
+/// The mask with the low `n` lanes set (`n` is clamped to the mask
+/// width): the full mask of an `n`-lane warp.
+#[inline]
+pub(crate) fn low_lanes(n: usize) -> LaneMask {
+    if n >= 64 {
+        !0
+    } else {
+        (1u64 << n) - 1
+    }
+}
+
+/// The set lanes of `mask`, in ascending lane order.
+#[inline]
+pub(crate) fn lanes(mask: LaneMask) -> impl Iterator<Item = usize> {
+    let mut rest = mask;
+    std::iter::from_fn(move || {
+        (rest != 0).then(|| {
+            let lane = rest.trailing_zeros() as usize;
+            rest &= rest - 1;
+            lane
+        })
+    })
+}
+
 /// One token on the reconvergence stack.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StackEntry {

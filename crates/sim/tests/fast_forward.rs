@@ -46,7 +46,7 @@ fn run_recorded(
     Result<gpusimpow_sim::LaunchReport, SimError>,
 ) {
     let mut gpu = Gpu::new(cfg).expect("preset is valid");
-    gpu.set_fast_forward(fast_forward);
+    gpu.set_dense_reference(!fast_forward);
     if let Some(w) = watchdog {
         gpu.set_watchdog(w);
     }
@@ -115,7 +115,7 @@ fn watchdog_trips_mid_jump_at_the_exact_cycle() {
     // cycle) must match the per-cycle reference exactly.
     let total = {
         let mut gpu = Gpu::new(GpuConfig::gt240()).expect("preset is valid");
-        gpu.set_fast_forward(false);
+        gpu.set_dense_reference(true);
         let kernel = stall_kernel(&mut gpu, 12);
         let report = gpu
             .launch(&kernel, LaunchConfig::linear(1, 32))
@@ -156,12 +156,4 @@ fn watchdog_trips_mid_jump_at_the_exact_cycle() {
         assert_windows_identical(&ref_rec, &ff_rec);
     }
     assert!(tripped > 0, "sweep exercised at least one trip");
-}
-
-#[test]
-fn fast_forward_is_on_by_default_and_toggleable() {
-    let mut gpu = Gpu::new(GpuConfig::gt240()).expect("preset is valid");
-    assert!(gpu.fast_forward(), "event engine on by default");
-    gpu.set_fast_forward(false);
-    assert!(!gpu.fast_forward());
 }

@@ -11,15 +11,17 @@
 //! an allocating expression (`vec!`, `Vec::new`, `.collect()`, …)
 //! written inside a `for`/`while`/`loop` body of a hot-path file.
 //!
-//! Scope: `crates/sim/src/{core,func,ldst,wheel}.rs` — the files the
-//! per-cycle pipeline lives in. Launch-setup allocations that happen to
+//! Scope: every file under `crates/sim/src/core/` plus
+//! `crates/sim/src/{func,ldst,wheel}.rs` — the files the per-cycle
+//! pipeline lives in. Launch-setup allocations that happen to
 //! sit in loops (one register file per dispatched warp, for example)
 //! are grid-proportional, not cycle-proportional, and carry a justified
 //! `simlint: allow(lane_loop_alloc)` marker.
 //!
 //! A second, sharper pass guards the core scheduler specifically:
 //! [`UNBOUNDED_QUEUE_IN_CORE`] flags `BinaryHeap`/`VecDeque`
-//! construction inside loop bodies of `crates/sim/src/{core,wheel}.rs`.
+//! construction inside loop bodies of `crates/sim/src/core/*.rs` and
+//! `crates/sim/src/wheel.rs`.
 //! The calendar wheel replaced the per-core heap precisely because
 //! comparison-queue traffic dominated the Fig. 4 hot path (DESIGN.md
 //! §16–§17); a queue built per iteration would reintroduce both the
@@ -34,6 +36,7 @@
 //! exempt — a `#[cfg(test)]` helper building a `Vec` per iteration
 //! costs nothing at simulation time.
 
+use crate::scope::SIM_CORE_DIR;
 use crate::syntax::{Expr, Item, Stmt};
 use crate::{Diagnostic, SourceFile};
 
@@ -73,21 +76,16 @@ const ALLOC_MACROS: &[&str] = &["vec", "format"];
 
 /// The files whose loop bodies are the per-cycle hot path.
 pub fn scope(rel_path: &str) -> bool {
-    matches!(
-        rel_path,
-        "crates/sim/src/core.rs"
-            | "crates/sim/src/func.rs"
-            | "crates/sim/src/ldst.rs"
-            | "crates/sim/src/wheel.rs"
-    )
+    rel_path.starts_with(SIM_CORE_DIR)
+        || matches!(
+            rel_path,
+            "crates/sim/src/func.rs" | "crates/sim/src/ldst.rs" | "crates/sim/src/wheel.rs"
+        )
 }
 
 /// The core scheduler files [`UNBOUNDED_QUEUE_IN_CORE`] guards.
 pub fn queue_scope(rel_path: &str) -> bool {
-    matches!(
-        rel_path,
-        "crates/sim/src/core.rs" | "crates/sim/src/wheel.rs"
-    )
+    rel_path.starts_with(SIM_CORE_DIR) || rel_path == "crates/sim/src/wheel.rs"
 }
 
 /// A `Type::ctor` path match: the last two segments name an allocating

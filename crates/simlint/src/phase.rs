@@ -27,7 +27,8 @@
 //!   tick-path commit would write to memory other cores are reading.
 //!
 //! The analysis is cross-file over the compute unit —
-//! `crates/sim/src/{core,func,ldst,wheel,parallel}.rs` — because the
+//! `crates/sim/src/core/*.rs` plus
+//! `crates/sim/src/{func,ldst,wheel,parallel}.rs` — because the
 //! tick path criss-crosses those files. Roots are the functions named
 //! `tick`; reachability follows call and method names within the unit
 //! (collisions over-approximate, so the failure mode is a justified
@@ -37,6 +38,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
+use crate::scope::SIM_CORE_DIR;
 use crate::syntax::{Expr, Item, ItemKind, Stmt};
 use crate::{Diagnostic, SourceFile};
 
@@ -80,14 +82,14 @@ const INTERIOR_TYPES: &[&str] = &[
 
 /// The files forming the compute unit the tick path runs through.
 pub fn scope(rel_path: &str) -> bool {
-    matches!(
-        rel_path,
-        "crates/sim/src/core.rs"
-            | "crates/sim/src/func.rs"
-            | "crates/sim/src/ldst.rs"
-            | "crates/sim/src/wheel.rs"
-            | "crates/sim/src/parallel.rs"
-    )
+    rel_path.starts_with(SIM_CORE_DIR)
+        || matches!(
+            rel_path,
+            "crates/sim/src/func.rs"
+                | "crates/sim/src/ldst.rs"
+                | "crates/sim/src/wheel.rs"
+                | "crates/sim/src/parallel.rs"
+        )
 }
 
 fn is_interior_type(tokens: &[String]) -> bool {

@@ -46,6 +46,11 @@ const UNIT_CRATES: &[&str] = &["power", "trace"];
 /// [`UNIT_CRATES`].
 const FLOAT_CRATES: &[&str] = &["sim", "power", "pm"];
 
+/// The directory holding the SIMT core's per-stage modules. The
+/// hot-path and phase lints match it as a *prefix*, not as a file list,
+/// so a further split of the core cannot drop a file out of scope.
+pub const SIM_CORE_DIR: &str = "crates/sim/src/core/";
+
 /// Resolved path-prefix scopes every per-file pass consults.
 #[derive(Debug, Clone)]
 pub struct ScopeConfig {
@@ -227,7 +232,7 @@ mod tests {
         let cfg = ScopeConfig::discover(&root).unwrap();
         // The crate nobody hand-listed is in scope from its first file…
         assert!(cfg.determinism("crates/brandnew/src/lib.rs"), "{cfg:?}");
-        assert!(cfg.determinism("crates/sim/src/core.rs"));
+        assert!(cfg.determinism("crates/sim/src/core/issue.rs"));
         // …while the documented opt-out stays out.
         assert!(!cfg.determinism("crates/bench/src/report.rs"));
         let _ = fs::remove_dir_all(&root);
@@ -253,6 +258,25 @@ mod tests {
             "[workspace]\nmembers = [\n  \"crates/*\", # the real code\n  \"vendor/*\",\n]\n",
         );
         assert_eq!(patterns, ["crates/*", "vendor/*"]);
+    }
+
+    #[test]
+    fn core_stage_scopes_follow_the_directory_not_a_file_list() {
+        for file in [
+            "mod.rs",
+            "issue.rs",
+            "execute.rs",
+            "mem.rs",
+            "not_split_yet.rs",
+        ] {
+            let path = format!("{SIM_CORE_DIR}{file}");
+            assert!(crate::hotpath::scope(&path), "{path}");
+            assert!(crate::hotpath::queue_scope(&path), "{path}");
+            assert!(crate::phase::scope(&path), "{path}");
+        }
+        // The pre-split single file is gone; nothing may still match it.
+        assert!(!crate::hotpath::scope("crates/sim/src/core.rs"));
+        assert!(!crate::phase::scope("crates/sim/src/core.rs"));
     }
 
     #[test]

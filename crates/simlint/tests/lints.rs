@@ -218,7 +218,7 @@ fn diagnostics_render_as_file_line_lint_message() {
 
 #[test]
 fn hotpath_bad_fires_once_per_allocation_site() {
-    let diags = check_source("crates/sim/src/core.rs", &fixture("hotpath_bad.rs"));
+    let diags = check_source("crates/sim/src/core/execute.rs", &fixture("hotpath_bad.rs"));
     let allocs: Vec<&Diagnostic> = diags
         .iter()
         .filter(|d| d.lint == "lane_loop_alloc")
@@ -285,7 +285,7 @@ fn queue_good_is_clean_with_justified_allow() {
     // Hoisted construction, retained-capacity reuse, a reference heap
     // inside `#[cfg(test)]` and a justified launch-boundary `allow` —
     // none may survive as an unbounded_queue_in_core finding.
-    let diags = check_source("crates/sim/src/core.rs", &fixture("queue_good.rs"));
+    let diags = check_source("crates/sim/src/core/issue.rs", &fixture("queue_good.rs"));
     assert!(
         diags.iter().all(|d| d.lint != "unbounded_queue_in_core"),
         "{diags:#?}"
@@ -332,7 +332,7 @@ fn untrusted_good_checked_spellings_are_clean() {
 fn untrusted_lints_only_cover_the_decode_files() {
     // The same panicking decode is out of scope in the simulator core —
     // its inputs come from inside the process, not the wire.
-    let diags = check_source("crates/sim/src/core.rs", &fixture("untrusted_bad.rs"));
+    let diags = check_source("crates/sim/src/core/mem.rs", &fixture("untrusted_bad.rs"));
     assert!(
         diags
             .iter()
@@ -381,7 +381,7 @@ fn float_lints_only_cover_the_float_bearing_crates() {
 
 #[test]
 fn phase_bad_flags_all_three_contract_violations_across_files() {
-    let core = SourceFile::parse("crates/sim/src/core.rs", &fixture("phase_bad.rs"));
+    let core = SourceFile::parse("crates/sim/src/core/mod.rs", &fixture("phase_bad.rs"));
     let helper = SourceFile::parse("crates/sim/src/func.rs", &fixture("phase_bad_helper.rs"));
     let diags = phase::check(&[&core, &helper]);
     let mut muts: Vec<u32> = diags
@@ -410,7 +410,7 @@ fn phase_bad_flags_all_three_contract_violations_across_files() {
     assert_eq!(
         interior,
         vec![
-            ("crates/sim/src/core.rs", 20),
+            ("crates/sim/src/core/mod.rs", 20),
             ("crates/sim/src/func.rs", 10),
         ],
         "{diags:#?}"
@@ -419,7 +419,7 @@ fn phase_bad_flags_all_three_contract_violations_across_files() {
 
 #[test]
 fn phase_good_buffered_stores_are_clean() {
-    let core = SourceFile::parse("crates/sim/src/core.rs", &fixture("phase_good.rs"));
+    let core = SourceFile::parse("crates/sim/src/core/mod.rs", &fixture("phase_good.rs"));
     let diags = phase::check(&[&core]);
     assert!(diags.is_empty(), "{diags:#?}");
 }

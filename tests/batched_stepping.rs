@@ -1,10 +1,11 @@
 //! Batched steady-state stepping is an accelerator, not a semantic: the
 //! pure-compute fast path in `Gpu::launch_impl` (plus its in-batch
-//! per-core wake gating) must reproduce, bit for bit, what the ordinary
-//! cycle-by-cycle path produces. These tests pin one representative
-//! kernel on both presets — barrel-scheduled GT240 and scoreboarded
-//! GTX580 — against the same golden counts, time bits and power bits as
-//! `tests/determinism.rs`, with the fast path forced on and off. If a
+//! per-core wake gating) must reproduce, bit for bit, what the dense
+//! cycle-by-cycle reference loop produces. These tests pin one
+//! representative kernel on both presets — barrel-scheduled GT240 and
+//! scoreboarded GTX580 — against the same golden counts, time bits and
+//! power bits as `tests/determinism.rs`, with the fast path on and off
+//! (`Gpu::set_dense_reference`, which also drops fast-forward). If a
 //! batch ever swallows a side-effect cycle (a buffered store, a CTA
 //! completion, a window boundary), the "on" pins fire; if a change to
 //! the ordinary path drifts, both fire.
@@ -18,7 +19,7 @@ fn run(
     batch: bool,
 ) -> (ActivityStats, u64, u64) {
     let mut sim = preset().expect("preset builds");
-    sim.gpu_mut().set_batch_stepping(batch);
+    sim.gpu_mut().set_dense_reference(!batch);
     let reports = sim
         .run_benchmark(&BlackScholes { options: 2048 })
         .expect("verifies");
@@ -61,9 +62,7 @@ fn gtx580_pins_hold_with_batching_on_and_off() {
 }
 
 #[test]
-fn batching_defaults_on_and_stats_match_exactly_either_way() {
-    let mut sim = Simulator::gt240().expect("preset builds");
-    assert!(sim.gpu_mut().batch_stepping(), "fast path is the default");
+fn stats_match_exactly_either_way() {
     // Beyond the pinned fields: the *entire* counter vector must match.
     let (on, _, _) = run(Simulator::gt240, true);
     let (off, _, _) = run(Simulator::gt240, false);

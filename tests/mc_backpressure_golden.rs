@@ -18,8 +18,7 @@ const WINDOW_CYCLES: u64 = 256;
 
 fn record(accelerated: bool, threads: usize) -> RecordedLaunch {
     let mut gpu = Gpu::new(GpuConfig::gtx580()).expect("GTX580 builds");
-    gpu.set_fast_forward(accelerated);
-    gpu.set_batch_stepping(accelerated);
+    gpu.set_dense_reference(!accelerated);
     gpu.set_threads(threads);
     gpu.attach_sink(WINDOW_CYCLES, Box::new(WindowRecorder::new()));
     VectorAdd { n: 131_072 }.run(&mut gpu).expect("verifies");
