@@ -1,9 +1,11 @@
 //! The experiment implementations, one per paper table/figure.
 
-use gpusimpow::{validate_suite, Simulator, ValidationSummary};
+use gpusimpow::{validate_suite, SimReport, Simulator, ValidationSummary};
 use gpusimpow_isa::LaunchConfig;
 use gpusimpow_kernels::micro;
-use gpusimpow_measure::{per_op_energy, static_est, KernelExec, Testbed};
+use gpusimpow_measure::static_est::{self, ExtrapolationResult};
+use gpusimpow_measure::{per_op_energy, KernelExec, Testbed};
+use gpusimpow_power::components::wcu::WcuPower;
 use gpusimpow_power::GpuChip;
 use gpusimpow_sim::{Gpu, GpuConfig, SimPool};
 
@@ -27,6 +29,23 @@ fn gt240_probe_report() -> &'static gpusimpow_sim::LaunchReport {
         )
         .expect("probe kernel runs")
     })
+}
+
+/// The GT240 half of §IV-B, shared by Table IV and the static-estimation
+/// section: extrapolate the full-occupancy probe to 0 Hz, then relate
+/// the estimate to the between-kernels idle power. Returns the
+/// extrapolation, the static-to-idle ratio the GTX580 side reuses, and
+/// the testbed (for its ground truth).
+fn gt240_static(seed: u64) -> (ExtrapolationResult, f64, Testbed) {
+    let mut tb = Testbed::new(GpuConfig::gt240(), seed);
+    let exec = KernelExec::from_report(gt240_probe_report());
+    let extrapolation = static_est::estimate_by_clock_scaling(&mut tb, &exec);
+    let between = tb.measure_state(
+        tb.hardware().pre_kernel_power(),
+        gpusimpow_tech::units::Time::from_millis(60.0),
+    );
+    let ratio = static_est::static_to_idle_ratio(extrapolation.static_estimate, between);
+    (extrapolation, ratio, tb)
 }
 
 /// One Fig. 4 data point.
@@ -109,18 +128,8 @@ pub struct Table4Row {
 /// Table IV: static power and area for both GPUs, with the hardware side
 /// estimated through the paper's §IV-B methods on the virtual testbed.
 pub fn table4_static_area(seed: u64) -> Vec<Table4Row> {
-    // GT240: clock extrapolation.
-    let gt_cfg = GpuConfig::gt240();
-    let gt_chip = GpuChip::new(&gt_cfg).expect("chip builds");
-    let report = gt240_probe_report();
-    let mut gt_tb = Testbed::new(gt_cfg.clone(), seed);
-    let exec = KernelExec::from_report(report);
-    let extrapolation = static_est::estimate_by_clock_scaling(&mut gt_tb, &exec);
-    let gt_between = gt_tb.measure_state(
-        gt_tb.hardware().pre_kernel_power(),
-        gpusimpow_tech::units::Time::from_millis(60.0),
-    );
-    let ratio = static_est::static_to_idle_ratio(extrapolation.static_estimate, gt_between);
+    let gt_chip = GpuChip::new(&GpuConfig::gt240()).expect("chip builds");
+    let (extrapolation, ratio, _) = gt240_static(seed);
 
     // GTX580: idle-ratio method with the GT240-derived ratio (the
     // NVIDIA Linux driver cannot change its clocks, §IV-B).
@@ -164,32 +173,43 @@ pub fn fig6_validation(cfg: &GpuConfig, seed: u64, small: bool) -> ValidationSum
     validate_suite(cfg, &suite, seed).expect("suite validates")
 }
 
-/// Table V: the blackscholes power breakdown on the GT240.
+/// The Table V workload: blackscholes on the GT240.
 ///
 /// # Panics
 ///
 /// Panics if blackscholes fails verification.
-pub fn table5_breakdown() -> gpusimpow_power::PowerReport {
+fn blackscholes_on_gt240() -> (Simulator, SimReport) {
     let mut sim = Simulator::gt240().expect("preset builds");
-    let reports = sim
+    let mut reports = sim
         .run_benchmark(&gpusimpow_kernels::blackscholes::BlackScholes::default())
         .expect("blackscholes verifies");
-    reports[0].power.clone()
+    (sim, reports.swap_remove(0))
 }
 
-/// Per-cluster attribution of the Table V workload: the blackscholes
-/// kernel on the GT240, with the core-component energy maps applied to
-/// each cluster's scoped registry vector (the `--per-cluster` report).
-///
-/// # Panics
-///
-/// Panics if blackscholes fails verification.
+/// Table V: the blackscholes power breakdown on the GT240.
+pub fn table5_breakdown() -> gpusimpow_power::PowerReport {
+    blackscholes_on_gt240().1.power
+}
+
+/// Per-cluster attribution of the Table V workload, with the
+/// core-component energy maps applied to each cluster's scoped registry
+/// vector (the `--per-cluster` report).
 pub fn table5_scoped() -> gpusimpow_power::ScopedPowerReport {
-    let mut sim = Simulator::gt240().expect("preset builds");
-    let reports = sim
-        .run_benchmark(&gpusimpow_kernels::blackscholes::BlackScholes::default())
-        .expect("blackscholes verifies");
-    sim.evaluate_scoped(&reports[0].launch)
+    let (sim, report) = blackscholes_on_gt240();
+    sim.evaluate_scoped(&report.launch)
+}
+
+/// §V-B's finer drill-down of the Table V workload: per-core dynamic
+/// power (mW) of each memory and logic block inside the WCU.
+pub fn table5_wcu_memories() -> Vec<(&'static str, f64)> {
+    let (sim, report) = blackscholes_on_gt240();
+    let wcu = WcuPower::new(sim.config(), sim.chip().tech()).expect("wcu builds");
+    let time_s = report.launch.time_s;
+    let cores = sim.config().total_cores() as f64;
+    wcu.memory_breakdown(&report.launch.stats.to_vector())
+        .into_iter()
+        .map(|(name, e)| (name, e.joules() / time_s / cores * 1e3))
+        .collect()
 }
 
 /// §III-D: measured per-operation energies.
@@ -269,16 +289,7 @@ pub struct StaticEstimation {
 /// §IV-B: runs the clock-extrapolation method on the GT240 and the
 /// idle-ratio method on the GTX580.
 pub fn static_estimation(seed: u64) -> StaticEstimation {
-    let gt_cfg = GpuConfig::gt240();
-    let report = gt240_probe_report();
-    let mut gt_tb = Testbed::new(gt_cfg, seed);
-    let exec = KernelExec::from_report(report);
-    let r = static_est::estimate_by_clock_scaling(&mut gt_tb, &exec);
-    let between = gt_tb.measure_state(
-        gt_tb.hardware().pre_kernel_power(),
-        gpusimpow_tech::units::Time::from_millis(60.0),
-    );
-    let ratio = static_est::static_to_idle_ratio(r.static_estimate, between);
+    let (r, ratio, gt_tb) = gt240_static(seed);
     let gt_truth = gt_tb.hardware().true_static_power().watts();
 
     let mut gtx_tb = Testbed::new(GpuConfig::gtx580(), seed.wrapping_add(7));

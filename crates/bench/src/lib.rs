@@ -1,8 +1,9 @@
 //! # gpusimpow-bench — the experiment harness
 //!
-//! One function per table/figure of the paper (see `DESIGN.md`'s
-//! per-experiment index); the `src/bin/*` binaries are thin wrappers and
-//! `run_all_experiments` renders everything into `EXPERIMENTS.md`.
+//! One function per table/figure of the paper in [`experiments`] (see
+//! `DESIGN.md`'s per-experiment index), one row per section in
+//! [`report::SECTIONS`]; `run_all_experiments` renders them all into
+//! `EXPERIMENTS.md`, or the ones named by `--only=` to stdout.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]

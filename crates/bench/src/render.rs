@@ -2,8 +2,57 @@
 //! charts and the markdown used by `EXPERIMENTS.md`.
 
 use gpusimpow::ValidationSummary;
+use gpusimpow_kernels::all_benchmarks;
+use gpusimpow_sim::GpuConfig;
 
 use crate::experiments::{ErrorBudget, Fig4Point, MicrobenchEnergies, StaticEstimation, Table4Row};
+
+/// Renders Table I: the benchmark suite.
+pub fn table1() -> String {
+    let mut out = String::new();
+    out.push_str("| name | #kernels | description | origin |\n");
+    out.push_str("|---|---|---|---|\n");
+    for b in all_benchmarks() {
+        out.push_str(&format!(
+            "| {} | {} | {} | {} |\n",
+            b.name(),
+            b.kernel_names().len(),
+            b.description(),
+            b.origin()
+        ));
+    }
+    out
+}
+
+/// Renders Table II: key features of the two evaluated architectures.
+pub fn table2() -> String {
+    let gpus = [GpuConfig::gt240(), GpuConfig::gtx580()];
+    let mut out = String::new();
+    out.push_str("| feature | GT240 | GTX580 |\n");
+    out.push_str("|---|---|---|\n");
+    let mut row = |feature: &str, cell: &dyn Fn(&GpuConfig) -> String| {
+        out.push_str(&format!(
+            "| {feature} | {} | {} |\n",
+            cell(&gpus[0]),
+            cell(&gpus[1])
+        ));
+    };
+    row("#Cores", &|c| c.total_cores().to_string());
+    row("#Threads per core", &|c| c.max_threads_per_core.to_string());
+    row("#FUs per core", &|c| c.simd_width.to_string());
+    row("Uncore clock", &|c| format!("{} MHz", c.uncore_mhz));
+    row("Shader-to-uncore", &|c| format!("{}x", c.shader_ratio));
+    row("#Warps in-flight", &|c| c.max_warps_per_core().to_string());
+    row("Scoreboard", &|c| {
+        if c.scoreboard { "yes" } else { "no (barrel)" }.to_string()
+    });
+    row("L2 size", &|c| {
+        c.l2.map(|l| format!("{} KB", l.capacity_bytes / 1024))
+            .unwrap_or_else(|| "—".into())
+    });
+    row("Process node", &|c| format!("{} nm", c.process_nm));
+    out
+}
 
 /// Renders Fig. 4 as a table plus an ASCII staircase.
 pub fn fig4(points: &[Fig4Point]) -> String {
@@ -149,6 +198,16 @@ pub fn error_budget(b: &ErrorBudget) -> String {
         b.worst_rel_error * 100.0,
         b.mean_rel_error * 100.0
     )
+}
+
+/// Renders the Table V drill-down: per-core dynamic power of the
+/// memories and logic blocks inside the WCU.
+pub fn wcu_memories(rows: &[(&'static str, f64)]) -> String {
+    let mut out = String::from("WCU-internal breakdown (per core, dynamic):\n");
+    for (name, mw) in rows {
+        out.push_str(&format!("  {name:<22} {mw:>8.3} mW\n"));
+    }
+    out
 }
 
 #[cfg(test)]

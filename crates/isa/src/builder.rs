@@ -434,24 +434,15 @@ impl KernelBuilder {
         self.emit(Instr::Jmp { target: u32::MAX })
     }
 
-    /// Branch to `target` if `cond != 0`; diverged threads reconverge at
+    /// Branch to `target` if `cond == 0`; diverged threads reconverge at
     /// `reconv`. Prefer the structured helpers, which compute `reconv`.
-    pub fn bra_nz(&mut self, cond: Reg, target: Label, reconv: Label) -> &mut Self {
-        self.bra(cond, false, target, reconv)
-    }
-
-    /// Branch to `target` if `cond == 0`.
     pub fn bra_z(&mut self, cond: Reg, target: Label, reconv: Label) -> &mut Self {
-        self.bra(cond, true, target, reconv)
-    }
-
-    fn bra(&mut self, cond: Reg, negate: bool, target: Label, reconv: Label) -> &mut Self {
         let at = self.code.len();
         self.fixups.push((at, target, Patch::Target));
         self.fixups.push((at, reconv, Patch::Reconv));
         self.emit(Instr::Bra {
             cond,
-            negate,
+            negate: true,
             target: u32::MAX,
             reconv: u32::MAX,
         })

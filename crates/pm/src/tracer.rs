@@ -132,23 +132,6 @@ impl PowerTracer {
         }
     }
 
-    /// Replaces the DVFS table.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the table's nominal frequency does not match the chip's
-    /// shader clock (the activity was simulated at that clock).
-    pub fn with_dvfs(mut self, dvfs: DvfsTable) -> Self {
-        let chip_shader = self.chip.clocks().shader().hertz();
-        let nominal = dvfs.nominal().shader_freq.hertz();
-        assert!(
-            (nominal / chip_shader - 1.0).abs() < 1e-9,
-            "DVFS nominal frequency must equal the chip's shader clock"
-        );
-        self.dvfs = dvfs;
-        self
-    }
-
     /// Replaces the gating setting.
     pub fn with_gating(mut self, gating: ClusterGating) -> Self {
         self.gating = gating;

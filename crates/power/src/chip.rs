@@ -7,7 +7,7 @@ use std::fmt;
 use gpusimpow_sim::{ActivityStats, GpuConfig, ScopedActivity};
 use gpusimpow_tech::clockdomain::ClockDomains;
 use gpusimpow_tech::node::{TechError, TechNode};
-use gpusimpow_tech::units::{Area, Cycles, Energy, Freq, Power, Time};
+use gpusimpow_tech::units::{Area, Cycles, Energy, Freq, Power};
 
 use crate::components::exec::ExecPower;
 use crate::components::ldst::LdstPower;
@@ -285,37 +285,6 @@ impl GpuChip {
             core,
             dram,
         }
-    }
-
-    /// Evaluates runtime power with an explicit wall-clock duration
-    /// (used when clock-scaling experiments change the effective clock).
-    pub fn evaluate_with_time(
-        &self,
-        kernel: &str,
-        stats: &ActivityStats,
-        time: Time,
-    ) -> PowerReport {
-        let mut report = self.evaluate(kernel, stats);
-        // Re-scale all dynamic terms that were normalized by the default
-        // time.
-        let default_time = self
-            .clocks
-            .shader_cycles_to_time(Cycles::new(stats.shader_cycles));
-        let ratio = default_time / time;
-        let rescale = |s: PowerSplit| PowerSplit::new(s.static_power, s.dynamic_power * ratio);
-        report.time = time;
-        report.chip.cores = rescale(report.chip.cores);
-        report.chip.noc = rescale(report.chip.noc);
-        report.chip.mc = rescale(report.chip.mc);
-        report.chip.pcie = rescale(report.chip.pcie);
-        report.chip.l2 = rescale(report.chip.l2);
-        report.core.base = rescale(report.core.base);
-        report.core.wcu = rescale(report.core.wcu);
-        report.core.regfile = rescale(report.core.regfile);
-        report.core.exec = rescale(report.core.exec);
-        report.core.ldstu = rescale(report.core.ldstu);
-        report.dram = self.dram.evaluate(&stats.to_vector(), time);
-        report
     }
 
     /// The event-priced energy maps of the four per-core components, in

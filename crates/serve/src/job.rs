@@ -15,8 +15,7 @@
 //! over its `SimPool`; it builds a fresh `Gpu` per job, so jobs are
 //! independent and embarrassingly parallel.
 
-use gpusimpow::Simulator;
-use gpusimpow_isa::LaunchConfig;
+use gpusimpow_isa::{Kernel, LaunchConfig};
 use gpusimpow_kernels::{micro, small_benchmarks};
 use gpusimpow_pm::{Baseline, ClusterOndemand, Governor, Ondemand, PowerCap, PowerTracer};
 use gpusimpow_power::{GpuChip, ScopedPowerReport};
@@ -91,14 +90,6 @@ impl GpuPreset {
         match self {
             GpuPreset::Gt240 => GpuConfig::gt240(),
             GpuPreset::Gtx580 => GpuConfig::gtx580(),
-        }
-    }
-
-    /// Display name.
-    pub fn name(self) -> &'static str {
-        match self {
-            GpuPreset::Gt240 => "GT240",
-            GpuPreset::Gtx580 => "GTX580",
         }
     }
 
@@ -254,114 +245,231 @@ pub enum KernelSpec {
     },
 }
 
-impl KernelSpec {
-    /// Human-readable label (logs, load-generator output).
-    pub fn label(&self) -> String {
-        match self {
-            KernelSpec::ClusterStep {
-                iterations,
-                blocks,
-                threads,
-            } => format!("cluster_step(i={iterations}) {blocks}x{threads}"),
-            KernelSpec::Lfsr {
-                lanes,
-                iterations,
-                blocks,
-                threads,
-            } => format!("lfsr(l={lanes},i={iterations}) {blocks}x{threads}"),
-            KernelSpec::Mandelbrot {
-                lanes,
-                iterations,
-                blocks,
-                threads,
-            } => format!("mandelbrot(l={lanes},i={iterations}) {blocks}x{threads}"),
-            KernelSpec::Divergence {
-                depth,
-                blocks,
-                threads,
-            } => format!("divergence(d={depth}) {blocks}x{threads}"),
-            KernelSpec::Conflict {
-                stride,
-                iterations,
-                blocks,
-                threads,
-            } => format!("conflict(s={stride},i={iterations}) {blocks}x{threads}"),
-            KernelSpec::Suite { index, small } => format!(
-                "suite[{index}]{}",
-                if *small { " (small)" } else { " (default)" }
-            ),
-            KernelSpec::Trace { bytes } => format!(
-                "trace({}, {} bytes)",
-                &JobDigest::compute(bytes).to_hex()[..8],
-                bytes.len()
-            ),
+/// One `u32` parameter of a probe kernel.
+struct Param {
+    /// Field name, as the decoder reports a truncated read of it.
+    field: &'static str,
+    /// What a validation error calls the parameter.
+    what: &'static str,
+    /// Largest accepted value; the smallest is 1 for every parameter.
+    max: u32,
+}
+
+impl Param {
+    fn check(&self, value: u32) -> Result<(), JobError> {
+        if value == 0 || value > self.max {
+            return Err(JobError::Invalid(format!(
+                "{} must be in 1..={}, got {value}",
+                self.what, self.max
+            )));
+        }
+        Ok(())
+    }
+}
+
+const ITERATIONS: Param = Param {
+    field: "iterations",
+    what: "iterations",
+    max: MAX_ITERATIONS,
+};
+const LANES: Param = Param {
+    field: "lanes",
+    what: "enabled lanes",
+    max: 32,
+};
+const BLOCKS: Param = Param {
+    field: "blocks",
+    what: "blocks",
+    max: MAX_BLOCKS,
+};
+const THREADS: Param = Param {
+    field: "threads",
+    what: "threads/block",
+    max: MAX_THREADS_PER_BLOCK,
+};
+const DEPTH: Param = Param {
+    field: "depth",
+    what: "divergence depth",
+    max: 5,
+};
+const STRIDE: Param = Param {
+    field: "stride",
+    what: "conflict stride",
+    max: 64,
+};
+/// The conflict kernel's shared-memory buffer is sized for one warp
+/// (`32 * stride` words); more threads per block would write past it.
+const WARP_THREADS: Param = Param {
+    field: "threads",
+    what: "conflict kernel threads/block",
+    max: 32,
+};
+
+/// Most parameters a probe has.
+const MAX_PARAMS: usize = 4;
+
+/// One row of the probe-kernel table: everything the service knows
+/// about a parameterised micro kernel.
+struct Probe {
+    /// Kernel tag in the canonical encoding.
+    tag: u8,
+    /// The parameters in wire order, each a `u32` after the tag (at most
+    /// [`MAX_PARAMS`]; value arrays are zero past the row's count).
+    params: &'static [Param],
+    /// The [`KernelSpec`] variant holding these values.
+    spec: fn([u32; MAX_PARAMS]) -> KernelSpec,
+    /// Builds the kernel and its launch grid.
+    launch: fn([u32; MAX_PARAMS]) -> (Kernel, LaunchConfig),
+}
+
+static CLUSTER_STEP: Probe = Probe {
+    tag: 0,
+    params: &[ITERATIONS, BLOCKS, THREADS],
+    spec: |[iterations, blocks, threads, _]| KernelSpec::ClusterStep {
+        iterations,
+        blocks,
+        threads,
+    },
+    launch: |[iterations, blocks, threads, _]| {
+        let kernel = micro::cluster_step_kernel(iterations);
+        (kernel, LaunchConfig::linear(blocks, threads))
+    },
+};
+static LFSR: Probe = Probe {
+    tag: 1,
+    params: &[LANES, ITERATIONS, BLOCKS, THREADS],
+    spec: |[lanes, iterations, blocks, threads]| KernelSpec::Lfsr {
+        lanes,
+        iterations,
+        blocks,
+        threads,
+    },
+    launch: |[lanes, iterations, blocks, threads]| {
+        let kernel = micro::lfsr_kernel(lanes, iterations);
+        (kernel, LaunchConfig::linear(blocks, threads))
+    },
+};
+static MANDELBROT: Probe = Probe {
+    tag: 2,
+    params: &[LANES, ITERATIONS, BLOCKS, THREADS],
+    spec: |[lanes, iterations, blocks, threads]| KernelSpec::Mandelbrot {
+        lanes,
+        iterations,
+        blocks,
+        threads,
+    },
+    launch: |[lanes, iterations, blocks, threads]| {
+        let kernel = micro::mandelbrot_kernel(lanes, iterations);
+        (kernel, LaunchConfig::linear(blocks, threads))
+    },
+};
+static DIVERGENCE: Probe = Probe {
+    tag: 3,
+    params: &[DEPTH, BLOCKS, THREADS],
+    spec: |[depth, blocks, threads, _]| KernelSpec::Divergence {
+        depth,
+        blocks,
+        threads,
+    },
+    launch: |[depth, blocks, threads, _]| {
+        let kernel = micro::divergence_kernel(depth);
+        (kernel, LaunchConfig::linear(blocks, threads))
+    },
+};
+static CONFLICT: Probe = Probe {
+    tag: 4,
+    params: &[STRIDE, ITERATIONS, BLOCKS, WARP_THREADS],
+    spec: |[stride, iterations, blocks, threads]| KernelSpec::Conflict {
+        stride,
+        iterations,
+        blocks,
+        threads,
+    },
+    launch: |[stride, iterations, blocks, threads]| {
+        let kernel = micro::conflict_kernel(stride, iterations);
+        (kernel, LaunchConfig::linear(blocks, threads))
+    },
+};
+
+/// Which probe kernels exist.
+static PROBES: [&Probe; 5] = [&CLUSTER_STEP, &LFSR, &MANDELBROT, &DIVERGENCE, &CONFLICT];
+
+impl Probe {
+    fn encode(&self, values: [u32; MAX_PARAMS], w: &mut Writer) {
+        w.put_u8(self.tag);
+        for (_, value) in self.params.iter().zip(values) {
+            w.put_u32(value);
         }
     }
 
-    fn encode(&self, w: &mut Writer) {
+    /// Reads the values after the tag and rebuilds the variant.
+    fn decode(&self, r: &mut Reader<'_>) -> Result<KernelSpec, CodecError> {
+        let mut values = [0; MAX_PARAMS];
+        for (slot, param) in values.iter_mut().zip(self.params) {
+            *slot = r.u32(param.field)?;
+        }
+        Ok((self.spec)(values))
+    }
+
+    fn validate(&self, values: [u32; MAX_PARAMS]) -> Result<(), JobError> {
+        let mut checks = self.params.iter().zip(values);
+        checks.try_for_each(|(param, value)| param.check(value))
+    }
+}
+
+/// A [`KernelSpec`] as the codec, validator and worker see it: the five
+/// probe variants collapse to a table row plus its values.
+enum Form<'a> {
+    Probe(&'static Probe, [u32; MAX_PARAMS]),
+    Suite { index: u8, small: bool },
+    Trace(&'a [u8]),
+}
+
+impl KernelSpec {
+    fn form(&self) -> Form<'_> {
         match *self {
             KernelSpec::ClusterStep {
                 iterations,
                 blocks,
                 threads,
-            } => {
-                w.put_u8(0);
-                w.put_u32(iterations);
-                w.put_u32(blocks);
-                w.put_u32(threads);
-            }
+            } => Form::Probe(&CLUSTER_STEP, [iterations, blocks, threads, 0]),
             KernelSpec::Lfsr {
                 lanes,
                 iterations,
                 blocks,
                 threads,
-            } => {
-                w.put_u8(1);
-                w.put_u32(lanes);
-                w.put_u32(iterations);
-                w.put_u32(blocks);
-                w.put_u32(threads);
-            }
+            } => Form::Probe(&LFSR, [lanes, iterations, blocks, threads]),
             KernelSpec::Mandelbrot {
                 lanes,
                 iterations,
                 blocks,
                 threads,
-            } => {
-                w.put_u8(2);
-                w.put_u32(lanes);
-                w.put_u32(iterations);
-                w.put_u32(blocks);
-                w.put_u32(threads);
-            }
+            } => Form::Probe(&MANDELBROT, [lanes, iterations, blocks, threads]),
             KernelSpec::Divergence {
                 depth,
                 blocks,
                 threads,
-            } => {
-                w.put_u8(3);
-                w.put_u32(depth);
-                w.put_u32(blocks);
-                w.put_u32(threads);
-            }
+            } => Form::Probe(&DIVERGENCE, [depth, blocks, threads, 0]),
             KernelSpec::Conflict {
                 stride,
                 iterations,
                 blocks,
                 threads,
-            } => {
-                w.put_u8(4);
-                w.put_u32(stride);
-                w.put_u32(iterations);
-                w.put_u32(blocks);
-                w.put_u32(threads);
-            }
-            KernelSpec::Suite { index, small } => {
+            } => Form::Probe(&CONFLICT, [stride, iterations, blocks, threads]),
+            KernelSpec::Suite { index, small } => Form::Suite { index, small },
+            KernelSpec::Trace { ref bytes } => Form::Trace(bytes),
+        }
+    }
+
+    fn encode(&self, w: &mut Writer) {
+        match self.form() {
+            Form::Probe(probe, values) => probe.encode(values, w),
+            Form::Suite { index, small } => {
                 w.put_u8(5);
                 w.put_u8(index);
                 w.put_u8(u8::from(small));
             }
-            KernelSpec::Trace { ref bytes } => {
+            Form::Trace(bytes) => {
                 w.put_u8(6);
                 w.put_bytes(bytes);
             }
@@ -369,35 +477,11 @@ impl KernelSpec {
     }
 
     fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(match r.u8("kernel tag")? {
-            0 => KernelSpec::ClusterStep {
-                iterations: r.u32("iterations")?,
-                blocks: r.u32("blocks")?,
-                threads: r.u32("threads")?,
-            },
-            1 => KernelSpec::Lfsr {
-                lanes: r.u32("lanes")?,
-                iterations: r.u32("iterations")?,
-                blocks: r.u32("blocks")?,
-                threads: r.u32("threads")?,
-            },
-            2 => KernelSpec::Mandelbrot {
-                lanes: r.u32("lanes")?,
-                iterations: r.u32("iterations")?,
-                blocks: r.u32("blocks")?,
-                threads: r.u32("threads")?,
-            },
-            3 => KernelSpec::Divergence {
-                depth: r.u32("depth")?,
-                blocks: r.u32("blocks")?,
-                threads: r.u32("threads")?,
-            },
-            4 => KernelSpec::Conflict {
-                stride: r.u32("stride")?,
-                iterations: r.u32("iterations")?,
-                blocks: r.u32("blocks")?,
-                threads: r.u32("threads")?,
-            },
+        let tag = r.u8("kernel tag")?;
+        if let Some(probe) = PROBES.iter().find(|p| p.tag == tag) {
+            return probe.decode(r);
+        }
+        Ok(match tag {
             5 => KernelSpec::Suite {
                 index: r.u8("suite index")?,
                 small: match r.u8("suite size flag")? {
@@ -418,91 +502,9 @@ impl KernelSpec {
     }
 
     fn validate(&self) -> Result<(), JobError> {
-        let grid = |blocks: u32, threads: u32| -> Result<(), JobError> {
-            if blocks == 0 || blocks > MAX_BLOCKS {
-                return Err(JobError::Invalid(format!(
-                    "blocks must be in 1..={MAX_BLOCKS}, got {blocks}"
-                )));
-            }
-            if threads == 0 || threads > MAX_THREADS_PER_BLOCK {
-                return Err(JobError::Invalid(format!(
-                    "threads/block must be in 1..={MAX_THREADS_PER_BLOCK}, got {threads}"
-                )));
-            }
-            Ok(())
-        };
-        let iters = |iterations: u32| -> Result<(), JobError> {
-            if iterations == 0 || iterations > MAX_ITERATIONS {
-                return Err(JobError::Invalid(format!(
-                    "iterations must be in 1..={MAX_ITERATIONS}, got {iterations}"
-                )));
-            }
-            Ok(())
-        };
-        match *self {
-            KernelSpec::ClusterStep {
-                iterations,
-                blocks,
-                threads,
-            } => {
-                iters(iterations)?;
-                grid(blocks, threads)
-            }
-            KernelSpec::Lfsr {
-                lanes,
-                iterations,
-                blocks,
-                threads,
-            }
-            | KernelSpec::Mandelbrot {
-                lanes,
-                iterations,
-                blocks,
-                threads,
-            } => {
-                if !(1..=32).contains(&lanes) {
-                    return Err(JobError::Invalid(format!(
-                        "enabled lanes must be in 1..=32, got {lanes}"
-                    )));
-                }
-                iters(iterations)?;
-                grid(blocks, threads)
-            }
-            KernelSpec::Divergence {
-                depth,
-                blocks,
-                threads,
-            } => {
-                if !(1..=5).contains(&depth) {
-                    return Err(JobError::Invalid(format!(
-                        "divergence depth must be in 1..=5, got {depth}"
-                    )));
-                }
-                grid(blocks, threads)
-            }
-            KernelSpec::Conflict {
-                stride,
-                iterations,
-                blocks,
-                threads,
-            } => {
-                if !(1..=64).contains(&stride) {
-                    return Err(JobError::Invalid(format!(
-                        "conflict stride must be in 1..=64, got {stride}"
-                    )));
-                }
-                // The kernel's shared-memory buffer is sized for one
-                // warp (`32 * stride` words); more threads per block
-                // would write past it.
-                if threads > 32 {
-                    return Err(JobError::Invalid(format!(
-                        "conflict kernel allows at most 32 threads/block, got {threads}"
-                    )));
-                }
-                iters(iterations)?;
-                grid(blocks, threads)
-            }
-            KernelSpec::Suite { index, .. } => {
+        match self.form() {
+            Form::Probe(probe, values) => probe.validate(values),
+            Form::Suite { index, .. } => {
                 let n = small_benchmarks().len() as u8;
                 if index >= n {
                     return Err(JobError::Invalid(format!(
@@ -511,7 +513,7 @@ impl KernelSpec {
                 }
                 Ok(())
             }
-            KernelSpec::Trace { ref bytes } => {
+            Form::Trace(bytes) => {
                 if bytes.len() > MAX_TRACE_BYTES {
                     return Err(JobError::Invalid(format!(
                         "trace is {} bytes, cap is {MAX_TRACE_BYTES}",
@@ -779,103 +781,36 @@ fn simulate(
     spec: &JobSpec,
     cfg: GpuConfig,
 ) -> Result<(Vec<LaunchReport>, Vec<RecordedLaunch>), JobError> {
-    match &spec.kernel {
-        KernelSpec::Suite { index, small } => {
-            let mut suite = if *small {
+    let sim_err = |e: &dyn std::fmt::Display| JobError::Sim(e.to_string());
+    let mut gpu = Gpu::new(cfg).map_err(|e| sim_err(&e))?;
+    if spec.window_cycles > 0 {
+        gpu.attach_sink(spec.window_cycles, Box::new(WindowRecorder::new()));
+    }
+    let reports = match spec.kernel.form() {
+        Form::Suite { index, small } => {
+            let mut suite = if small {
                 small_benchmarks()
             } else {
                 gpusimpow_kernels::all_benchmarks()
             };
-            let bench = suite.swap_remove(*index as usize);
-            let mut sim = Simulator::new(cfg).map_err(|e| JobError::Sim(e.to_string()))?;
-            if spec.window_cycles > 0 {
-                sim.gpu_mut()
-                    .attach_sink(spec.window_cycles, Box::new(WindowRecorder::new()));
-            }
-            let reports = sim
-                .run_benchmark(bench.as_ref())
-                .map_err(|e| JobError::Sim(e.to_string()))?;
-            let recorded = take_recordings(sim.gpu_mut(), spec.window_cycles)?;
-            Ok((reports.into_iter().map(|r| r.launch).collect(), recorded))
+            let bench = suite.swap_remove(index as usize);
+            bench.run(&mut gpu).map_err(|e| sim_err(&e))?
         }
-        KernelSpec::Trace { bytes } => {
+        Form::Trace(bytes) => {
             // validate() already proved the bytes decode; decode again
             // here rather than thread the parsed trace through, so the
             // worker path stays a pure function of the spec.
             let trace = KernelTrace::decode(bytes)
                 .map_err(|e| JobError::Invalid(format!("trace rejected: {e}")))?;
-            let mut gpu = Gpu::new(cfg).map_err(|e| JobError::Sim(e.to_string()))?;
-            if spec.window_cycles > 0 {
-                gpu.attach_sink(spec.window_cycles, Box::new(WindowRecorder::new()));
-            }
-            let report = gpu
-                .launch_replay(&trace)
-                .map_err(|e| JobError::Sim(e.to_string()))?;
-            let recorded = take_recordings(&mut gpu, spec.window_cycles)?;
-            Ok((vec![report], recorded))
+            vec![gpu.launch_replay(&trace).map_err(|e| sim_err(&e))?]
         }
-        micro_spec => {
-            let (kernel, launch) = match *micro_spec {
-                KernelSpec::ClusterStep {
-                    iterations,
-                    blocks,
-                    threads,
-                } => (
-                    micro::cluster_step_kernel(iterations),
-                    LaunchConfig::linear(blocks, threads),
-                ),
-                KernelSpec::Lfsr {
-                    lanes,
-                    iterations,
-                    blocks,
-                    threads,
-                } => (
-                    micro::lfsr_kernel(lanes, iterations),
-                    LaunchConfig::linear(blocks, threads),
-                ),
-                KernelSpec::Mandelbrot {
-                    lanes,
-                    iterations,
-                    blocks,
-                    threads,
-                } => (
-                    micro::mandelbrot_kernel(lanes, iterations),
-                    LaunchConfig::linear(blocks, threads),
-                ),
-                KernelSpec::Divergence {
-                    depth,
-                    blocks,
-                    threads,
-                } => (
-                    micro::divergence_kernel(depth),
-                    LaunchConfig::linear(blocks, threads),
-                ),
-                KernelSpec::Conflict {
-                    stride,
-                    iterations,
-                    blocks,
-                    threads,
-                } => (
-                    micro::conflict_kernel(stride, iterations),
-                    LaunchConfig::linear(blocks, threads),
-                ),
-                KernelSpec::Suite { .. } | KernelSpec::Trace { .. } => {
-                    return Err(JobError::Sim(
-                        "suite/trace specs are dispatched by the arms above".into(),
-                    ))
-                }
-            };
-            let mut gpu = Gpu::new(cfg).map_err(|e| JobError::Sim(e.to_string()))?;
-            if spec.window_cycles > 0 {
-                gpu.attach_sink(spec.window_cycles, Box::new(WindowRecorder::new()));
-            }
-            let report = gpu
-                .launch(&kernel, launch)
-                .map_err(|e| JobError::Sim(e.to_string()))?;
-            let recorded = take_recordings(&mut gpu, spec.window_cycles)?;
-            Ok((vec![report], recorded))
+        Form::Probe(probe, values) => {
+            let (kernel, launch) = (probe.launch)(values);
+            vec![gpu.launch(&kernel, launch).map_err(|e| sim_err(&e))?]
         }
-    }
+    };
+    let recorded = take_recordings(&mut gpu, spec.window_cycles)?;
+    Ok((reports, recorded))
 }
 
 /// Detaches and downcasts the window recorder attached by
@@ -1034,6 +969,47 @@ mod tests {
             );
             // And the decoder refuses the same encoding.
             assert!(JobSpec::decode(&spec.canonical_bytes()).is_err());
+        }
+    }
+
+    #[test]
+    fn every_probe_row_accepts_exactly_its_ranges_and_roundtrips() {
+        for probe in PROBES {
+            let mut ones = [0; MAX_PARAMS];
+            ones[..probe.params.len()].fill(1);
+            for (i, param) in probe.params.iter().enumerate() {
+                for (value, in_range) in [
+                    (1, true),
+                    (param.max, true),
+                    (0, false),
+                    (param.max + 1, false),
+                ] {
+                    let mut values = ones;
+                    values[i] = value;
+                    let kernel = (probe.spec)(values);
+
+                    // The variant maps back to its own row, and the
+                    // codec is the identity in or out of range.
+                    let mut w = Writer::new();
+                    kernel.encode(&mut w);
+                    let bytes = w.into_bytes();
+                    assert_eq!(bytes[0], probe.tag);
+                    let mut r = Reader::new(&bytes);
+                    assert_eq!(KernelSpec::decode(&mut r).unwrap(), kernel);
+                    r.finish("kernel").unwrap();
+
+                    let verdict = kernel.validate();
+                    if in_range {
+                        assert_eq!(verdict, Ok(()), "{kernel:?}");
+                    } else {
+                        assert!(
+                            matches!(verdict, Err(JobError::Invalid(_))),
+                            "{kernel:?} sets {} to {value}",
+                            param.field
+                        );
+                    }
+                }
+            }
         }
     }
 

@@ -20,8 +20,9 @@
 //!    ([`server`]).
 //!
 //! The `gpusimpow-serve` bin runs the server; the `loadgen` bin is its
-//! load client and CI smoke test (throughput and latency are measured
-//! by the `serve_cold` / `serve_warm` workloads of `benchmark/`).
+//! CI smoke burst — a fixed job stream whose cache contract it asserts
+//! (throughput and latency are measured by the `serve_cold` /
+//! `serve_warm` workloads of `benchmark/`).
 //!
 //! Every byte format here — jobs, results, cache entries, frames — is
 //! built from the one cursor, header check and digest in

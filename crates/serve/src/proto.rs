@@ -234,7 +234,7 @@ impl ResultSource {
         }
     }
 
-    /// Display name (loadgen output, logs).
+    /// Display name (logs, examples).
     pub fn name(self) -> &'static str {
         match self {
             ResultSource::Simulated => "simulated",

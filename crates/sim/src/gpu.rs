@@ -578,11 +578,6 @@ impl Gpu {
         self.tracing = enabled;
     }
 
-    /// Whether warp-stream capture is enabled.
-    pub fn tracing(&self) -> bool {
-        self.tracing
-    }
-
     /// Drains the traces banked by capture-enabled launches, in launch
     /// order.
     pub fn take_traces(&mut self) -> Vec<KernelTrace> {

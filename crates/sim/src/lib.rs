@@ -14,9 +14,9 @@
 //!   load/store unit (SAGUs, coalescer, shared-memory bank conflicts,
 //!   constant cache, optional L1);
 //! * [`noc`] — the core↔memory interconnect;
-//! * [`uncore`] — the event-driven memory subsystem (NoC links, shared
-//!   L2 bank, memory controllers, GDDR5 channels) advanced by a
-//!   skip-ahead engine that is bit-identical to per-cycle ticking;
+//! * `uncore` (crate-private) — the event-driven memory subsystem (NoC
+//!   links, shared L2 bank, memory controllers, GDDR5 channels) advanced
+//!   by a skip-ahead engine that is bit-identical to per-cycle ticking;
 //! * [`gpu`] — the chip: global block scheduler (breadth-first over
 //!   clusters, the Fig. 4 behaviour), stall-aware fast-forward;
 //! * [`dram`] — GDDR5 channel timing (FR-FCFS, activate/precharge/
@@ -55,7 +55,7 @@ pub mod config;
 pub mod core;
 pub mod dram;
 pub mod events;
-pub mod func;
+pub(crate) mod func;
 pub mod gpu;
 pub mod ldst;
 pub mod mem;
@@ -65,8 +65,8 @@ pub mod replay;
 pub mod simt_stack;
 pub mod sink;
 pub mod stats;
-pub mod uncore;
-pub mod wheel;
+pub(crate) mod uncore;
+pub(crate) mod wheel;
 
 pub use config::{ConfigError, DramConfig, GpuConfig, L2Config, WarpSchedPolicy};
 pub use core::{DecodedInstr, PredecodedKernel, MAX_LANES};

@@ -142,12 +142,6 @@ impl<T> Link<T> {
         }
     }
 
-    /// `true` when messages are queued awaiting bandwidth (a tick would
-    /// make transmission progress).
-    pub fn has_waiting(&self) -> bool {
-        !self.waiting.is_empty()
-    }
-
     /// `true` when nothing is queued or in flight.
     pub fn is_empty(&self) -> bool {
         self.waiting.is_empty() && self.in_flight.is_empty()

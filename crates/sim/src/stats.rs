@@ -123,11 +123,6 @@ impl ActivityStats {
         hit_rate(self.l2_accesses, self.l2_misses)
     }
 
-    /// Constant-cache hit rate in `[0, 1]`.
-    pub fn const_hit_rate(&self) -> f64 {
-        hit_rate(self.const_accesses, self.const_misses)
-    }
-
     /// DRAM row-buffer hit rate in `[0, 1]` (reads+writes that did not
     /// need an activate).
     pub fn dram_row_hit_rate(&self) -> f64 {

@@ -129,11 +129,6 @@ impl<T: Copy> EventWheel<T> {
         }
     }
 
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
     /// `true` when no event is pending.
     pub fn is_empty(&self) -> bool {
         self.len == 0

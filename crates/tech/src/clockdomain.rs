@@ -102,17 +102,6 @@ impl ClockDomains {
     pub fn shader_cycles_to_time(&self, cycles: Cycles) -> Time {
         Time::new(cycles.as_f64() / self.shader().hertz())
     }
-
-    /// Converts an uncore-cycle count to wall-clock time.
-    pub fn uncore_cycles_to_time(&self, cycles: Cycles) -> Time {
-        Time::new(cycles.as_f64() / self.uncore.hertz())
-    }
-
-    /// Number of shader cycles per uncore cycle (may be fractional,
-    /// e.g. 2.47 on GT240).
-    pub fn shader_per_uncore(&self) -> f64 {
-        self.shader_ratio
-    }
 }
 
 /// One voltage/frequency pair a chip can run its on-chip clocks at.

@@ -331,11 +331,6 @@ impl KernelTrace {
         self.streams.iter().map(|s| s.pcs.len() as u64).sum()
     }
 
-    /// Total recorded memory-access lane addresses.
-    pub fn mem_accesses(&self) -> u64 {
-        self.streams.iter().map(|s| s.mem_addrs.len() as u64).sum()
-    }
-
     /// The footer digest of this trace's encoding (its content
     /// address).
     pub fn content_digest(&self) -> TraceDigest {
