@@ -3,7 +3,7 @@
 //!
 //! # Stage order
 //!
-//! Each shader cycle [`Core::tick`] runs three stages, in this order;
+//! Each shader cycle `Core::tick` runs three stages, in this order;
 //! the modules are the rows of the benchmark ledger's `Core::tick`
 //! breakdown:
 //!
@@ -27,7 +27,7 @@
 //!
 //! # Scheduler hints
 //!
-//! Four pieces of [`Core`] state let the stages skip probes that are
+//! Four pieces of `Core` state let the stages skip probes that are
 //! proven silent no-ops. All masks are indexed by warp slot and cover
 //! slots 0–63 only; a core with more than 64 warp slots runs the same
 //! walks unhinted (`SlotWalk` probes every slot).
@@ -96,7 +96,7 @@ use execute::LaneScratch;
 
 /// Per-launch context shared by all cores.
 #[derive(Debug, Clone, Copy)]
-pub struct LaunchCtx<'a> {
+pub(crate) struct LaunchCtx<'a> {
     /// The kernel being executed.
     pub kernel: &'a Kernel,
     /// Its launch configuration.
@@ -116,7 +116,7 @@ pub struct LaunchCtx<'a> {
 
 /// A memory request leaving a core for the uncore.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MemRequest {
+pub(crate) struct MemRequest {
     /// Issuing core.
     pub core: usize,
     /// `true` for writes (no reply expected).
@@ -288,7 +288,7 @@ pub const MAX_LANES: usize = 64;
 
 /// One SIMT core.
 #[derive(Debug)]
-pub struct Core {
+pub(crate) struct Core {
     id: usize,
     cluster: usize,
     max_warps: usize,
@@ -322,9 +322,9 @@ pub struct Core {
     cta_coords: BTreeMap<usize, (u32, u32)>,
     /// Global-memory store overlay filled during the compute phase
     /// (word address → value) and applied by [`Core::commit_stores`]
-    /// in the serial commit phase. Loads from this core see it
+    /// in the commit phase. Loads from this core see it
     /// (read-your-own-writes); other cores see the stores one cycle
-    /// later, which keeps the parallel step deterministic.
+    /// later, whatever order the cores are ticked in.
     store_buf: BTreeMap<u32, u32>,
     /// Whether the current/last tick did observable work.
     work: bool,
@@ -405,11 +405,6 @@ impl Core {
         }
     }
 
-    /// This core's chip-wide index.
-    pub fn id(&self) -> usize {
-        self.id
-    }
-
     /// The cluster this core belongs to.
     pub fn cluster(&self) -> usize {
         self.cluster
@@ -488,8 +483,8 @@ impl Core {
     }
 
     /// Applies the global-memory stores buffered during the compute
-    /// phase. Called serially per core (in core order) after the
-    /// parallel compute phase; buffered addresses are distinct words
+    /// phase. Called per core, in core order, once every core has
+    /// ticked the cycle; buffered addresses are distinct words
     /// (the overlay keeps the last write per word), so the application
     /// order within one core cannot affect the result — and the ordered
     /// overlay drains in ascending address order anyway, so the sequence
@@ -503,7 +498,7 @@ impl Core {
     }
 
     /// `true` while this core holds compute-phase side effects the
-    /// serial commit phase has not applied yet: buffered global stores
+    /// commit phase has not applied yet: buffered global stores
     /// or un-drained memory requests. The batched steady-state stepping
     /// in `Gpu::launch_impl` may only run the compute phase for a cycle
     /// without its commit phase when this is `false` for every live
@@ -533,27 +528,13 @@ impl Core {
         (wake != u64::MAX).then_some(wake)
     }
 
-    /// Whether the last [`Core::tick`] did observable work.
-    pub(crate) fn progressed(&self) -> bool {
-        self.work
-    }
-
-    /// Records that this cycle's [`Core::tick`] was skipped because the
-    /// core is provably idle ([`Core::is_busy`] is `false`). Equivalent
-    /// to the early-out path of `tick` — it clears the `work` flag and
-    /// nothing else — so callers that elide whole idle core chunks (see
-    /// `CorePool::tick_cores`) keep [`Core::progressed`] exact for any
-    /// thread count.
-    pub(crate) fn mark_idle_tick(&mut self) {
-        debug_assert!(!self.is_busy(), "only a provably idle tick may be skipped");
-        self.work = false;
-    }
-
     /// Advances the core by one shader cycle — the *compute* phase of
     /// the two-phase step. The core only reads shared global memory;
     /// its stores are buffered in the overlay and applied by
-    /// [`Core::commit_stores`] in the serial commit phase, so cores can
-    /// tick in parallel with deterministic results.
+    /// [`Core::commit_stores`] in the commit phase, so a tick never
+    /// observes another core's same-cycle stores and compute phases
+    /// have no cross-core coupling (what batched stepping in
+    /// `Gpu::launch_impl` relies on).
     ///
     /// Returns `true` when the core did observable work (including
     /// failed-but-counted scoreboard probes); `false` means the tick

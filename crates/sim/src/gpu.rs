@@ -15,7 +15,6 @@ use crate::config::{ConfigError, GpuConfig};
 use crate::core::{Core, DecodedInstr, LaunchCtx, MemRequest};
 use crate::events::{ActivityVector, EventKind as Ev};
 use crate::mem::{DevicePtr, GpuMemory};
-use crate::parallel::{available_threads, CorePool};
 use crate::replay::{Frontend, ReplaySource};
 use crate::sink::{ActivitySink, ActivityWindow};
 use crate::stats::ActivityStats;
@@ -190,8 +189,6 @@ pub struct Gpu {
     watchdog_cycles: u64,
     total_launches: u64,
     attached: Option<SinkSlot>,
-    threads: usize,
-    pool: Option<CorePool>,
     /// Run the dense per-cycle reference loop instead of the accelerated
     /// one (see [`Gpu::set_dense_reference`]).
     dense_reference: bool,
@@ -340,8 +337,6 @@ impl Gpu {
             watchdog_cycles: 400_000_000,
             total_launches: 0,
             attached: None,
-            threads: 1,
-            pool: None,
             dense_reference: false,
             tracing: false,
             captured: Vec::new(),
@@ -399,34 +394,13 @@ impl Gpu {
         self.dense_reference = dense;
     }
 
-    /// Sets how many OS threads step cores during the per-cycle compute
-    /// phase. `0` means "use the machine's available parallelism"; `1`
-    /// (the default) steps cores inline on the calling thread.
-    ///
-    /// Thread count never changes results: cores read a frozen memory
-    /// snapshot during the compute phase and all shared-state side
-    /// effects are committed serially in core-id order, so every
-    /// `ActivityStats` counter and `time_s` is bit-identical for any
-    /// setting (see `DESIGN.md`, "Parallel execution").
-    pub fn set_threads(&mut self, threads: usize) {
-        let threads = if threads == 0 {
-            available_threads()
-        } else {
-            threads
-        };
-        self.threads = threads;
-        let usable = threads.min(self.cores.len());
-        self.pool = if usable >= 2 {
-            Some(CorePool::new(usable))
-        } else {
-            None
-        };
-    }
-
-    /// The compute-phase thread count set via [`Gpu::set_threads`].
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
+    /// No-op kept for `benchmark/src/workloads/alu_probe.rs:77`, its
+    /// only caller: the harness may not change in a non-benchmark PR.
+    /// The cores of a launch are always stepped serially; the next
+    /// benchmark PR deletes this together with the
+    /// `sim.intra_launch_speedup` row (see ROADMAP).
+    #[doc(hidden)]
+    pub fn set_threads(&mut self, _threads: usize) {}
 
     // --- host API (the cudaMalloc/cudaMemcpy stand-ins) -----------------------
 
@@ -798,6 +772,9 @@ impl Gpu {
             sink.on_launch_begin(kernel.name(), *window_cycles);
         }
         let mut next_window_at: u64 = sampling.as_ref().map_or(u64::MAX, |(w, _)| *w);
+        // First cycle past the watchdog, the other bound on bulk jumps.
+        // Saturating: `set_watchdog(u64::MAX)` means "off".
+        let watchdog_trip = self.watchdog_cycles.saturating_add(1);
         let mut window = WindowState {
             last_snapshot: ActivityVector::new(),
             last_cluster_busy: vec![0; cfg.clusters],
@@ -833,7 +810,7 @@ impl Gpu {
         // a dispatch can change that, so every per-cycle loop below
         // walks `live` instead of all cores. Rebuilt after each
         // dispatch, pruned during busy accounting; ascending order keeps
-        // the serial commit order identical to the all-cores walk.
+        // the commit order identical to the all-cores walk.
         let mut live: Vec<usize> = Vec::with_capacity(self.cores.len());
         // Per-core wake-up times for the batched fast path, indexed like
         // `live`; hoisted so short batches don't reallocate.
@@ -877,7 +854,7 @@ impl Gpu {
                 let mut batched: Option<bool> = None;
                 if !self.dense_reference && !just_dispatched && !live.is_empty() && uncore.is_idle()
                 {
-                    let horizon = next_window_at.min(self.watchdog_cycles + 1);
+                    let horizon = next_window_at.min(watchdog_trip);
                     let pre_max = horizon.saturating_sub(cycle + 1);
                     if pre_max > 0 {
                         let live_completed: u64 =
@@ -892,10 +869,7 @@ impl Gpu {
                         // (`Core::next_wake`) — compute phases have no
                         // cross-core coupling and the idle uncore delivers
                         // nothing — so its ticks are skipped entirely until
-                        // then. Ticks run serially here regardless of the
-                        // pool: the gate leaves only a couple of cores per
-                        // cycle, and compute phases are order-independent,
-                        // so the bits cannot move for any thread count.
+                        // then.
                         batch_wakes.clear();
                         batch_wakes.resize(live.len(), cycle);
                         loop {
@@ -969,41 +943,31 @@ impl Gpu {
                     }
                 }
 
-                // --- shader domain: parallel compute phase ---------------
+                // --- shader domain: compute phase ------------------------
                 // Cores read the frozen memory snapshot (global stores are
-                // buffered per core) so chunks can step concurrently
-                // without changing any counter. A batched run above has
+                // buffered per core), so no core's tick can observe
+                // another's within the cycle. A batched run above has
                 // already ticked the current cycle.
                 let progressed = match batched {
                     Some(progressed) => progressed,
                     None => {
-                        let Gpu {
-                            cores,
-                            memory,
-                            pool,
-                            ..
-                        } = &mut *self;
+                        let Gpu { cores, memory, .. } = &mut *self;
                         let mem: &GpuMemory = memory;
-                        match pool {
-                            Some(pool) => pool.tick_cores(cores, cycle, &cfg, &ctx, mem),
-                            None => {
-                                // Dead cores tick to a no-op `false`; walk
-                                // only the live ones.
-                                let mut any = false;
-                                for &id in &live {
-                                    any |= cores[id].tick(cycle, &cfg, &ctx, mem);
-                                }
-                                any
-                            }
+                        // Dead cores tick to a no-op `false`; walk only
+                        // the live ones.
+                        let mut any = false;
+                        for &id in &live {
+                            any |= cores[id].tick(cycle, &cfg, &ctx, mem);
                         }
+                        any
                     }
                 };
 
-                // --- serial commit phase ---------------------------------
+                // --- commit phase ----------------------------------------
                 // Buffered stores land in memory and requests enter the
-                // NoC in fixed core-id order, independent of thread count
-                // (`live` is ascending, and dead cores drained their last
-                // stores on the cycle they went idle).
+                // NoC in fixed core-id order (`live` is ascending, and
+                // dead cores drained their last stores on the cycle they
+                // went idle).
                 for &id in &live {
                     self.cores[id].commit_stores(&mut self.memory);
                 }
@@ -1066,7 +1030,7 @@ impl Gpu {
             // progress — each bound is strictly ahead by construction.
             let target = skip_until
                 .min(next_window_at)
-                .min(self.watchdog_cycles + 1)
+                .min(watchdog_trip)
                 .max(cycle + 1);
             let span = if cycle < skip_until {
                 target - cycle

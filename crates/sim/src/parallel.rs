@@ -1,38 +1,20 @@
-//! Deterministic parallel execution: a persistent worker pool for the
-//! intra-launch compute phase ([`CorePool`]) and a scoped fan-out pool
-//! for independent simulations ([`SimPool`]).
+//! Experiment fan-out: [`SimPool`] runs independent simulations (each
+//! job owns its own `Gpu`) on a fixed number of threads.
 //!
-//! Both pools are *deterministic by construction*: they never let thread
-//! scheduling influence simulated state.
-//!
-//! * [`CorePool`] parallelises the per-cycle compute phase over disjoint
-//!   core slices. Cores only read the shared [`GpuMemory`] snapshot
-//!   during that phase (stores are buffered per core; see
-//!   [`Core::commit_stores`]), so any interleaving produces the same
-//!   per-core state and the serial commit phase applies side effects in
-//!   fixed core-id order. The batched steady-state fast path in
-//!   `Gpu::launch_impl` leans on the same split from the other side: a
-//!   cycle whose cores buffered nothing (`Core::has_pending_effects` is
-//!   `false` everywhere) has a provably empty commit phase, so the
-//!   batch runs compute phases back to back — serially, gated per core
-//!   on `Core::next_wake` — and skips those commits wholesale. Results
-//!   are bit-identical either way, for any thread count.
-//! * [`SimPool`] runs independent jobs (each owning its own `Gpu`) and
-//!   returns results positionally, so output order never depends on
-//!   which thread finished first.
+//! The pool is *deterministic by construction*: results return
+//! positionally, so output order never depends on which thread finished
+//! first, and jobs share no simulated state — thread scheduling can
+//! change wall-clock time, never results. This is the simulator's only
+//! level of parallelism; the cores of one launch are stepped serially
+//! (see `Gpu::launch_impl` and `DESIGN.md` §10).
 
-use std::any::Any;
-use std::fmt;
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::panic::resume_unwind;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Mutex;
-use std::thread::JoinHandle;
 
 use crate::config::GpuConfig;
-use crate::core::{Core, DecodedInstr, LaunchCtx, PredecodedKernel};
+use crate::core::{DecodedInstr, PredecodedKernel};
 use crate::gpu::{Gpu, LaunchReport, SimError};
-use crate::mem::GpuMemory;
 use gpusimpow_isa::{Kernel, LaunchConfig};
 use gpusimpow_trace::KernelTrace;
 
@@ -41,173 +23,6 @@ pub fn available_threads() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1)
-}
-
-type Job = Box<dyn FnOnce() + Send + 'static>;
-
-/// A small persistent worker pool that steps disjoint chunks of a
-/// launch's cores in parallel, once per shader cycle.
-///
-/// Workers are spawned once per [`CorePool`] (not per cycle — a launch
-/// runs millions of cycles) and receive one closure per cycle over a
-/// private channel. The caller always blocks until every worker has
-/// acknowledged completion, which is what makes the borrowed-data
-/// hand-off below sound.
-pub struct CorePool {
-    workers: Vec<Worker>,
-}
-
-struct Worker {
-    tx: Option<Sender<Job>>,
-    done_rx: Receiver<Result<(), Box<dyn Any + Send>>>,
-    handle: Option<JoinHandle<()>>,
-}
-
-impl fmt::Debug for CorePool {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("CorePool")
-            .field("threads", &(self.workers.len() + 1))
-            .finish()
-    }
-}
-
-impl CorePool {
-    /// Builds a pool that steps cores on `threads` OS threads in total:
-    /// the calling thread plus `threads - 1` workers.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threads < 2` (a single thread needs no pool).
-    pub fn new(threads: usize) -> Self {
-        assert!(threads >= 2, "CorePool needs at least two threads");
-        let workers = (1..threads)
-            .map(|i| {
-                let (tx, rx) = channel::<Job>();
-                let (done_tx, done_rx) = channel();
-                let handle = std::thread::Builder::new()
-                    .name(format!("gpusim-core-{i}"))
-                    .spawn(move || {
-                        while let Ok(job) = rx.recv() {
-                            let result = catch_unwind(AssertUnwindSafe(job));
-                            if done_tx.send(result).is_err() {
-                                break;
-                            }
-                        }
-                    })
-                    .expect("spawn core worker");
-                Worker {
-                    tx: Some(tx),
-                    done_rx,
-                    handle: Some(handle),
-                }
-            })
-            .collect();
-        CorePool { workers }
-    }
-
-    /// Total threads participating in the compute phase (workers + the
-    /// calling thread).
-    pub fn threads(&self) -> usize {
-        self.workers.len() + 1
-    }
-
-    /// Runs the compute phase of one shader cycle: every core's
-    /// [`Core::tick`] against the read-only memory snapshot, partitioned
-    /// into contiguous chunks. The calling thread steps the first chunk
-    /// itself. Returns `true` when any core did observable work (the
-    /// stall-aware fast-forward probe).
-    ///
-    /// A chunk whose cores are all idle is never shipped to a worker:
-    /// ticking an idle core is a proven no-op, so the chunk is elided and
-    /// each core's stale `progressed` flag is cleared with
-    /// [`Core::mark_idle_tick`] instead. The elision keeps the return
-    /// value identical to a full tick of every core — and therefore
-    /// identical across thread counts, which the determinism suite
-    /// checks.
-    ///
-    /// Worker panics are re-raised on the calling thread after all
-    /// outstanding chunks have been acknowledged.
-    pub fn tick_cores(
-        &mut self,
-        cores: &mut [Core],
-        cycle: u64,
-        cfg: &GpuConfig,
-        ctx: &LaunchCtx<'_>,
-        mem: &GpuMemory,
-    ) -> bool {
-        let chunks = self.workers.len() + 1;
-        let per = cores.len().div_ceil(chunks).max(1);
-        let (first, rest) = cores.split_at_mut(per.min(cores.len()));
-        let mut sent = 0;
-        for chunk in rest.chunks_mut(per) {
-            if chunk.iter().all(|c| !c.is_busy()) {
-                for core in chunk.iter_mut() {
-                    core.mark_idle_tick();
-                }
-                continue;
-            }
-            let job: Box<dyn FnOnce() + Send + '_> = Box::new(move || {
-                for core in chunk {
-                    core.tick(cycle, cfg, ctx, mem);
-                }
-            });
-            // SAFETY: the job borrows `cores`, `cfg`, `ctx` and `mem`
-            // from this call's frame. We erase those lifetimes to ship
-            // the closure to a persistent worker, and re-establish
-            // soundness by blocking on the worker's completion ack below
-            // before returning — the borrows strictly outlive the job.
-            // Every exit path drains one ack per sent job, including
-            // panics: worker panics are caught and acked by the worker
-            // loop, and a panic in the caller's own chunk is caught
-            // below so the drain still runs before it resumes. The
-            // protocol is model-checked exhaustively in
-            // tests/parallel_model.rs.
-            let job: Job =
-                unsafe { std::mem::transmute::<Box<dyn FnOnce() + Send + '_>, Job>(job) };
-            self.workers[sent]
-                .tx
-                .as_ref()
-                .expect("pool not dropped")
-                .send(job)
-                .expect("core worker alive");
-            sent += 1;
-        }
-        // Catch a panic in the caller's own chunk: unwinding past the
-        // ack drain below would free `cores` (declared before the pool
-        // in `Gpu`, so dropped first) while workers still hold the
-        // lifetime-erased borrows. Draining first makes every exit path
-        // — normal, worker panic, caller panic — leave no job in
-        // flight.
-        let own = catch_unwind(AssertUnwindSafe(|| {
-            for core in first {
-                core.tick(cycle, cfg, ctx, mem);
-            }
-        }));
-        let mut panic: Option<Box<dyn Any + Send>> = None;
-        for worker in &self.workers[..sent] {
-            match worker.done_rx.recv().expect("core worker alive") {
-                Ok(()) => {}
-                Err(payload) => panic = Some(payload),
-            }
-        }
-        if let Err(payload) = own {
-            resume_unwind(payload);
-        }
-        if let Some(payload) = panic {
-            resume_unwind(payload);
-        }
-        cores.iter().any(Core::progressed)
-    }
-}
-
-impl Drop for Worker {
-    fn drop(&mut self) {
-        // Closing the channel ends the worker's recv loop; then join.
-        self.tx.take();
-        if let Some(handle) = self.handle.take() {
-            let _ = handle.join();
-        }
-    }
 }
 
 /// Fans independent simulation jobs out over a fixed number of threads.
@@ -371,7 +186,7 @@ impl SimPool {
     /// pre-decoded **once** from the trace and shared across all
     /// configs (specialized per distinct register-file bank count);
     /// each job then builds its own [`Gpu`], runs the caller's `stage`
-    /// closure (thread counts, watchdogs — replay needs no host
+    /// closure (watchdogs, sinks — replay needs no host
     /// allocations or copies, so `stage` returns no launch geometry),
     /// and replays through [`Gpu::launch_replay_decoded`].
     ///

@@ -33,8 +33,8 @@
 //! Event caches are refreshed at the point state changes (pushes reset
 //! them, processed events recompute them), so a push and its same-cycle
 //! consequences are observed exactly where the dense loop observed
-//! them. These rules also preserve the serial-commit ordering of the
-//! parallel core step: requests enter [`Uncore::push_request`] in
+//! them. These rules also preserve the commit ordering of the
+//! two-phase core step: requests enter [`Uncore::push_request`] in
 //! core-id order and the engine never reorders them.
 //!
 //! # Memory-controller back-pressure

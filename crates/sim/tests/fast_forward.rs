@@ -112,7 +112,9 @@ fn watchdog_trips_mid_jump_at_the_exact_cycle() {
     // Sweep watchdog limits across the kernel's runtime so several land
     // strictly inside a memory-stall span the fast-forward would
     // otherwise jump over. Outcome (completion vs. trip, and the trip
-    // cycle) must match the per-cycle reference exactly.
+    // cycle) must match the per-cycle reference exactly. `u64::MAX`
+    // rides along as the "off" value: the trip bound saturates, so the
+    // launch completes with both accelerators still engaged.
     let total = {
         let mut gpu = Gpu::new(GpuConfig::gt240()).expect("preset is valid");
         gpu.set_dense_reference(true);
@@ -124,7 +126,7 @@ fn watchdog_trips_mid_jump_at_the_exact_cycle() {
     };
     assert!(total > 100, "kernel long enough for a mid-run watchdog");
     let mut tripped = 0;
-    for watchdog in (1..total + 10).step_by(23) {
+    for watchdog in (1..total + 10).step_by(23).chain([u64::MAX]) {
         let (ref_rec, ref_res) = run_recorded(
             GpuConfig::gt240(),
             12,
@@ -146,6 +148,7 @@ fn watchdog_trips_mid_jump_at_the_exact_cycle() {
             (Ok(_), Ok(_)) => {}
             other => panic!("watchdog={watchdog}: outcomes diverge: {other:?}"),
         }
+        assert!(watchdog != u64::MAX || ff_res.is_ok(), "off never trips");
         assert_eq!(
             ref_res.as_ref().err(),
             ff_res.as_ref().err(),

@@ -2,9 +2,9 @@
 //!
 //! The workspace's headline contract is that a simulation run is a pure
 //! function of its inputs — `EXPERIMENTS.md` is regenerated in CI and
-//! byte-compared, and the parallel engine's equivalence tests compare
-//! serial and threaded runs bit for bit. Two std features silently
-//! break that:
+//! byte-compared, and the equivalence tests compare accelerated, dense
+//! and replayed runs bit for bit. Two std features silently break
+//! that:
 //!
 //! * `HashMap`/`HashSet` iteration order depends on `RandomState`'s
 //!   per-process seed, so any drain/iterate over one injects run-to-run

@@ -1,10 +1,11 @@
 //! Float-determinism lints: reduction order and build-divergent math.
 //!
 //! The workspace's bit-identity contract (EXPERIMENTS.md is
-//! byte-compared; serial and parallel engines must agree bit for bit)
-//! makes floating-point arithmetic order-sensitive in a way integer
-//! code is not: `(a + b) + c != a + (b + c)` for floats, so the *order*
-//! of a reduction is part of the result. Two ways order sneaks out from
+//! byte-compared; accelerated and dense loops, and every `SimPool`
+//! width, must agree bit for bit) makes floating-point arithmetic
+//! order-sensitive in a way integer code is not:
+//! `(a + b) + c != a + (b + c)` for floats, so the *order* of a
+//! reduction is part of the result. Two ways order sneaks out from
 //! under the determinism lints:
 //!
 //! * [`FLOAT_REDUCE_ORDER`]: a float `sum`/`product`/`fold`/`reduce`

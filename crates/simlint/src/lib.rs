@@ -23,10 +23,10 @@
 //!   must not iterate unordered sources (`float_reduce_order`) and
 //!   `#[cfg]`-divergent kernels must not do float math unless pinned
 //!   bit-identical to the fallback (`float_cfg_divergence`).
-//! * **Phase discipline** ([`phase`]): the parallel engine's compute
-//!   phase — everything reachable from `tick`, cross-file — must not
-//!   take `&mut GpuMemory`, touch interior mutability, or call the
-//!   commit API before the barrier (`phase_*`).
+//! * **Phase discipline** ([`phase`]): the compute phase of the
+//!   two-phase core step — everything reachable from `tick`,
+//!   cross-file — must not take `&mut GpuMemory`, touch interior
+//!   mutability, or call the commit API (`phase_*`).
 //! * **Unit safety** ([`units`]): energy/power/time arithmetic in the
 //!   power model must stay inside the `gpusimpow_tech::units` newtypes;
 //!   unwrapping to raw `f64` mid-computation is where dimensional bugs

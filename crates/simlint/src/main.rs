@@ -41,7 +41,7 @@ fn main() -> ExitCode {
                      result-bearing crates), unit safety (no raw f64 math on\n\
                      unwrapped quantities in the power model), hot-path and\n\
                      decode-path discipline (allocation, panic and arithmetic\n\
-                     rules), float determinism, the parallel engine's\n\
+                     rules), float determinism, the core step's\n\
                      two-phase contract, unsafe audit (SAFETY comments +\n\
                      UNSAFE.md inventory), and registry coverage (every\n\
                      EventKind priced, base-model, or documented unpriced).\n\

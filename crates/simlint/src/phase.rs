@@ -1,15 +1,20 @@
-//! Phase-discipline lints for the two-phase parallel engine.
+//! Phase-discipline lints for the two-phase core step.
 //!
-//! The parallel engine's correctness argument (DESIGN.md §18,
-//! `crates/sim/src/parallel.rs`) is phase separation: during the
-//! *compute* phase every core runs `Core::tick` against a shared
-//! **read-only** [`GpuMemory`] snapshot and buffers its global stores;
-//! the *commit* phase then applies those buffers serially through
-//! `Core::commit_stores`. Any mutation of shared state from inside the
-//! compute phase — however synchronised — re-introduces
-//! interleaving-dependent results, which the engine's serial/parallel
-//! equivalence tests would catch only for the schedules they happen to
-//! run. These passes make the contract structural:
+//! Every shader cycle is stepped in two phases (DESIGN.md §10,
+//! `Gpu::launch_impl`): during the *compute* phase every core runs
+//! `Core::tick` against a shared **read-only** [`GpuMemory`] snapshot
+//! and buffers its global stores; the *commit* phase then applies
+//! those buffers in core-id order through `Core::commit_stores`. That
+//! split is what defines cross-core store visibility (one cycle
+//! later), what lets batched stepping run compute phases back to back
+//! and gate them per core ("compute phases have no cross-core
+//! coupling"), and what keeps concurrent `SimPool` jobs from reaching
+//! each other. Any mutation of shared state from inside the compute
+//! phase makes one core's tick visible to another's in the same cycle
+//! — results would then depend on the order cores are walked in and on
+//! which cycles the accelerators skip, which the accelerated-vs-dense
+//! tests would catch only for the kernels they happen to run. These
+//! passes make the contract structural:
 //!
 //! * [`PHASE_MUT_MEMORY`]: a function reachable from the compute phase
 //!   must not take `&mut GpuMemory`. Only the commit API
@@ -19,16 +24,15 @@
 //!   `UnsafeCell`/atomics, whether named directly, taken as a
 //!   parameter, or read via a unit-level `static`. Mutation through a
 //!   shared reference is exactly what phase separation exists to
-//!   exclude. (The engine's own worker plumbing in `parallel.rs` is
-//!   outside the compute-reachable set: workers are driven *around*
-//!   the phases, not from inside `tick`.)
+//!   exclude.
 //! * [`PHASE_COMMIT_API`]: no compute-reachable function may call the
-//!   commit API. Commits are driven by the engine between phases; a
-//!   tick-path commit would write to memory other cores are reading.
+//!   commit API. Commits are driven by the launch loop between phases;
+//!   a tick-path commit would write to memory other cores read later
+//!   in the same cycle.
 //!
 //! The analysis is cross-file over the compute unit —
 //! `crates/sim/src/core/*.rs` plus
-//! `crates/sim/src/{func,ldst,wheel,parallel}.rs` — because the
+//! `crates/sim/src/{func,ldst,wheel}.rs` — because the
 //! tick path criss-crosses those files. Roots are the functions named
 //! `tick`; reachability follows call and method names within the unit
 //! (collisions over-approximate, so the failure mode is a justified
@@ -49,8 +53,8 @@ pub const PHASE_INTERIOR_MUT: &str = "phase_interior_mut";
 /// Compute-phase call into the commit API.
 pub const PHASE_COMMIT_API: &str = "phase_commit_api";
 
-/// The one function allowed to take `&mut GpuMemory`: the serial
-/// commit entry point.
+/// The one function allowed to take `&mut GpuMemory`: the commit
+/// entry point.
 pub const COMMIT_API: &str = "commit_stores";
 
 /// Compute-phase root functions.
@@ -85,10 +89,7 @@ pub fn scope(rel_path: &str) -> bool {
     rel_path.starts_with(SIM_CORE_DIR)
         || matches!(
             rel_path,
-            "crates/sim/src/func.rs"
-                | "crates/sim/src/ldst.rs"
-                | "crates/sim/src/wheel.rs"
-                | "crates/sim/src/parallel.rs"
+            "crates/sim/src/func.rs" | "crates/sim/src/ldst.rs" | "crates/sim/src/wheel.rs"
         )
 }
 

@@ -1,8 +1,8 @@
 //! Unsafe audit: every `unsafe` documented, inventoried in `UNSAFE.md`.
 //!
-//! The workspace contains almost no unsafe code (one lifetime
-//! transmute in the parallel engine at the time of writing), and the
-//! audit keeps it that way by construction:
+//! The workspace contains almost no unsafe code (the AVX row kernels
+//! of `crates/sim/src/func.rs` and a counting allocator in one test),
+//! and the audit keeps it that way by construction:
 //!
 //! * every `unsafe` keyword must carry a `// SAFETY:` comment within
 //!   the five preceding lines ([`UNDOCUMENTED_UNSAFE`]);

@@ -2,11 +2,11 @@
 //! (the last one with a single-file `crates/sim/src/core.rs`).
 //!
 //! Every pin is cycles + the digest of the full activity vector + the
-//! `time_s` bit pattern, and every pin must hold under all four
-//! combinations of {accelerated, dense reference} × {1, 4 threads}: the
-//! split of `core.rs` into `core/{fetch,issue,execute,mem,retire,…}.rs`
-//! and the collapse of its six round-robin walks into one may not move a
-//! single counter. The kernels are chosen per pipeline stage: ALU-bound
+//! `time_s` bit pattern, and every pin must hold under both the
+//! accelerated loop and the dense reference: the split of `core.rs`
+//! into `core/{fetch,issue,execute,mem,retire,…}.rs` and the collapse
+//! of its six round-robin walks into one may not move a single
+//! counter. The kernels are chosen per pipeline stage: ALU-bound
 //! (issue + unit table), memory-bound (load/store path, global arm),
 //! divergent (SIMT stack + masked lane walk) and barrier (shared and
 //! constant arms, barrier release).
@@ -82,10 +82,9 @@ fn run(work: Work, gpu: &mut Gpu) -> Vec<LaunchReport> {
 
 /// (total shader cycles, digest over every launch's full activity
 /// vector and `time_s` bits, `time_s` bits of the last launch).
-fn measure(cfg: GpuConfig, work: Work, dense: bool, threads: usize) -> (u64, String, u64) {
+fn measure(cfg: GpuConfig, work: Work, dense: bool) -> (u64, String, u64) {
     let mut gpu = Gpu::new(cfg).expect("config is valid");
     gpu.set_dense_reference(dense);
-    gpu.set_threads(threads);
     let reports = run(work, &mut gpu);
     let cycles = reports.iter().map(|r| r.stats.shader_cycles).sum();
     let bytes: Vec<u8> = reports
@@ -151,17 +150,15 @@ const PINS: &[Pin] = &[
 
 fn assert_pin(pin: &Pin) {
     for dense in [false, true] {
-        for threads in [1, 4] {
-            let got = measure(config(pin.chip, pin.sched), pin.work, dense, threads);
-            assert_eq!(
-                got,
-                (pin.cycles, pin.digest.to_string(), pin.time_bits),
-                "{:?} {:?} {:?} dense={dense} threads={threads}",
-                pin.chip,
-                pin.sched,
-                pin.work
-            );
-        }
+        let got = measure(config(pin.chip, pin.sched), pin.work, dense);
+        assert_eq!(
+            got,
+            (pin.cycles, pin.digest.to_string(), pin.time_bits),
+            "{:?} {:?} {:?} dense={dense}",
+            pin.chip,
+            pin.sched,
+            pin.work
+        );
     }
 }
 

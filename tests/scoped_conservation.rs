@@ -3,15 +3,15 @@
 //! `ScopedActivity` sum *exactly* (in `u64`, no tolerance) to the
 //! chip-wide `ActivityStats` of the same launch, for every kernel in
 //! the small suite on both Table II architectures. The scoped data is
-//! also part of the parallel-determinism contract: stepping with a
-//! worker pool must leave every per-core vector bit-identical.
+//! also part of the fan-out determinism contract: running the suites
+//! side by side on `SimPool` threads must leave every per-core vector
+//! bit-identical.
 
 use gpusimpow_kernels::small_benchmarks;
-use gpusimpow_sim::{EventKind, Gpu, GpuConfig, LaunchReport};
+use gpusimpow_sim::{EventKind, Gpu, GpuConfig, LaunchReport, SimPool};
 
-fn run_suite(cfg: &GpuConfig, threads: usize) -> Vec<LaunchReport> {
+fn run_suite(cfg: &GpuConfig) -> Vec<LaunchReport> {
     let mut gpu = Gpu::new(cfg.clone()).expect("preset builds");
-    gpu.set_threads(threads);
     let mut reports = Vec::new();
     for bench in &small_benchmarks() {
         reports.extend(
@@ -26,7 +26,7 @@ fn run_suite(cfg: &GpuConfig, threads: usize) -> Vec<LaunchReport> {
 fn assert_scoped_conserves(cfg: GpuConfig) {
     let clusters = cfg.clusters;
     let cores_per_cluster = cfg.cores_per_cluster;
-    for report in run_suite(&cfg, 1) {
+    for report in run_suite(&cfg) {
         let scoped = &report.scoped;
         assert_eq!(scoped.clusters, clusters);
         assert_eq!(scoped.cores_per_cluster, cores_per_cluster);
@@ -87,14 +87,15 @@ fn gtx580_scoped_counters_sum_to_chip_totals() {
 
 #[test]
 fn scoped_data_is_bit_identical_across_thread_counts() {
-    for cfg in [GpuConfig::gt240(), GpuConfig::gtx580()] {
-        let sequential = run_suite(&cfg, 1);
-        let parallel = run_suite(&cfg, 4);
-        assert_eq!(sequential.len(), parallel.len());
-        for (seq, par) in sequential.iter().zip(&parallel) {
+    let presets = vec![GpuConfig::gt240(), GpuConfig::gtx580()];
+    let sequential = SimPool::new(1).run(presets.clone(), |cfg| run_suite(&cfg));
+    let pooled = SimPool::new(4).run(presets, |cfg| run_suite(&cfg));
+    for (sequential, pooled) in sequential.iter().zip(&pooled) {
+        assert_eq!(sequential.len(), pooled.len());
+        for (seq, par) in sequential.iter().zip(pooled) {
             assert_eq!(
                 seq.scoped, par.scoped,
-                "`{}`: ScopedActivity diverges between 1 and 4 threads",
+                "`{}`: ScopedActivity diverges between 1 and 4 pool threads",
                 seq.kernel
             );
         }

@@ -5,16 +5,15 @@
 //! scatter over contiguous lane rows, and sweeps reuse one predecoded
 //! instruction table across configs. Neither restructuring is allowed
 //! to be visible in results: the full small suite must reproduce the
-//! reference behaviour bit for bit on both presets, at any thread
-//! count, and through either decode path.
+//! reference behaviour bit for bit on both presets, at any `SimPool`
+//! width, and through either decode path.
 
 use gpusimpow_isa::{Kernel, LaunchConfig};
 use gpusimpow_kernels::{micro, small_benchmarks};
 use gpusimpow_sim::{DecodedInstr, Gpu, GpuConfig, LaunchReport, PredecodedKernel, SimPool};
 
-fn run_suite(cfg: &GpuConfig, threads: usize) -> Vec<LaunchReport> {
+fn run_suite(cfg: &GpuConfig) -> Vec<LaunchReport> {
     let mut gpu = Gpu::new(cfg.clone()).expect("preset builds");
-    gpu.set_threads(threads);
     let mut reports = Vec::new();
     for bench in &small_benchmarks() {
         reports.extend(
@@ -46,16 +45,17 @@ fn assert_reports_bit_identical(a: &[LaunchReport], b: &[LaunchReport], what: &s
 
 /// The SoA pipeline is the only execution path now, so its reference is
 /// the determinism contract itself: the full small suite, on both
-/// presets, must be bit-identical run-to-run and across thread counts
-/// (sequential vs pooled two-phase stepping).
+/// presets, must be bit-identical run-to-run — on the calling thread
+/// and when two reruns execute side by side on `SimPool` threads (each
+/// job owns its `Gpu`, so nothing one run does may reach the other).
 #[test]
 fn soa_small_suite_is_bit_identical_across_presets_and_thread_counts() {
     for cfg in [GpuConfig::gt240(), GpuConfig::gtx580()] {
-        let reference = run_suite(&cfg, 1);
-        let rerun = run_suite(&cfg, 1);
-        assert_reports_bit_identical(&reference, &rerun, "run-to-run");
-        let pooled = run_suite(&cfg, 4);
-        assert_reports_bit_identical(&reference, &pooled, "1 vs 4 threads");
+        let reference = run_suite(&cfg);
+        let reruns = SimPool::new(2).run(vec![cfg.clone(), cfg], |cfg| run_suite(&cfg));
+        for rerun in &reruns {
+            assert_reports_bit_identical(&reference, rerun, "serial vs two pool threads");
+        }
     }
 }
 

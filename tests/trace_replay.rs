@@ -136,16 +136,21 @@ fn synthetic_families_replay_without_desync() {
 
 #[test]
 fn replay_is_deterministic_across_thread_counts() {
+    // Pool width must not reach a replay sweep's results — including
+    // a repeated config, whose two jobs may share nothing mutable.
     let trace = synth::stride_family(8, 4, 2, 4);
-    let mut base: Option<LaunchReport> = None;
-    for threads in [1usize, 4] {
-        let mut gpu = Gpu::new(GpuConfig::gtx580()).expect("preset builds");
-        gpu.set_threads(threads);
-        let report = gpu.launch_replay(&trace).expect("trace replays");
-        match &base {
-            None => base = Some(report),
-            Some(b) => assert_reports_identical(b, &report, "thread-count identity"),
-        }
+    let configs = [GpuConfig::gtx580(), GpuConfig::gt240(), GpuConfig::gtx580()];
+    let sweep = |threads| {
+        SimPool::new(threads)
+            .run_sweep_replay(&trace, &configs, |_, _| Ok(()))
+            .into_iter()
+            .map(|r| r.expect("trace replays"))
+            .collect::<Vec<LaunchReport>>()
+    };
+    let base = sweep(1);
+    assert_reports_identical(&base[0], &base[2], "repeated config");
+    for (b, report) in base.iter().zip(&sweep(4)) {
+        assert_reports_identical(b, report, "pool-width identity");
     }
 }
 

@@ -8,16 +8,7 @@ use gpusimpow_kernels::vectoradd::VectorAdd;
 use gpusimpow_sim::{Gpu, GpuConfig, WindowRecorder};
 
 fn record(bench: &dyn Benchmark, window_cycles: u64) -> Vec<gpusimpow_sim::RecordedLaunch> {
-    record_with_threads(bench, window_cycles, 1)
-}
-
-fn record_with_threads(
-    bench: &dyn Benchmark,
-    window_cycles: u64,
-    threads: usize,
-) -> Vec<gpusimpow_sim::RecordedLaunch> {
     let mut gpu = Gpu::new(GpuConfig::gt240()).expect("GT240 builds");
-    gpu.set_threads(threads);
     gpu.attach_sink(window_cycles, Box::new(WindowRecorder::new()));
     bench.run(&mut gpu).expect("benchmark verifies");
     let mut sink = gpu.detach_sink().expect("sink attached");
@@ -72,34 +63,6 @@ fn matmul_windows_sum_exactly() {
 fn vectoradd_windows_sum_exactly() {
     for window in [128, 2048, 1 << 20] {
         assert_windows_sum_to_aggregate(&VectorAdd { n: 2048 }, window);
-    }
-}
-
-#[test]
-fn parallel_stepping_produces_identical_window_deltas() {
-    // The two-phase parallel core step must leave the sampled windows
-    // bit-identical: same boundaries, same per-window deltas.
-    for window in [64, 512, 2048] {
-        let sequential = record_with_threads(&MatrixMul { n: 32 }, window, 1);
-        let parallel = record_with_threads(&MatrixMul { n: 32 }, window, 4);
-        assert_eq!(sequential.len(), parallel.len());
-        for (seq, par) in sequential.iter().zip(&parallel) {
-            assert_eq!(seq.kernel, par.kernel);
-            assert_eq!(
-                seq.windows.len(),
-                par.windows.len(),
-                "window count diverges at width {window}"
-            );
-            for (sw, pw) in seq.windows.iter().zip(&par.windows) {
-                assert_eq!(sw.start_cycle, pw.start_cycle);
-                assert_eq!(sw.end_cycle, pw.end_cycle);
-                assert_eq!(
-                    sw.stats, pw.stats,
-                    "window {} deltas diverge between 1 and 4 threads",
-                    sw.index
-                );
-            }
-        }
     }
 }
 
