@@ -11,7 +11,8 @@
 //! name exits non-zero listing the valid ones) and prints them to
 //! stdout, or to `out.md` when given; without it the full report goes to
 //! `out.md` (default `EXPERIMENTS.md`). Only the `=` form is accepted —
-//! the output path is the first argument not starting with `--`.
+//! the output path is the first argument not starting with `-`. Any
+//! other flag exits 2 listing the valid ones, before anything is written.
 //! `--threads` bounds the simulation fan-out (default: the machine's
 //! available parallelism). Thread count only affects wall-clock time;
 //! the output is byte-identical for any setting.
@@ -22,24 +23,34 @@ use gpusimpow_bench::{cli, report};
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let small = args.iter().any(|a| a == "--small");
-    let per_cluster = args.iter().any(|a| a == "--per-cluster");
     let pool = cli::pool_from_args(&args);
-    if args.iter().any(|a| a == "--only") {
-        // A space-separated value would be taken for the output path.
-        eprintln!("--only takes its names as --only=NAME[,NAME]");
-        std::process::exit(2);
-    }
+    let (mut small, mut per_cluster) = (false, false);
     let mut out_path = None;
-    let mut i = 1;
-    while i < args.len() {
-        if args[i] == "--threads" {
-            i += 2; // skip the flag and its value
-        } else if args[i].starts_with("--") {
-            i += 1;
-        } else {
-            out_path = Some(args[i].clone());
-            break;
+    let mut rest = args.iter().skip(1);
+    while let Some(arg) = rest.next() {
+        match arg.as_str() {
+            "--threads" => {
+                rest.next(); // its value
+            }
+            "--small" => small = true,
+            "--per-cluster" => per_cluster = true,
+            "--only" => {
+                // A space-separated value would be taken for the output path.
+                eprintln!("--only takes its names as --only=NAME[,NAME]");
+                std::process::exit(2);
+            }
+            a if a.starts_with("--only=") || a.starts_with("--threads=") => {}
+            a if a.starts_with('-') => {
+                // Skipping it would rewrite EXPERIMENTS.md in full.
+                eprintln!(
+                    "unknown flag {a}; valid flags: --small, --per-cluster, \
+                     --only=NAME[,NAME], --threads N"
+                );
+                std::process::exit(2);
+            }
+            a => {
+                out_path.get_or_insert_with(|| a.to_string());
+            }
         }
     }
 

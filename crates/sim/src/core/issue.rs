@@ -26,8 +26,11 @@ enum IssueProbe {
     /// issue before [`Core::unit_wake`].
     UnitBusy,
     /// Any other failure — sticky states, or scoreboard probes that
-    /// counted activity and must re-probe every cycle. The issue-stall
-    /// sleep must not engage on a scan containing one of these.
+    /// counted a read. A barrel scan containing one of these does not
+    /// sleep; a scoreboard scan that issued nothing sleeps anyway,
+    /// replaying its counted reads as a per-cycle rate, because every
+    /// scoreboard failure lapses only at a hint set-site (which cancels
+    /// the sleep) or when a unit frees (which bounds it).
     Blocked,
 }
 
@@ -50,10 +53,15 @@ impl Core {
         ctx: &LaunchCtx<'_>,
         mem: &GpuMemory,
     ) {
-        // Issue-stall sleep: a previous scan proved no probe can do
-        // anything before `issue_stall_until`. Only the round-robin
-        // scan below ever engages it.
+        // Issue-stall sleep: a previous scan proved every probe repeats
+        // its outcome before `issue_stall_until`, so replay the scan's
+        // counted reads instead of re-probing. Only the round-robin scan
+        // below ever engages it.
         if cycle < self.issue_stall_until {
+            if self.stall_reads > 0 {
+                self.stats[Ev::ScoreboardReads] += self.stall_reads;
+                self.work = true;
+            }
             return;
         }
         let mut issued = 0;
@@ -65,8 +73,11 @@ impl Core {
                 // If the scan then *exhausts* the candidates (rather
                 // than filling `issue_width`), nothing can issue before
                 // a unit frees or a hint set-site fires — both covered
-                // below.
+                // below. A scoreboard scan that issued nothing sleeps
+                // too: each of its failures repeats, counted read
+                // included, until one of those two events.
                 let mut only_unit_busy = true;
+                let reads_before = self.stats[Ev::ScoreboardReads];
                 while issued < cfg.issue_width {
                     let Some(slot) = walk.next(self.issue_hints(cycle, cfg)) else {
                         break;
@@ -85,7 +96,18 @@ impl Core {
                         }
                     }
                 }
-                if only_unit_busy && issued < cfg.issue_width {
+                let engage = only_unit_busy || (cfg.scoreboard && issued == 0);
+                if engage && issued < cfg.issue_width && !ctx.dense {
+                    // The rate: after a scan that issued nothing, the
+                    // hinted slots are exactly those that counted a read.
+                    // A scan that issued engaged on `only_unit_busy` — on
+                    // a scoreboard, no failed probe — so its re-scan
+                    // counts nothing.
+                    self.stall_reads = if issued == 0 {
+                        self.stats[Ev::ScoreboardReads] - reads_before
+                    } else {
+                        0
+                    };
                     self.issue_stall_until = self.unit_wake(cycle);
                 }
             }
@@ -190,9 +212,10 @@ impl Core {
     /// outright — while every other candidate is silently unit-blocked,
     /// the new one only forces a re-scan once its own unit frees
     /// ([`Core::candidate_wake`]), rather than waking the scan for a
-    /// probe that must fail silently. Scoreboard: failed probes are
-    /// observable (`Ev::ScoreboardReads`), so a kept stall would skip
-    /// scans the unrefined pipeline performed — cancel outright.
+    /// probe that must fail silently. Scoreboard: the new candidate's
+    /// probe counts a read the sleep's rate does not hold (and a retire
+    /// may lift another slot's dependency) — cancel outright, so the
+    /// next scan re-measures the rate.
     #[inline]
     pub(super) fn refine_issue_stall(
         &mut self,
@@ -217,7 +240,8 @@ impl Core {
     /// retire, barrier release, CTA dispatch). Structural-unit and
     /// scoreboard-dependency failures lapse with time alone — and a
     /// scoreboard dependency probe counts activity — so those keep the
-    /// hint and stay probed every cycle.
+    /// hint and count a read every cycle (probed, or replayed by an
+    /// issue-stall sleep).
     #[inline]
     fn clear_issue_hint_if_blocked(&mut self, slot: usize, cfg: &GpuConfig) {
         let sticky = match self.warps[slot].as_ref() {
@@ -264,9 +288,9 @@ impl Core {
             if cfg.scoreboard {
                 // A failed probe still counts scoreboard activity, so
                 // this cycle is not quiescent (the idle fast-forward
-                // must not skip it) — and the issue-stall sleep must
-                // never swallow the per-cycle re-probe, so every
-                // scoreboard failure below reports `Blocked`.
+                // must not skip it). Every scoreboard failure below
+                // reports `Blocked`; an issue-stall sleep replays its
+                // read each cycle (`Core::stall_reads`).
                 self.stats[Ev::ScoreboardReads] += 1;
                 self.work = true;
                 if w.pending_writes & di.dep_mask != 0 {

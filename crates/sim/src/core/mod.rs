@@ -40,16 +40,20 @@
 //!   `Core::clear_issue_hint_if_blocked`) and re-set by the events that
 //!   can end them: i-buffer fill, writeback retire, barrier release and
 //!   CTA dispatch.
-//! * `issue_stall_until` — cycles below this are proven issue no-ops.
-//!   Engaged only on barrel (non-scoreboard) configs when a full
-//!   round-robin scan fails with every probe silently blocked on a busy
-//!   execution unit — such failures lapse with time alone, at the
-//!   earliest when a unit frees (`Core::unit_wake`). Any event that can
-//!   create a *new* issue candidate (i-buffer fill, writeback retire,
-//!   barrier release, CTA dispatch) re-arms the scan by resetting or
-//!   refining this at its `set_hint` site. Scoreboard configs never
-//!   engage it: their failed dependency probes count `ScoreboardReads`
-//!   every cycle, so skipping scans would change the activity counters.
+//! * `issue_stall_until` — cycles below this are proven to repeat the
+//!   last round-robin scan's outcome, so the scan is skipped. Engaged
+//!   when a scan exhausts its candidates with every failed probe
+//!   silently blocked on a busy execution unit (barrel) — or, under a
+//!   scoreboard, with nothing issued. Either kind of failure lapses only
+//!   when a unit frees (`Core::unit_wake`, the bound) or at an event
+//!   that can create a *new* issue candidate or lift a dependency
+//!   (i-buffer fill, writeback retire, barrier release, CTA dispatch),
+//!   which re-arms the scan by resetting or refining this at its
+//!   `set_hint` site — under a scoreboard always by resetting. The
+//!   scoreboard's failed probes count `ScoreboardReads`, so a sleeping
+//!   core replays them as a rate: `stall_reads`, the reads the engaging
+//!   scan counted (0 for a scan that issued), added every skipped cycle.
+//!   The dense reference (`LaunchCtx::dense`) never engages it.
 //! * `class_next[c]` — per-unit-class issue candidates: bit `s` is set
 //!   iff warp slot `s` currently satisfies *every* probe precondition
 //!   short of unit availability — live, not done, not parked at a
@@ -112,6 +116,9 @@ pub(crate) struct LaunchCtx<'a> {
     /// frontend is active (see [`crate::replay::ReplaySource`]); `None`
     /// under the live frontend.
     pub replay: Option<&'a ReplaySource<'a>>,
+    /// The dense reference loop is running (`Gpu::set_dense_reference`):
+    /// cores never engage the issue-stall sleep either.
+    pub dense: bool,
 }
 
 /// A memory request leaving a core for the uncore.
@@ -336,6 +343,9 @@ pub(crate) struct Core {
     issue_ready: u64,
     /// Issue-scan sleep (module docs, "Scheduler hints").
     issue_stall_until: u64,
+    /// `ScoreboardReads` credited per cycle while the issue scan sleeps
+    /// (module docs, "Scheduler hints"); written at every engage.
+    stall_reads: u64,
     /// Per-unit-class issue candidates (module docs, "Scheduler hints").
     class_next: [u64; 4],
     /// Fetch-scan hint mask (module docs, "Scheduler hints").
@@ -397,6 +407,7 @@ impl Core {
             hint_window: (max_warps <= 64).then(|| low_lanes(max_warps)),
             issue_ready: !0,
             issue_stall_until: 0,
+            stall_reads: 0,
             class_next: [0; 4],
             fetch_ready: !0,
             scratch: LaneScratch::new(),
@@ -537,7 +548,8 @@ impl Core {
     /// `Gpu::launch_impl` relies on).
     ///
     /// Returns `true` when the core did observable work (including
-    /// failed-but-counted scoreboard probes); `false` means the tick
+    /// failed-but-counted scoreboard probes, probed or replayed by an
+    /// issue-stall sleep); `false` means the tick
     /// was a provable no-op, which the GPU's idle fast-forward relies
     /// on.
     pub fn tick(

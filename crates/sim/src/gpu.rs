@@ -359,9 +359,9 @@ impl Gpu {
     }
 
     /// Test-only reference switch: `true` steps every shader cycle
-    /// through the full compute/commit path, `false` (the default, and
-    /// the only mode production code runs) enables both loop
-    /// accelerators:
+    /// through the full compute/commit path and every core through a
+    /// full issue scan; `false` (the default, and the only mode
+    /// production code runs) enables three accelerators:
     ///
     /// * **Stall-aware fast-forward.** When every core's tick is a
     ///   provable no-op — all warps blocked on memory or long-latency
@@ -383,8 +383,13 @@ impl Gpu {
     ///   The batch ends *at* the first cycle with a side effect — that
     ///   cycle flows through the ordinary commit path — and sampling
     ///   windows, DVFS epochs and the watchdog bound the batch horizon.
+    /// * **Core-local issue-stall sleep.** A core whose round-robin
+    ///   issue scan proved every probe repeats its outcome skips the
+    ///   scan until a unit frees or a new candidate appears, crediting
+    ///   the scan's counted scoreboard reads once per skipped cycle
+    ///   (module docs of `core`, "Scheduler hints").
     ///
-    /// Neither accelerator ever changes results: every counter, window
+    /// No accelerator ever changes results: every counter, window
     /// delta and `time_s` is bit-identical in both modes, which is what
     /// the tests that flip this switch pin (`tests/batched_stepping.rs`,
     /// `tests/core_stage_golden.rs`, `tests/mc_backpressure_golden.rs`,
@@ -732,6 +737,7 @@ impl Gpu {
             const_bytes: (kernel.const_words().len() * 4).max(4) as u32,
             decoded,
             replay,
+            dense: self.dense_reference,
         };
         // Arm each core's frontend for this launch: replay when a trace
         // drives it, capture when tracing is enabled, live otherwise.

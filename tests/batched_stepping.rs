@@ -9,10 +9,22 @@
 //! batch ever swallows a side-effect cycle (a buffered store, a CTA
 //! completion, a window boundary), the "on" pins fire; if a change to
 //! the ordinary path drifts, both fire.
+//!
+//! The dense reference also keeps every core scanning for issue each
+//! cycle, so the unpinned differential below checks the issue-stall
+//! sleep's replayed scoreboard reads too — on scoreboard cores of every
+//! issue width, where a wrong rate moves no pinned field but the
+//! counters, the windows and the priced energy behind them.
 
 use gpusimpow::Simulator;
+use gpusimpow_kernels::bfs::Bfs;
 use gpusimpow_kernels::blackscholes::BlackScholes;
-use gpusimpow_sim::ActivityStats;
+use gpusimpow_kernels::common::Benchmark;
+use gpusimpow_kernels::scalarprod::ScalarProd;
+use gpusimpow_kernels::vectoradd::VectorAdd;
+use gpusimpow_sim::{
+    ActivityStats, ActivityWindow, Gpu, GpuConfig, LaunchReport, RecordedLaunch, WindowRecorder,
+};
 
 fn run(
     preset: fn() -> Result<Simulator, gpusimpow::Error>,
@@ -61,10 +73,96 @@ fn gtx580_pins_hold_with_batching_on_and_off() {
     assert_gtx580_pins(run(Simulator::gtx580, false));
 }
 
+fn gpu(cfg: &GpuConfig, batch: bool) -> Gpu {
+    let mut gpu = Gpu::new(cfg.clone()).expect("config is valid");
+    gpu.set_dense_reference(!batch);
+    gpu
+}
+
+/// Every launch of `bench` on `cfg`, with its 256-cycle windows.
+fn record(cfg: &GpuConfig, bench: &dyn Benchmark, batch: bool) -> Vec<RecordedLaunch> {
+    let mut gpu = gpu(cfg, batch);
+    gpu.attach_sink(256, Box::new(WindowRecorder::new()));
+    bench.run(&mut gpu).expect("verifies");
+    let mut sink = gpu.detach_sink().expect("sink attached");
+    let recorder = sink
+        .as_any_mut()
+        .expect("recorder is 'static")
+        .downcast_mut::<WindowRecorder>()
+        .expect("sink is the recorder");
+    std::mem::take(recorder).into_launches()
+}
+
+fn assert_reports_match(what: &str, a: &LaunchReport, b: &LaunchReport) {
+    assert_eq!(a.stats, b.stats, "{what}: activity counters");
+    assert_eq!(a.scoped, b.scoped, "{what}: scoped activity");
+    assert_eq!(a.time_s.to_bits(), b.time_s.to_bits(), "{what}: time_s");
+}
+
+fn assert_same_either_way(cfg: &GpuConfig, bench: &dyn Benchmark) {
+    let what = format!(
+        "{} on {} (issue width {})",
+        bench.name(),
+        cfg.name,
+        cfg.issue_width
+    );
+
+    // With no sink attached nothing caps a batch or a fast-forward jump,
+    // so spans of any length are covered here.
+    let on = bench.run(&mut gpu(cfg, true)).expect("verifies");
+    let off = bench.run(&mut gpu(cfg, false)).expect("verifies");
+    assert_eq!(on.len(), off.len(), "{what}: launches");
+    for (a, b) in on.iter().zip(&off) {
+        assert_reports_match(&format!("{what}, {} without a sink", a.kernel), a, b);
+    }
+
+    let on = record(cfg, bench, true);
+    let off = record(cfg, bench, false);
+    assert_eq!(on.len(), off.len(), "{what}: windowed launches");
+    for (a, b) in on.iter().zip(&off) {
+        let what = format!("{what}, {}", a.kernel);
+        let ra = a.report.as_ref().expect("launch completed");
+        let rb = b.report.as_ref().expect("launch completed");
+        assert_reports_match(&what, ra, rb);
+        assert_eq!(a.windows.len(), b.windows.len(), "{what}: windows");
+        for (wa, wb) in a.windows.iter().zip(&b.windows) {
+            let span = |w: &ActivityWindow| (w.start_cycle, w.end_cycle);
+            assert_eq!(span(wa), span(wb), "{what}: window {}", wa.index);
+            assert_eq!(wa.stats, wb.stats, "{what}: window {}", wa.index);
+            assert_eq!(
+                wa.cluster_busy, wb.cluster_busy,
+                "{what}: window {}",
+                wa.index
+            );
+        }
+    }
+}
+
 #[test]
 fn stats_match_exactly_either_way() {
-    // Beyond the pinned fields: the *entire* counter vector must match.
-    let (on, _, _) = run(Simulator::gt240, true);
-    let (off, _, _) = run(Simulator::gt240, false);
-    assert_eq!(on, off, "batching must not move any activity counter");
+    // Beyond the pinned fields: the *entire* counter vector, the scoped
+    // breakdown and `time_s` must match with and without a sink, and so
+    // must every window.
+    let blackscholes = BlackScholes { options: 2048 };
+    for cfg in [GpuConfig::gt240(), GpuConfig::gtx580()] {
+        assert_same_either_way(&cfg, &blackscholes);
+    }
+    let kernels: [&dyn Benchmark; 3] = [
+        &VectorAdd { n: 2048 },
+        &ScalarProd {
+            pairs: 4,
+            elements: 512,
+        },
+        &Bfs {
+            nodes: 512,
+            degree: 4,
+        },
+    ];
+    for issue_width in [1, 2, 4] {
+        let mut cfg = GpuConfig::gtx580();
+        cfg.issue_width = issue_width;
+        for bench in kernels {
+            assert_same_either_way(&cfg, bench);
+        }
+    }
 }
