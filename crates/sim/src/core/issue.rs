@@ -287,8 +287,8 @@ impl Core {
             // Dependency check.
             if cfg.scoreboard {
                 // A failed probe still counts scoreboard activity, so
-                // this cycle is not quiescent (the idle fast-forward
-                // must not skip it). Every scoreboard failure below
+                // this tick did work (the cycle loop must not gate the
+                // core past it). Every scoreboard failure below
                 // reports `Blocked`; an issue-stall sleep replays its
                 // read each cycle (`Core::stall_reads`).
                 self.stats[Ev::ScoreboardReads] += 1;

@@ -99,9 +99,8 @@ impl Core {
         // (no register/memory values) — which also keeps the
         // shared-array bounds asserts out of reach of hostile trace
         // addresses. Timing-wise a global store is represented by the
-        // NoC request pushed below in the same tick, so the
-        // batched-stepping side-effect scan fires on the identical cycle
-        // either way.
+        // NoC request pushed below in the same tick, so the cycle loop's
+        // commit predicate fires on the identical cycle either way.
         if !replaying {
             self.functional_access(slot, space, dst, src, mask, ws, ctx, mem);
         }

@@ -510,11 +510,11 @@ impl Core {
 
     /// `true` while this core holds compute-phase side effects the
     /// commit phase has not applied yet: buffered global stores
-    /// or un-drained memory requests. The batched steady-state stepping
-    /// in `Gpu::launch_impl` may only run the compute phase for a cycle
-    /// without its commit phase when this is `false` for every live
-    /// core — then the commit would have been a no-op, and every load
-    /// in the next cycle reads the same frozen memory either way.
+    /// or un-drained memory requests. The cycle loop in
+    /// `Gpu::launch_impl` skips a cycle's commit phase only when this
+    /// is `false` for every core it ticked — then the commit would have
+    /// been a no-op, and every load in the next cycle reads the same
+    /// frozen memory either way.
     #[inline]
     pub fn has_pending_effects(&self) -> bool {
         !self.out_requests.is_empty() || !self.store_buf.is_empty()
@@ -544,14 +544,15 @@ impl Core {
     /// its stores are buffered in the overlay and applied by
     /// [`Core::commit_stores`] in the commit phase, so a tick never
     /// observes another core's same-cycle stores and compute phases
-    /// have no cross-core coupling (what batched stepping in
+    /// have no cross-core coupling (what the per-core wake gating in
     /// `Gpu::launch_impl` relies on).
     ///
     /// Returns `true` when the core did observable work (including
     /// failed-but-counted scoreboard probes, probed or replayed by an
-    /// issue-stall sleep); `false` means the tick
-    /// was a provable no-op, which the GPU's idle fast-forward relies
-    /// on.
+    /// issue-stall sleep); `false` means the tick was a provable no-op,
+    /// and so is every tick before [`Core::next_wake`] unless a
+    /// dispatch or a memory response reaches the core first — the
+    /// cycle loop does not tick it until then.
     pub fn tick(
         &mut self,
         cycle: u64,

@@ -349,10 +349,9 @@ impl ActivityVector {
     }
 
     /// Adds `units * span` to an event slot — the span-multiply
-    /// primitive shared by the stall-aware fast-forward and the batched
-    /// steady-state stepping in `Gpu::launch_impl`: both commit a run
-    /// of cycles wholesale after proving the per-cycle contribution
-    /// (`units`) is constant across the whole span.
+    /// primitive of the cycle loop in `Gpu::launch_impl`, which charges
+    /// a run of cycles wholesale after proving the per-cycle
+    /// contribution (`units`) is constant across the whole span.
     #[inline]
     pub fn add_span(&mut self, event: EventKind, units: u64, span: u64) {
         self.0[event.index()] += units * span;

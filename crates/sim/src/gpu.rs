@@ -216,9 +216,9 @@ impl fmt::Debug for SinkSlot {
 
 /// Busy-cycle bookkeeping of one launch. The busy cores are the launch
 /// loop's `live` list; the cluster count and flags are cached from the
-/// last stepped cycle. During a skip or a batched run the cores that
-/// matter are untouched, so all of it stays exact across the whole span.
-/// The scoped accumulators use the same span-multiply semantics as the
+/// last commit phase. Only a commit changes the busy set, so all of it
+/// stays exact across every span charged between two commits. The
+/// scoped accumulators use the same span-multiply semantics as the
 /// chip-wide busy counters, resolved per core and per cluster.
 struct BusyAccount {
     clusters: usize,
@@ -229,8 +229,8 @@ struct BusyAccount {
 
 impl BusyAccount {
     /// Charges `span` cycles at the cached busy counts. `live` holds
-    /// exactly the busy cores (it is pruned during busy accounting and
-    /// frozen across a skip or batch).
+    /// exactly the busy cores (it is pruned in the commit phase and
+    /// unchanged between commits).
     fn add_span(&mut self, stats: &mut ActivityVector, live: &[usize], span: u64) {
         stats.add_span(Ev::CoreBusyCycles, live.len() as u64, span);
         stats.add_span(Ev::ClusterBusyCycles, self.clusters as u64, span);
@@ -358,40 +358,33 @@ impl Gpu {
         self.watchdog_cycles = cycles;
     }
 
-    /// Test-only reference switch: `true` steps every shader cycle
-    /// through the full compute/commit path and every core through a
-    /// full issue scan; `false` (the default, and the only mode
-    /// production code runs) enables three accelerators:
+    /// Test-only reference switch: `true` ticks every live core every
+    /// shader cycle, runs the commit phase every cycle, advances one
+    /// cycle at a time, and keeps every core scanning for issue each
+    /// cycle. `false` (the default, and the only mode production code
+    /// runs) lets the cycle loop skip what it can prove is a no-op
+    /// (DESIGN.md §11):
     ///
-    /// * **Stall-aware fast-forward.** When every core's tick is a
-    ///   provable no-op — all warps blocked on memory or long-latency
-    ///   pipes — the main loop jumps straight to the earliest core
-    ///   wake-up, memory response, or sampling/watchdog boundary instead
-    ///   of stepping cycle by cycle. Skipped cycles are exactly those in
-    ///   which no core mutates state, and the uncore, sampling windows,
-    ///   DVFS epochs and watchdog stay cycle-exact across jumps.
-    /// * **Batched steady-state stepping** — the complement: where
-    ///   fast-forward jumps over runs of provably *inert* cycles,
-    ///   batched stepping accelerates runs of provably *pure-compute*
-    ///   cycles. While the uncore is idle and every live core keeps
-    ///   progressing without emitting memory traffic, buffering stores,
-    ///   completing CTAs or going idle, the main loop runs only the
-    ///   per-core compute phase cycle after cycle and commits the
-    ///   skipped per-cycle machinery (empty commit phase, idle uncore
-    ///   advance, busy/cluster accounting) wholesale for the whole run,
-    ///   with event counts span-multiplied (`ActivityVector::add_span`).
-    ///   The batch ends *at* the first cycle with a side effect — that
-    ///   cycle flows through the ordinary commit path — and sampling
-    ///   windows, DVFS epochs and the watchdog bound the batch horizon.
+    /// * **Per-core wake gating.** A core whose tick did no work is not
+    ///   ticked again until its next writeback event or pipeline release
+    ///   (`Core::next_wake`), a CTA dispatch onto it, or a memory
+    ///   response to it.
+    /// * **Batching.** A cycle in which no ticked core buffered a store,
+    ///   emitted a memory request, went idle or completed a CTA skips the
+    ///   commit phase; on an idle uncore its uncore advance and busy
+    ///   charge are deferred and paid in one span.
+    /// * **Fast-forward.** When no core is due, the uncore advances
+    ///   straight to the earliest wake, memory response or drain,
+    ///   clamped to the sampling-window boundary and the watchdog trip.
     /// * **Core-local issue-stall sleep.** A core whose round-robin
     ///   issue scan proved every probe repeats its outcome skips the
     ///   scan until a unit frees or a new candidate appears, crediting
     ///   the scan's counted scoreboard reads once per skipped cycle
     ///   (module docs of `core`, "Scheduler hints").
     ///
-    /// No accelerator ever changes results: every counter, window
-    /// delta and `time_s` is bit-identical in both modes, which is what
-    /// the tests that flip this switch pin (`tests/batched_stepping.rs`,
+    /// None of these changes results: every counter, window delta and
+    /// `time_s` is bit-identical in both modes, which is what the tests
+    /// that flip this switch pin (`tests/batched_stepping.rs`,
     /// `tests/core_stage_golden.rs`, `tests/mc_backpressure_golden.rs`,
     /// the fast-forward edge-case suites).
     #[doc(hidden)]
@@ -641,11 +634,6 @@ impl Gpu {
             .map_err(|e| SimError::Replay(format!("trace rejected: {e}")))?;
         let launch = trace.launch_config();
         let source = ReplaySource::new(trace);
-        // PCIe attribution comes from the trace, *replacing* any pending
-        // host transfers so the replayed report matches the capture run
-        // regardless of what the host did to this GPU beforehand.
-        self.pending_h2d = trace.h2d_bytes;
-        self.pending_d2h = trace.d2h_bytes;
         self.launch_outer(&kernel, launch, decoded, Some(&source))
     }
 
@@ -757,8 +745,18 @@ impl Gpu {
         // each core's private vector and are merged after the loop.
         let mut stats = ActivityVector::new();
         stats[Ev::KernelLaunches] = 1;
-        stats[Ev::PcieH2dBytes] = std::mem::take(&mut self.pending_h2d);
-        stats[Ev::PcieD2hBytes] = std::mem::take(&mut self.pending_d2h);
+        let pending = (
+            std::mem::take(&mut self.pending_h2d),
+            std::mem::take(&mut self.pending_d2h),
+        );
+        // A replay takes its PCIe attribution from the trace, *replacing*
+        // the pending host transfers so the replayed report matches the
+        // capture run regardless of what the host did to this GPU
+        // beforehand. A rejected launch never gets here and leaves them
+        // pending.
+        let (h2d, d2h) = replay.map_or(pending, ReplaySource::pcie_bytes);
+        stats[Ev::PcieH2dBytes] = h2d;
+        stats[Ev::PcieD2hBytes] = d2h;
 
         // The event-driven uncore, rebuilt per launch (it must drain
         // before a launch completes anyway).
@@ -766,19 +764,19 @@ impl Gpu {
 
         let total_blocks = launch.total_blocks();
         let mut next_block: u32 = 0;
-        let mut completed_ctas_seen: u64 = self.cores.iter().map(|c| c.completed_ctas()).sum();
 
         let mut cycle: u64 = 0;
-        let mut dispatch_dirty = true;
+        // Blocks remain and a CTA completed since the last dispatch (or
+        // none has run yet): dispatch on the next cycle.
+        let mut dispatch_dirty = total_blocks > 0;
 
-        // `next_window_at` replaces the old per-cycle modulo test and is
-        // the boundary that bulk jumps clamp to, keeping window deltas
-        // byte-identical across fast-forward.
+        // `next_window_at` is the boundary every span clamps to, which
+        // keeps window deltas byte-identical across skipped cycles.
         if let Some((window_cycles, sink)) = &mut sampling {
             sink.on_launch_begin(kernel.name(), *window_cycles);
         }
         let mut next_window_at: u64 = sampling.as_ref().map_or(u64::MAX, |(w, _)| *w);
-        // First cycle past the watchdog, the other bound on bulk jumps.
+        // First cycle past the watchdog, the other bound on spans.
         // Saturating: `set_watchdog(u64::MAX)` means "off".
         let watchdog_trip = self.watchdog_cycles.saturating_add(1);
         let mut window = WindowState {
@@ -794,13 +792,7 @@ impl Gpu {
         let mut peak_cores: usize = 0;
         let mut peak_clusters: usize = 0;
 
-        // Hoisted per-cycle scratch and stall-aware fast-forward state.
-        // Cycles in `[cycle, skip_until)` are provably inert for the
-        // shader domain — every core's tick is a no-op until its next
-        // scheduled wake-up or until a memory response arrives — so the
-        // compute/commit phases are skipped wholesale while the uncore
-        // advances event-to-event and the sampling windows, watchdog and
-        // clock-domain accumulators stay cycle-exact.
+        // Hoisted per-cycle scratch.
         let mut drained: Vec<MemRequest> = Vec::new();
         let mut responses: Vec<RouteToken> = Vec::new();
         let mut busy = BusyAccount {
@@ -809,7 +801,6 @@ impl Gpu {
             core_acc: vec![0; self.cores.len()],
             cluster_acc: vec![0; cfg.clusters],
         };
-        let mut skip_until: u64 = 0;
         // Cores with any live state, ascending id. A core outside this
         // list satisfies the tick early-out condition (no CTAs, events
         // or outstanding groups — exactly `!is_busy()`), and nothing but
@@ -818,162 +809,73 @@ impl Gpu {
         // dispatch, pruned during busy accounting; ascending order keeps
         // the commit order identical to the all-cores walk.
         let mut live: Vec<usize> = Vec::with_capacity(self.cores.len());
-        // Per-core wake-up times for the batched fast path, indexed like
-        // `live`; hoisted so short batches don't reallocate.
-        let mut batch_wakes: Vec<u64> = Vec::with_capacity(self.cores.len());
+        // The first cycle at which each core (by id) is due for a tick
+        // (DESIGN.md §11). A tick that did no work proves the core inert
+        // until `Core::next_wake`; a dispatch onto it or a memory
+        // response to it makes it due again at once.
+        let mut wake: Vec<u64> = vec![0; self.cores.len()];
+        // Cycles already stepped on an idle uncore whose uncore advance
+        // and busy charge are not paid yet (see the uncore domain below).
+        let mut owed: u64 = 0;
+        let dense = self.dense_reference;
 
         loop {
-            let stepped = cycle >= skip_until;
-            if stepped {
-                // --- global block scheduler -----------------------------
-                let mut just_dispatched = false;
-                if dispatch_dirty && next_block < total_blocks {
-                    next_block = self.dispatch_blocks(&ctx, next_block, total_blocks);
-                    dispatch_dirty = false;
-                    just_dispatched = true;
-                    live.clear();
-                    let cores = &self.cores;
-                    live.extend((0..cores.len()).filter(|&i| cores[i].is_busy()));
-                }
+            // --- global block scheduler ---------------------------------
+            // A dispatch changes the busy set, so it forces the commit
+            // phase's busy accounting; the dense reference always commits.
+            // A dispatch follows the commit that saw a CTA complete, so
+            // no cycles are owed here.
+            let mut commit = dense || dispatch_dirty;
+            if dispatch_dirty {
+                next_block = self.dispatch_blocks(&ctx, next_block, total_blocks, &mut wake, cycle);
+                dispatch_dirty = false;
+                live.clear();
+                let cores = &self.cores;
+                live.extend((0..cores.len()).filter(|&i| cores[i].is_busy()));
+            }
 
-                // --- batched steady-state stepping -----------------------
-                // Pure-compute fast path: while the uncore is idle and
-                // every live core keeps progressing without side effects
-                // (no buffered stores, no memory requests, no CTA
-                // completion, nobody going idle), each cycle's commit
-                // phase is provably a no-op and no response, dispatch or
-                // termination event can occur — so run only the compute
-                // phase, cycle after cycle, and commit the whole run of
-                // `pre` cycles wholesale afterwards: one idle
-                // `Uncore::advance(pre)` keeps the clock-domain and
-                // refresh accounting cycle-exact, and the busy counters
-                // span-multiply exactly like a fast-forward jump (the
-                // live set *is* the busy set and is invariant across the
-                // run). The first cycle that breaks the regime becomes
-                // the loop's current cycle and flows through the
-                // ordinary commit/accounting path below, so results are
-                // bit-identical with this path disabled. Not entered on
-                // a dispatch cycle (the cached busy counts are stale
-                // until the accounting below recomputes them), and the
-                // horizon stops short of the next sampling-window
-                // boundary and the watchdog trip.
-                let mut batched: Option<bool> = None;
-                if !self.dense_reference && !just_dispatched && !live.is_empty() && uncore.is_idle()
-                {
-                    let horizon = next_window_at.min(watchdog_trip);
-                    let pre_max = horizon.saturating_sub(cycle + 1);
-                    if pre_max > 0 {
-                        let live_completed: u64 =
-                            live.iter().map(|&id| self.cores[id].completed_ctas()).sum();
-                        // Last cycle the batch may tick; the final ticked
-                        // cycle is handed to the ordinary path below.
-                        let c_end = cycle + pre_max;
-                        let mut c = cycle;
-                        // Per-core wake gating: a core whose last tick did
-                        // not progress is provably inert until its next
-                        // writeback event or pipeline release
-                        // (`Core::next_wake`) — compute phases have no
-                        // cross-core coupling and the idle uncore delivers
-                        // nothing — so its ticks are skipped entirely until
-                        // then.
-                        batch_wakes.clear();
-                        batch_wakes.resize(live.len(), cycle);
-                        loop {
-                            let mut progressed = false;
-                            {
-                                let Gpu { cores, memory, .. } = &mut *self;
-                                let mem: &GpuMemory = memory;
-                                for (wake, &id) in batch_wakes.iter_mut().zip(&live) {
-                                    if *wake <= c {
-                                        let p = cores[id].tick(c, &cfg, &ctx, mem);
-                                        progressed |= p;
-                                        *wake = if p {
-                                            c + 1
-                                        } else {
-                                            cores[id].next_wake(c).unwrap_or(u64::MAX)
-                                        };
-                                    }
-                                }
-                            }
-                            if progressed {
-                                // Side-effect scan: any buffered store,
-                                // drained request, idle transition or CTA
-                                // completion ends the batch at this cycle.
-                                // Only a ticked core can change these, but
-                                // the probes are cheap field reads — scan
-                                // every live core for simplicity.
-                                let mut effects = false;
-                                let mut completed_now = 0u64;
-                                for &id in &live {
-                                    let core = &self.cores[id];
-                                    effects |= core.has_pending_effects() || !core.is_busy();
-                                    completed_now += core.completed_ctas();
-                                }
-                                if effects || completed_now != live_completed {
-                                    batched = Some(true);
-                                    break;
-                                }
-                            }
-                            if c == c_end {
-                                batched = Some(progressed);
-                                break;
-                            }
-                            // Jump to the earliest cycle any core can act
-                            // again — the in-batch counterpart of the
-                            // stall-aware fast-forward (memory responses
-                            // are impossible while the uncore is idle).
-                            // Past the horizon, stay on the current cycle
-                            // and let the outer fast-forward take over.
-                            let next_c = batch_wakes.iter().copied().min().unwrap_or(u64::MAX);
-                            debug_assert!(next_c > c, "wake-up in the past");
-                            if next_c > c_end {
-                                batched = Some(progressed);
-                                break;
-                            }
-                            c = next_c;
-                        }
-                        let pre = c - cycle;
-                        if pre > 0 {
-                            // Commit the side-effect-free prefix. The
-                            // uncore was idle and stays idle across it:
-                            // it consumes the full span and delivers
-                            // nothing (`advance` only stops early on a
-                            // response or a drain, neither of which an
-                            // idle uncore can produce).
-                            let consumed = uncore.advance(pre, &mut responses, &mut stats);
-                            debug_assert_eq!(consumed, pre, "idle uncore consumes the span");
-                            debug_assert!(responses.is_empty(), "idle uncore stays silent");
-                            busy.add_span(&mut stats, &live, pre);
-                            cycle += pre;
-                        }
+            // --- shader domain: compute phase ----------------------------
+            // Cores read the frozen memory snapshot (global stores are
+            // buffered per core), so no core's tick can observe
+            // another's within the cycle, and a core that is not due
+            // would tick to a no-op.
+            {
+                let Gpu { cores, memory, .. } = &mut *self;
+                let mem: &GpuMemory = memory;
+                for &id in &live {
+                    if wake[id] > cycle {
+                        continue;
                     }
-                }
-
-                // --- shader domain: compute phase ------------------------
-                // Cores read the frozen memory snapshot (global stores are
-                // buffered per core), so no core's tick can observe
-                // another's within the cycle. A batched run above has
-                // already ticked the current cycle.
-                let progressed = match batched {
-                    Some(progressed) => progressed,
-                    None => {
-                        let Gpu { cores, memory, .. } = &mut *self;
-                        let mem: &GpuMemory = memory;
-                        // Dead cores tick to a no-op `false`; walk only
-                        // the live ones.
-                        let mut any = false;
-                        for &id in &live {
-                            any |= cores[id].tick(cycle, &cfg, &ctx, mem);
-                        }
-                        any
+                    let core = &mut cores[id];
+                    let completed = core.completed_ctas();
+                    wake[id] = if core.tick(cycle, &cfg, &ctx, mem) || dense {
+                        cycle + 1
+                    } else {
+                        core.next_wake(cycle).unwrap_or(u64::MAX)
+                    };
+                    if core.completed_ctas() != completed {
+                        dispatch_dirty |= next_block < total_blocks;
+                        commit = true;
                     }
-                };
+                    commit |= core.has_pending_effects() || !core.is_busy();
+                }
+            }
 
-                // --- commit phase ----------------------------------------
-                // Buffered stores land in memory and requests enter the
-                // NoC in fixed core-id order (`live` is ascending, and
-                // dead cores drained their last stores on the cycle they
-                // went idle).
+            // --- commit phase ----------------------------------------------
+            // Skipped unless a ticked core left an effect (the batching
+            // predicate): with no buffered store, un-drained request,
+            // idle core or completed CTA it is a provable no-op. Buffered
+            // stores land in memory and requests enter the NoC in fixed
+            // core-id order (`live` is ascending, and dead cores drained
+            // their last stores on the cycle they went idle).
+            if commit {
+                // Pay the owed cycles before the busy set or the uncore's
+                // queues can change.
+                if owed > 0 {
+                    uncore.advance(owed, &mut responses, &mut stats);
+                    busy.add_span(&mut stats, &live, owed);
+                    owed = 0;
+                }
                 for &id in &live {
                     self.cores[id].commit_stores(&mut self.memory);
                 }
@@ -984,95 +886,68 @@ impl Gpu {
                 for req in drained.drain(..) {
                     uncore.push_request(req, &mut stats);
                 }
-
-                // --- busy accounting -------------------------------------
-                // Also prunes cores that went idle this cycle: they
-                // cannot wake again without a dispatch (memory responses
-                // only ever target cores with outstanding groups, which
-                // are busy by definition).
+                // Busy accounting; prunes cores that went idle this
+                // cycle: they cannot wake again without a dispatch
+                // (memory responses only ever target cores with
+                // outstanding groups, which are busy by definition).
                 busy.cluster_flags.fill(false);
-                {
-                    let cores = &self.cores;
-                    live.retain(|&id| {
-                        let core = &cores[id];
-                        let is_busy = core.is_busy();
-                        if is_busy {
-                            busy.cluster_flags[core.cluster()] = true;
-                        }
-                        is_busy
-                    });
-                }
-                busy.clusters = busy.cluster_flags.iter().filter(|b| **b).count();
-
-                // --- stall-aware fast-forward probe ----------------------
-                // If no core did work this cycle, none can before its next
-                // scheduled wake-up or an incoming memory response —
-                // whichever comes first. Jump ahead; `Uncore::advance`
-                // hands control back the moment a response is delivered.
-                // The terminal state (everything dispatched, cores idle,
-                // uncore drained) must fall through to the termination
-                // check instead, and `skip_until == u64::MAX` (no wake
-                // scheduled) is bounded below by the sampling-window and
-                // watchdog clamps.
-                if !self.dense_reference && !progressed {
-                    let terminal =
-                        next_block >= total_blocks && live.is_empty() && uncore.is_idle();
-                    if !terminal {
-                        // Dead cores have no scheduled events, so the
-                        // live list covers every possible wake-up.
-                        skip_until = live
-                            .iter()
-                            .filter_map(|&id| self.cores[id].next_wake(cycle))
-                            .min()
-                            .unwrap_or(u64::MAX);
+                let cores = &self.cores;
+                live.retain(|&id| {
+                    let core = &cores[id];
+                    let is_busy = core.is_busy();
+                    if is_busy {
+                        busy.cluster_flags[core.cluster()] = true;
                     }
-                }
+                    is_busy
+                });
+                busy.clusters = busy.cluster_flags.iter().filter(|b| **b).count();
             }
-
-            // --- uncore domain: bulk event-driven advance -----------------
-            // One shader cycle normally; during a skip, everything up to
-            // the earliest of core wake-up, window boundary and watchdog
-            // trip. The defensive `max(cycle + 1)` only guarantees
-            // progress — each bound is strictly ahead by construction.
-            let target = skip_until
-                .min(next_window_at)
-                .min(watchdog_trip)
-                .max(cycle + 1);
-            let span = if cycle < skip_until {
-                target - cycle
-            } else {
-                1
-            };
-            let consumed = uncore.advance(span, &mut responses, &mut stats);
-
-            busy.add_span(&mut stats, &live, consumed);
             peak_cores = peak_cores.max(live.len());
             peak_clusters = peak_clusters.max(busy.clusters);
             window.peak_cores = window.peak_cores.max(live.len());
             window.peak_clusters = window.peak_clusters.max(busy.clusters);
 
-            // Responses belong to the last consumed shader cycle; they
-            // wake cores, so the skip (if any) ends here. An early drain
-            // (consumed < span without responses) also ends the skip so
-            // the termination check can fire on a stepped cycle.
-            let delivered = !responses.is_empty();
-            let last_cycle = cycle + consumed - 1;
-            for token in responses.drain(..) {
-                self.cores[token.core].mem_response(token.addr, last_cycle, &ctx);
+            // --- uncore domain: advance to the next due cycle -------------
+            // When no core is due before `due`, the uncore advances
+            // straight there (the fast-forward predicate), and
+            // `Uncore::advance` hands control back the moment it
+            // delivers a response or drains. A pending dispatch, the
+            // terminal step and the dense reference take one cycle; the
+            // window boundary and the watchdog trip clamp the span. The
+            // defensive `max(cycle + 1)` only guarantees progress — each
+            // bound is strictly ahead by construction.
+            let terminal = next_block >= total_blocks && live.is_empty() && uncore.is_idle();
+            let due = if dense || dispatch_dirty || terminal {
+                cycle + 1
+            } else {
+                live.iter().map(|&id| wake[id]).min().unwrap_or(u64::MAX)
+            };
+            let span = due.min(next_window_at).min(watchdog_trip).max(cycle + 1) - cycle;
+            // An idle uncore that nothing was pushed into delivers
+            // nothing and cannot drain, and without a commit the busy
+            // set is unchanged, so short of a window boundary or the
+            // watchdog trip the span's uncore advance and busy charge are
+            // owed and paid in one span later.
+            if !commit
+                && !terminal
+                && cycle + span < next_window_at.min(watchdog_trip)
+                && uncore.is_idle()
+            {
+                owed += span;
+                cycle += span;
+                continue;
             }
-            if delivered || consumed < span {
-                skip_until = 0;
-            }
+            let consumed = uncore.advance(owed + span, &mut responses, &mut stats) - owed;
+            busy.add_span(&mut stats, &live, owed + consumed);
+            owed = 0;
 
-            // --- progress & termination -----------------------------------
-            if stepped {
-                let completed: u64 = self.cores.iter().map(|c| c.completed_ctas()).sum();
-                if completed != completed_ctas_seen {
-                    completed_ctas_seen = completed;
-                    dispatch_dirty = true;
-                }
-            }
+            // Responses belong to the last consumed shader cycle; the
+            // cores they reach are due on the next.
             cycle += consumed;
+            for token in responses.drain(..) {
+                self.cores[token.core].mem_response(token.addr, cycle - 1, &ctx);
+                wake[token.core] = cycle;
+            }
 
             if let Some((window_cycles, sink)) = &mut sampling {
                 if cycle == next_window_at {
@@ -1088,10 +963,9 @@ impl Gpu {
                 }
             }
 
-            // The termination condition cannot become true mid-skip (the
-            // cores are frozen and `Uncore::advance` returns control on
-            // drain), so the frozen `live` list keeps this check exact on
-            // every iteration.
+            // --- termination ------------------------------------------------
+            // `live` only shrinks in a commit, and `Uncore::advance`
+            // returns on drain, so this check is exact after every span.
             if next_block >= total_blocks && live.is_empty() && uncore.is_idle() {
                 break;
             }
@@ -1199,8 +1073,16 @@ impl Gpu {
         snap
     }
 
-    /// Breadth-first CTA placement over clusters, then cores.
-    fn dispatch_blocks(&mut self, ctx: &LaunchCtx<'_>, mut next: u32, total: u32) -> u32 {
+    /// Breadth-first CTA placement over clusters, then cores. Every core
+    /// that receives a CTA is due at `cycle`.
+    fn dispatch_blocks(
+        &mut self,
+        ctx: &LaunchCtx<'_>,
+        mut next: u32,
+        total: u32,
+        wake: &mut [u64],
+        cycle: u64,
+    ) -> u32 {
         let cfg = &self.config;
         let cluster_load = &mut self.cluster_load;
         while next < total {
@@ -1219,6 +1101,7 @@ impl Gpu {
             let bx = next % ctx.launch.grid.x;
             let by = next / ctx.launch.grid.x;
             self.cores[core_id].dispatch_cta(cfg, ctx, bx, by);
+            wake[core_id] = cycle;
             next += 1;
         }
         next

@@ -18,7 +18,8 @@
 //!   links, shared L2 bank, memory controllers, GDDR5 channels) advanced
 //!   by a skip-ahead engine that is bit-identical to per-cycle ticking;
 //! * [`gpu`] — the chip: global block scheduler (breadth-first over
-//!   clusters, the Fig. 4 behaviour), stall-aware fast-forward;
+//!   clusters, the Fig. 4 behaviour) and the cycle loop, which ticks
+//!   only the cores that are due and skips provably inert cycles;
 //! * [`dram`] — GDDR5 channel timing (FR-FCFS, activate/precharge/
 //!   refresh accounting);
 //! * [`mem`] — the device memory and host-side copy interface (PCIe

@@ -28,7 +28,7 @@ use crate::simt_stack::{lanes, LaneMask};
 /// the duration of one launch via `LaunchCtx::replay`.
 #[derive(Debug)]
 pub struct ReplaySource<'t> {
-    streams: &'t [WarpStream],
+    trace: &'t KernelTrace,
     index: BTreeMap<(u32, u32, u32), usize>,
 }
 
@@ -39,10 +39,13 @@ impl<'t> ReplaySource<'t> {
         for (i, s) in trace.streams.iter().enumerate() {
             index.insert((s.block_x, s.block_y, s.warp), i);
         }
-        ReplaySource {
-            streams: &trace.streams,
-            index,
-        }
+        ReplaySource { trace, index }
+    }
+
+    /// The PCIe bytes the trace attributes to its launch, host-to-device
+    /// then device-to-host.
+    pub(crate) fn pcie_bytes(&self) -> (u64, u64) {
+        (self.trace.h2d_bytes, self.trace.d2h_bytes)
     }
 
     fn lookup(&self, block_x: u32, block_y: u32, warp: u32) -> Option<usize> {
@@ -50,7 +53,7 @@ impl<'t> ReplaySource<'t> {
     }
 
     fn stream(&self, idx: usize) -> &WarpStream {
-        &self.streams[idx]
+        &self.trace.streams[idx]
     }
 }
 

@@ -6,8 +6,8 @@
 //! and buffers its global stores; the *commit* phase then applies
 //! those buffers in core-id order through `Core::commit_stores`. That
 //! split is what defines cross-core store visibility (one cycle
-//! later), what lets batched stepping run compute phases back to back
-//! and gate them per core ("compute phases have no cross-core
+//! later), what lets the cycle loop tick only the cores that are due
+//! and skip empty commit phases ("compute phases have no cross-core
 //! coupling"), and what keeps concurrent `SimPool` jobs from reaching
 //! each other. Any mutation of shared state from inside the compute
 //! phase makes one core's tick visible to another's in the same cycle

@@ -1,20 +1,22 @@
-//! Batched steady-state stepping is an accelerator, not a semantic: the
-//! pure-compute fast path in `Gpu::launch_impl` (plus its in-batch
-//! per-core wake gating) must reproduce, bit for bit, what the dense
-//! cycle-by-cycle reference loop produces. These tests pin one
-//! representative kernel on both presets — barrel-scheduled GT240 and
-//! scoreboarded GTX580 — against the same golden counts, time bits and
-//! power bits as `tests/determinism.rs`, with the fast path on and off
-//! (`Gpu::set_dense_reference`, which also drops fast-forward). If a
-//! batch ever swallows a side-effect cycle (a buffered store, a CTA
-//! completion, a window boundary), the "on" pins fire; if a change to
-//! the ordinary path drifts, both fire.
+//! The cycle loop's skips are an accelerator, not a semantic: per-core
+//! wake gating, skipped commit phases (batching) and fast-forward in
+//! `Gpu::launch_impl` must reproduce, bit for bit, what the dense
+//! reference loop produces — every live core ticked and committed every
+//! cycle, one cycle at a time. These tests pin one representative
+//! kernel on both presets — barrel-scheduled GT240 and scoreboarded
+//! GTX580 — against the same golden counts, time bits and power bits as
+//! `tests/determinism.rs`, in both modes (`Gpu::set_dense_reference`).
+//! If a skip ever swallows a side-effect cycle (a buffered store, a CTA
+//! completion, a memory response, a window boundary), the accelerated
+//! pins fire; if a change to the loop itself drifts, both fire.
 //!
-//! The dense reference also keeps every core scanning for issue each
-//! cycle, so the unpinned differential below checks the issue-stall
-//! sleep's replayed scoreboard reads too — on scoreboard cores of every
-//! issue width, where a wrong rate moves no pinned field but the
-//! counters, the windows and the priced energy behind them.
+//! The unpinned differential below runs memory-bound programs too: on
+//! GT240 under both warp schedulers, where cores are gated while the
+//! uncore is busy, and on scoreboard cores of every issue width, where
+//! the dense reference also keeps every core scanning for issue each
+//! cycle and so checks the issue-stall sleep's replayed scoreboard
+//! reads — a wrong rate moves no pinned field but the counters, the
+//! windows and the priced energy behind them.
 
 use gpusimpow::Simulator;
 use gpusimpow_kernels::bfs::Bfs;
@@ -23,7 +25,8 @@ use gpusimpow_kernels::common::Benchmark;
 use gpusimpow_kernels::scalarprod::ScalarProd;
 use gpusimpow_kernels::vectoradd::VectorAdd;
 use gpusimpow_sim::{
-    ActivityStats, ActivityWindow, Gpu, GpuConfig, LaunchReport, RecordedLaunch, WindowRecorder,
+    ActivityStats, ActivityWindow, Gpu, GpuConfig, LaunchReport, RecordedLaunch, WarpSchedPolicy,
+    WindowRecorder,
 };
 
 fn run(
@@ -101,14 +104,15 @@ fn assert_reports_match(what: &str, a: &LaunchReport, b: &LaunchReport) {
 
 fn assert_same_either_way(cfg: &GpuConfig, bench: &dyn Benchmark) {
     let what = format!(
-        "{} on {} (issue width {})",
+        "{} on {} (issue width {}, {:?})",
         bench.name(),
         cfg.name,
-        cfg.issue_width
+        cfg.issue_width,
+        cfg.warp_scheduler
     );
 
-    // With no sink attached nothing caps a batch or a fast-forward jump,
-    // so spans of any length are covered here.
+    // With no sink attached no window boundary caps a span, so spans of
+    // any length are covered here.
     let on = bench.run(&mut gpu(cfg, true)).expect("verifies");
     let off = bench.run(&mut gpu(cfg, false)).expect("verifies");
     assert_eq!(on.len(), off.len(), "{what}: launches");
@@ -158,11 +162,22 @@ fn stats_match_exactly_either_way() {
             degree: 4,
         },
     ];
-    for issue_width in [1, 2, 4] {
-        let mut cfg = GpuConfig::gtx580();
-        cfg.issue_width = issue_width;
+    let mut configs: Vec<GpuConfig> = [1, 2, 4]
+        .map(|issue_width| GpuConfig {
+            issue_width,
+            ..GpuConfig::gtx580()
+        })
+        .into();
+    // Barrel cores, where the per-core wake gating skips ticks while the
+    // uncore is busy — under both warp schedulers.
+    configs.push(GpuConfig::gt240());
+    configs.push(GpuConfig {
+        warp_scheduler: WarpSchedPolicy::TwoLevel { active_warps: 8 },
+        ..GpuConfig::gt240()
+    });
+    for cfg in &configs {
         for bench in kernels {
-            assert_same_either_way(&cfg, bench);
+            assert_same_either_way(cfg, bench);
         }
     }
 }

@@ -6,7 +6,10 @@
 //! per-warp streams (issued PCs, branch masks, lane addresses) are
 //! exactly the dynamic facts the timing model consumes.
 
-use gpusimpow_kernels::{blackscholes::BlackScholes, suite::small_benchmarks, Benchmark};
+use gpusimpow_isa::LaunchConfig;
+use gpusimpow_kernels::{
+    blackscholes::BlackScholes, micro::lfsr_kernel, suite::small_benchmarks, Benchmark,
+};
 use gpusimpow_sim::{Gpu, GpuConfig, LaunchReport, SimError, SimPool};
 use gpusimpow_trace::{synth, KernelTrace};
 
@@ -191,4 +194,32 @@ fn truncated_stream_desyncs_with_a_typed_error() {
         matches!(gpu.launch_replay(&trace), Err(SimError::Replay(_))),
         "short stream must surface as a replay error"
     );
+}
+
+#[test]
+fn rejected_replay_leaves_pending_pcie_bytes_alone() {
+    // A 1024-thread block fits GTX580 but exceeds GT240's 768-thread
+    // core, so the GT240 replay is rejected before it runs. Its trace
+    // carries 4000 h2d bytes; the GT240's own pending 40 bytes must
+    // still land on its next live launch.
+    let kernel = lfsr_kernel(32, 4);
+    let mut fermi = Gpu::new(GpuConfig::gtx580()).expect("preset builds");
+    let ptr = fermi.alloc(4000);
+    fermi.h2d_u32(ptr, &[0; 1000]);
+    let (_, trace) = fermi
+        .launch_traced(&kernel, LaunchConfig::linear(2, 1024))
+        .expect("fits GTX580");
+    assert_eq!(trace.h2d_bytes, 4000);
+
+    let mut tesla = Gpu::new(GpuConfig::gt240()).expect("preset builds");
+    let ptr = tesla.alloc(40);
+    tesla.h2d_u32(ptr, &[0; 10]);
+    match tesla.launch_replay(&trace) {
+        Err(SimError::Launch(msg)) => assert!(msg.contains("1024 threads"), "got: {msg}"),
+        other => panic!("expected a launch rejection, got {other:?}"),
+    }
+    let report = tesla
+        .launch(&kernel, LaunchConfig::linear(2, 256))
+        .expect("fits GT240");
+    assert_eq!(report.stats.pcie_h2d_bytes, 40);
 }
