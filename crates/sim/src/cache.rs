@@ -5,7 +5,7 @@
 //! `gpusimpow-circuit`. Data contents are not stored — the functional
 //! value path reads the backing store directly — only tags and LRU state.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
 /// Outcome of a cache probe.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -31,7 +31,12 @@ pub enum Probe {
 #[derive(Debug, Clone)]
 pub struct SimCache {
     line_bytes: u32,
+    /// `log2(line_bytes)`: the line number is one shift away.
+    line_shift: u32,
     sets: usize,
+    /// `sets - 1` when the set count is a power of two (the set index
+    /// is then a mask), `None` otherwise (GTX580's 768-set L2 divides).
+    set_mask: Option<u64>,
     ways: usize,
     /// `tags[set * ways + way]` = tag, `u64::MAX` = invalid.
     tags: Vec<u64>,
@@ -62,7 +67,9 @@ impl SimCache {
         let sets = lines / ways;
         SimCache {
             line_bytes,
+            line_shift: line_bytes.trailing_zeros(),
             sets,
+            set_mask: sets.is_power_of_two().then(|| sets as u64 - 1),
             ways,
             tags: vec![u64::MAX; lines],
             stamps: vec![0; lines],
@@ -70,10 +77,14 @@ impl SimCache {
         }
     }
 
+    #[inline]
     fn locate(&self, addr: u32) -> (usize, u64) {
-        let line = (addr / self.line_bytes) as u64;
-        let set = (line % self.sets as u64) as usize;
-        (set, line)
+        let line = (addr >> self.line_shift) as u64;
+        let set = match self.set_mask {
+            Some(mask) => line & mask,
+            None => line % self.sets as u64,
+        };
+        (set as usize, line)
     }
 
     /// Probes for a read; allocates the line on a miss (LRU victim).
@@ -226,21 +237,56 @@ impl<T: Copy> L2Bank<T> {
 /// line so only one request goes downstream.
 ///
 /// `T` is the caller's per-waiter token, returned when the line arrives.
+/// The file has no capacity of its own: a core's outstanding lines are
+/// bounded by its warps × destination registers × lanes. Lines live in
+/// an open-addressing table (linear probing, at most half full), and
+/// each line's waiters form a FIFO chain through one pool of reused
+/// nodes, so lookups take expected constant time and neither
+/// registering nor completing allocates once the table and the pool
+/// have grown to the high-water mark.
 #[derive(Debug, Clone)]
 pub struct Mshr<T> {
-    line_bytes: u32,
-    pending: BTreeMap<u64, Vec<T>>,
-    capacity: usize,
+    /// `log2(line_bytes)`.
+    line_shift: u32,
+    /// Outstanding lines; the length is a power of two.
+    table: Vec<MshrLine>,
+    /// Occupied entries of `table`.
+    lines: usize,
+    /// Waiter nodes: the token and the next node of the same chain.
+    nodes: Vec<(T, u32)>,
+    /// Head of the chain of free nodes.
+    free: u32,
 }
 
-impl<T> Mshr<T> {
-    /// Creates an MSHR file with `capacity` distinct outstanding lines.
-    pub fn new(line_bytes: u32, capacity: usize) -> Self {
+/// One outstanding line of an [`Mshr`]: the first and last node of its
+/// waiter chain.
+#[derive(Debug, Clone, Copy)]
+struct MshrLine {
+    line: u64,
+    head: u32,
+    tail: u32,
+}
+
+/// End of a waiter chain.
+const NIL: u32 = u32::MAX;
+
+/// An unoccupied [`MshrLine`] (no 32-bit address maps to this line).
+const VACANT: MshrLine = MshrLine {
+    line: u64::MAX,
+    head: NIL,
+    tail: NIL,
+};
+
+impl<T: Copy> Mshr<T> {
+    /// Creates an empty MSHR file for `line_bytes` lines.
+    pub fn new(line_bytes: u32) -> Self {
         assert!(line_bytes.is_power_of_two());
         Mshr {
-            line_bytes,
-            pending: BTreeMap::new(),
-            capacity,
+            line_shift: line_bytes.trailing_zeros(),
+            table: vec![VACANT; 16],
+            lines: 0,
+            nodes: Vec::new(),
+            free: NIL,
         }
     }
 
@@ -248,40 +294,121 @@ impl<T> Mshr<T> {
     ///
     /// Returns `true` if this is the *first* miss for the line (the
     /// caller must send a downstream request) and `false` if it merged.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the MSHR file is full and the line is new — callers
-    /// must check [`Mshr::can_accept`] first.
     pub fn register(&mut self, addr: u32, token: T) -> bool {
-        let line = (addr / self.line_bytes) as u64;
-        if let Some(waiters) = self.pending.get_mut(&line) {
-            waiters.push(token);
-            return false;
+        let line = (addr >> self.line_shift) as u64;
+        let node = if self.free == NIL {
+            self.nodes.push((token, NIL));
+            (self.nodes.len() - 1) as u32
+        } else {
+            let node = self.free;
+            self.free = self.nodes[node as usize].1;
+            self.nodes[node as usize] = (token, NIL);
+            node
+        };
+        match self.find(line) {
+            Ok(i) => {
+                let tail = self.table[i].tail as usize;
+                self.nodes[tail].1 = node;
+                self.table[i].tail = node;
+                false
+            }
+            Err(mut i) => {
+                if 2 * (self.lines + 1) > self.table.len() {
+                    self.grow();
+                    i = self.find(line).expect_err("line is new");
+                }
+                self.table[i] = MshrLine {
+                    line,
+                    head: node,
+                    tail: node,
+                };
+                self.lines += 1;
+                true
+            }
         }
-        assert!(
-            self.pending.len() < self.capacity,
-            "mshr overflow: probe can_accept before registering"
-        );
-        self.pending.insert(line, vec![token]);
-        true
     }
 
-    /// Whether a miss on `addr` could currently be registered.
-    pub fn can_accept(&self, addr: u32) -> bool {
-        let line = (addr / self.line_bytes) as u64;
-        self.pending.contains_key(&line) || self.pending.len() < self.capacity
-    }
-
-    /// Completes the line containing `addr`, returning all merged waiters.
-    pub fn complete(&mut self, addr: u32) -> Vec<T> {
-        let line = (addr / self.line_bytes) as u64;
-        self.pending.remove(&line).unwrap_or_default()
+    /// Completes the line containing `addr`, appending its waiters to
+    /// `out` in registration order (none when the line is not
+    /// outstanding).
+    pub fn complete_into(&mut self, addr: u32, out: &mut Vec<T>) {
+        let line = (addr >> self.line_shift) as u64;
+        let Ok(i) = self.find(line) else {
+            return;
+        };
+        let mut node = self.table[i].head;
+        while node != NIL {
+            let (token, next) = self.nodes[node as usize];
+            out.push(token);
+            self.nodes[node as usize].1 = self.free;
+            self.free = node;
+            node = next;
+        }
+        self.remove(i);
     }
 
     /// Number of outstanding lines.
     pub fn outstanding(&self) -> usize {
-        self.pending.len()
+        self.lines
+    }
+
+    /// Home slot of `line` (Fibonacci hashing onto the table size).
+    #[inline]
+    fn home(&self, line: u64) -> usize {
+        let bits = self.table.len().trailing_zeros();
+        (line.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - bits)) as usize
+    }
+
+    /// `Ok(slot)` holding `line`, or `Err(slot)`: the vacant slot that
+    /// ends its probe sequence.
+    #[inline]
+    fn find(&self, line: u64) -> Result<usize, usize> {
+        let mask = self.table.len() - 1;
+        let mut i = self.home(line);
+        loop {
+            let here = self.table[i].line;
+            if here == line {
+                return Ok(i);
+            }
+            if here == VACANT.line {
+                return Err(i);
+            }
+            i = (i + 1) & mask;
+        }
+    }
+
+    /// Vacates slot `hole`, shifting later entries of its probe run
+    /// back so every remaining line stays reachable (no tombstones).
+    fn remove(&mut self, mut hole: usize) {
+        let mask = self.table.len() - 1;
+        let mut i = hole;
+        loop {
+            i = (i + 1) & mask;
+            let line = self.table[i].line;
+            if line == VACANT.line {
+                break;
+            }
+            // The entry may fill the hole iff the hole lies on its probe
+            // path: no further from the entry than its home slot is.
+            if i.wrapping_sub(self.home(line)) & mask >= i.wrapping_sub(hole) & mask {
+                self.table[hole] = self.table[i];
+                hole = i;
+            }
+        }
+        self.table[hole] = VACANT;
+        self.lines -= 1;
+    }
+
+    /// Doubles the table and re-inserts every line.
+    fn grow(&mut self) {
+        let doubled = vec![VACANT; 2 * self.table.len()];
+        let old = std::mem::replace(&mut self.table, doubled);
+        for entry in old {
+            if entry.line != VACANT.line {
+                let i = self.find(entry.line).expect_err("lines are distinct");
+                self.table[i] = entry;
+            }
+        }
     }
 }
 
@@ -341,32 +468,100 @@ mod tests {
     }
 
     #[test]
+    fn three_set_cache_keeps_its_eviction_pattern() {
+        // 3 sets × 2 ways of 64 B lines: a set count that is not a power
+        // of two, so the set index is `line % 3`. Lines 0, 3, 6 share
+        // set 0; line 1 lives in set 1.
+        let mut c = SimCache::new(3 * 2 * 64, 64, 2);
+        let line = |n: u32| n * 64;
+        assert_eq!(c.read(line(0)), Probe::Miss);
+        assert_eq!(c.read(line(3)), Probe::Miss);
+        assert_eq!(c.read(line(1)), Probe::Miss);
+        assert_eq!(c.read(line(0)), Probe::Hit); // refresh line 0
+        assert_eq!(c.read(line(6)), Probe::Miss); // evicts line 3
+        assert_eq!(c.read(line(1)), Probe::Hit, "set 1 untouched");
+        assert_eq!(c.read(line(0)), Probe::Hit);
+        assert_eq!(c.read(line(3)), Probe::Miss, "line 3 was the LRU victim");
+        assert_eq!(c.read(line(6)), Probe::Miss, "and now line 6 was");
+        assert_eq!(c.read(line(4)), Probe::Miss, "line 4 maps to set 1");
+        assert_eq!(c.read(line(1)), Probe::Hit, "two ways hold 1 and 4");
+    }
+
+    #[test]
     fn mshr_merges_same_line() {
-        let mut m: Mshr<u32> = Mshr::new(128, 4);
+        let mut m: Mshr<u32> = Mshr::new(128);
         assert!(m.register(0x100, 1));
         assert!(!m.register(0x17C, 2), "same line merges");
         assert!(m.register(0x200, 3));
         assert_eq!(m.outstanding(), 2);
-        let w = m.complete(0x100);
+        let mut w = Vec::new();
+        m.complete_into(0x100, &mut w);
         assert_eq!(w, vec![1, 2]);
         assert_eq!(m.outstanding(), 1);
+        m.complete_into(0x100, &mut w);
+        assert_eq!(w, vec![1, 2], "a completed line has no waiters left");
     }
 
     #[test]
-    fn mshr_capacity_checks() {
-        let mut m: Mshr<()> = Mshr::new(128, 1);
-        assert!(m.can_accept(0));
-        m.register(0, ());
-        assert!(m.can_accept(64), "merge into existing line is allowed");
-        assert!(!m.can_accept(4096), "new line would overflow");
+    fn mshr_returns_waiters_in_registration_order_across_interleaved_lines() {
+        let mut m: Mshr<u32> = Mshr::new(128);
+        // Three lines, waiters registered round-robin across them.
+        for token in 0..12u32 {
+            let first = m.register((token % 3) * 128 + token, token);
+            assert_eq!(first, token < 3);
+        }
+        let mut w = Vec::new();
+        m.complete_into(128, &mut w);
+        assert_eq!(w, vec![1, 4, 7, 10]);
+        // Recycled nodes keep the order of a line registered afterwards.
+        for token in 20..23u32 {
+            m.register(5 * 128, token);
+        }
+        m.register(2 * 128, 99);
+        for addr in [0, 2 * 128, 5 * 128] {
+            m.complete_into(addr, &mut w);
+        }
+        assert_eq!(
+            w,
+            vec![1, 4, 7, 10, 0, 3, 6, 9, 2, 5, 8, 11, 99, 20, 21, 22]
+        );
+        assert_eq!(m.outstanding(), 0);
     }
 
     #[test]
-    #[should_panic(expected = "mshr overflow")]
-    fn mshr_overflow_panics() {
-        let mut m: Mshr<()> = Mshr::new(128, 1);
-        m.register(0, ());
-        m.register(4096, ());
+    fn mshr_matches_a_reference_map_past_many_growths() {
+        // Thousands of lines outstanding at once (far past the initial
+        // table), completed in a scrambled order interleaved with new
+        // registrations: every completion returns exactly the reference
+        // waiter list.
+        let mut m: Mshr<u32> = Mshr::new(128);
+        let mut reference: std::collections::BTreeMap<u32, Vec<u32>> = Default::default();
+        let mut state: u32 = 12345;
+        let mut next = || {
+            state = state.wrapping_mul(1_103_515_245).wrapping_add(12_345);
+            state >> 8
+        };
+        let mut out = Vec::new();
+        for token in 0..40_000u32 {
+            let line = next() % 6000;
+            if next() % 3 == 0 {
+                out.clear();
+                m.complete_into(line * 128, &mut out);
+                assert_eq!(out, reference.remove(&line).unwrap_or_default());
+            } else {
+                let first = m.register(line * 128 + 4, token);
+                let waiters = reference.entry(line).or_default();
+                assert_eq!(first, waiters.is_empty());
+                waiters.push(token);
+            }
+            assert_eq!(m.outstanding(), reference.len());
+        }
+        for (line, waiters) in reference {
+            out.clear();
+            m.complete_into(line * 128, &mut out);
+            assert_eq!(out, waiters);
+        }
+        assert_eq!(m.outstanding(), 0);
     }
 
     #[test]

@@ -76,8 +76,8 @@ impl Core {
                 outstanding_groups: 0,
                 done: false,
             });
-            set_hint(&mut self.issue_ready, slot);
-            self.issue_stall_until = 0;
+            // The warp becomes an issue candidate once fetch fills its
+            // i-buffer (`Core::publish_candidate`).
             set_hint(&mut self.fetch_ready, slot);
             // A fresh warp has an empty i-buffer: no unit-class mask may
             // claim it (its previous occupant's bits were cleared when
@@ -103,7 +103,14 @@ impl Core {
 
     /// Retires warp `slot` after its last lane exited; frees the CTA
     /// (warp slots, shared memory) when it was the CTA's last warp.
-    pub(super) fn finish_warp(&mut self, slot: usize, cta_slot: usize, ctx: &LaunchCtx<'_>) {
+    pub(super) fn finish_warp(
+        &mut self,
+        slot: usize,
+        cta_slot: usize,
+        cycle: u64,
+        cfg: &GpuConfig,
+        ctx: &LaunchCtx<'_>,
+    ) {
         {
             let w = self.warps[slot].as_mut().expect("live warp");
             w.done = true;
@@ -120,12 +127,15 @@ impl Core {
             )
         };
         if needs_release {
-            self.release_barrier(cta_slot, ctx);
+            self.release_barrier(cta_slot, cycle, cfg, ctx);
         }
         if cta_done {
             let cta = self.ctas[cta_slot].take().expect("live cta");
             for s in cta.warp_slots {
+                // Probing a vacant slot is a silent no-op: drop its hints.
                 self.warps[s] = None;
+                clear_hint(&mut self.issue_ready, s);
+                clear_hint(&mut self.fetch_ready, s);
             }
             self.cta_coords.remove(&cta_slot);
             self.smem_in_use = self.smem_in_use.saturating_sub(cta.smem.len() as u32);

@@ -11,7 +11,7 @@ use crate::func;
 use crate::mem::GpuMemory;
 use crate::simt_stack::{lanes, low_lanes, LaneMask};
 
-use super::{set_hint, Core, LaunchCtx, MAX_LANES};
+use super::{Core, LaunchCtx, MAX_LANES};
 
 /// Operand collection over the SoA register file: copies the operand's
 /// register row (or splats an immediate) into a dense lane row.
@@ -284,7 +284,7 @@ impl Core {
                     cta.waiting_at_barrier >= cta.live_warps
                 };
                 if release {
-                    self.release_barrier(cta_slot, ctx);
+                    self.release_barrier(cta_slot, cycle, cfg, ctx);
                 }
             }
             Instr::Exit => {
@@ -295,7 +295,7 @@ impl Core {
                     (w.stack.finished(), w.cta_slot)
                 };
                 if finished {
-                    self.finish_warp(slot, cta_slot, ctx);
+                    self.finish_warp(slot, cta_slot, cycle, cfg, ctx);
                 }
             }
             Instr::Nop => {
@@ -314,8 +314,15 @@ impl Core {
         }
     }
 
-    /// Releases every warp of `cta_slot` parked at the barrier.
-    pub(super) fn release_barrier(&mut self, cta_slot: usize, ctx: &LaunchCtx<'_>) {
+    /// Releases every warp of `cta_slot` parked at the barrier (at
+    /// issue, so the scan is awake and no stall needs re-arming).
+    pub(super) fn release_barrier(
+        &mut self,
+        cta_slot: usize,
+        cycle: u64,
+        cfg: &GpuConfig,
+        ctx: &LaunchCtx<'_>,
+    ) {
         let slots = {
             let cta = self.ctas[cta_slot].as_mut().expect("live cta");
             cta.waiting_at_barrier = 0;
@@ -324,13 +331,10 @@ impl Core {
         for s in slots {
             if let Some(w) = self.warps[s].as_mut() {
                 w.at_barrier = false;
-                set_hint(&mut self.issue_ready, s);
-                self.issue_stall_until = 0;
-                // A released warp with a fetched instruction and no
-                // in-flight execution becomes a unit-class candidate
-                // again (fetch ignores `at_barrier`, so its i-buffer
-                // may have refilled while parked).
-                self.publish_class(s, ctx);
+                // A released warp with a fetched instruction becomes an
+                // issue candidate again (fetch ignores `at_barrier`, so
+                // its i-buffer may have refilled while parked).
+                self.publish_candidate(s, cycle, cfg, ctx);
             }
         }
     }

@@ -6,7 +6,7 @@ use crate::cache::Probe;
 use crate::config::GpuConfig;
 use crate::events::EventKind as Ev;
 
-use super::{clear_hint, set_hint, Core, LaunchCtx, SlotWalk};
+use super::{clear_hint, Core, LaunchCtx, SlotWalk};
 
 impl Core {
     #[inline]
@@ -52,13 +52,11 @@ impl Core {
         // the launch-wide decoded table (`LaunchCtx::decoded`).
         self.warps[slot].as_mut().expect("checked above").ibuf = Some(pc);
         clear_hint(&mut self.fetch_ready, slot);
-        set_hint(&mut self.issue_ready, slot);
-        self.publish_class(slot, ctx);
         // Fetch runs after issue within a tick, so the refilled warp can
-        // issue at `cycle + 1` at the earliest (usually it is still
-        // executing, in which case its commit event refines the stall
+        // issue at `cycle + 1` at the earliest (on barrel configs it is
+        // usually still executing, and its commit event publishes it
         // instead).
-        self.refine_issue_stall(slot, cycle + 1, cfg, ctx);
+        self.publish_candidate(slot, cycle + 1, cfg, ctx);
         true
     }
 }

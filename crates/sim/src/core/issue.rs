@@ -13,26 +13,8 @@ use crate::simt_stack::LaneMask;
 
 use super::{
     class_index, clear_hint, set_hint, Completion, Core, DecodedInstr, LaunchCtx, SlotWalk, Warp,
+    NEVER,
 };
-
-/// Outcome of one [`Core::try_issue`] probe.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum IssueProbe {
-    /// An instruction issued.
-    Issued,
-    /// Silent failure on a busy execution unit (barrel configs only):
-    /// it lapses with time alone, so the slot stays hinted, and a scan
-    /// where every failure is of this kind proves the core cannot
-    /// issue before [`Core::unit_wake`].
-    UnitBusy,
-    /// Any other failure — sticky states, or scoreboard probes that
-    /// counted a read. A barrel scan containing one of these does not
-    /// sleep; a scoreboard scan that issued nothing sleeps anyway,
-    /// replaying its counted reads as a per-cycle rate, because every
-    /// scoreboard failure lapses only at a hint set-site (which cancels
-    /// the sleep) or when a unit frees (which bounds it).
-    Blocked,
-}
 
 /// Per execution unit (indexed by [`class_index`]): the event counting
 /// its warp instructions and, for the SIMD pipelines, the one counting
@@ -54,61 +36,43 @@ impl Core {
         mem: &GpuMemory,
     ) {
         // Issue-stall sleep: a previous scan proved every probe repeats
-        // its outcome before `issue_stall_until`, so replay the scan's
-        // counted reads instead of re-probing. Only the round-robin scan
-        // below ever engages it.
+        // its outcome before `issue_stall_until`; its counted reads
+        // accrue as a rate (`Core::settle_stall_reads`). Only the
+        // round-robin scan below ever engages it.
         if cycle < self.issue_stall_until {
-            if self.stall_reads > 0 {
-                self.stats[Ev::ScoreboardReads] += self.stall_reads;
-                self.work = true;
-            }
             return;
         }
+        self.stall_from = NEVER;
         let mut issued = 0;
         match cfg.warp_scheduler {
             WarpSchedPolicy::RoundRobin => {
                 let mut walk = SlotWalk::new(self.issue_rr, self.max_warps);
-                // Stall-engage bookkeeping: `only_unit_busy` stays true
-                // while every failed probe was a silent unit-busy lapse.
-                // If the scan then *exhausts* the candidates (rather
-                // than filling `issue_width`), nothing can issue before
-                // a unit frees or a hint set-site fires — both covered
-                // below. A scoreboard scan that issued nothing sleeps
-                // too: each of its failures repeats, counted read
-                // included, until one of those two events.
-                let mut only_unit_busy = true;
                 let reads_before = self.stats[Ev::ScoreboardReads];
                 while issued < cfg.issue_width {
                     let Some(slot) = walk.next(self.issue_hints(cycle, cfg)) else {
                         break;
                     };
-                    match self.try_issue(slot, cycle, cfg, ctx, mem) {
-                        IssueProbe::Issued => {
-                            issued += 1;
-                            self.issue_rr = walk.select();
-                            self.stats[Ev::IssueSchedulerSelects] += 1;
-                        }
-                        outcome => {
-                            if outcome == IssueProbe::Blocked {
-                                only_unit_busy = false;
-                            }
-                            self.clear_issue_hint_if_blocked(slot, cfg);
-                        }
+                    if self.try_issue(slot, cycle, cfg, ctx, mem) {
+                        issued += 1;
+                        self.issue_rr = walk.select();
+                        self.stats[Ev::IssueSchedulerSelects] += 1;
                     }
                 }
-                let engage = only_unit_busy || (cfg.scoreboard && issued == 0);
-                if engage && issued < cfg.issue_width && !ctx.dense {
-                    // The rate: after a scan that issued nothing, the
-                    // hinted slots are exactly those that counted a read.
-                    // A scan that issued engaged on `only_unit_busy` — on
-                    // a scoreboard, no failed probe — so its re-scan
-                    // counts nothing.
-                    self.stall_reads = if issued == 0 {
-                        self.stats[Ev::ScoreboardReads] - reads_before
-                    } else {
-                        0
+                // A scan that issued nothing covered every hinted slot,
+                // and each failure — on a busy unit or a scoreboard
+                // dependency, counted read included — repeats until a
+                // candidate's unit frees or a publish site re-arms the
+                // scan (module docs, "Scheduler hints"). (After an issue
+                // the walk skips slots, so it proves nothing.)
+                if issued == 0 && !ctx.dense {
+                    self.stall_reads = self.stats[Ev::ScoreboardReads] - reads_before;
+                    if self.stall_reads > 0 {
+                        self.stall_from = cycle + 1;
+                    }
+                    self.issue_stall_until = match self.hint_window {
+                        Some(_) => self.candidates_wake(cycle),
+                        None => self.unit_wake(cycle),
                     };
-                    self.issue_stall_until = self.unit_wake(cycle);
                 }
             }
             WarpSchedPolicy::TwoLevel { active_warps } => {
@@ -124,7 +88,7 @@ impl Core {
                     let Some(idx) = walk.next(None) else {
                         break;
                     };
-                    if self.try_issue(set[idx], cycle, cfg, ctx, mem) == IssueProbe::Issued {
+                    if self.try_issue(set[idx], cycle, cfg, ctx, mem) {
                         issued += 1;
                         self.issue_rr = walk.select();
                         self.stats[Ev::IssueSchedulerSelects] += 1;
@@ -141,15 +105,14 @@ impl Core {
     ///
     /// Per-unit-class skip (barrel only): a slot whose published
     /// next-instruction class targets a busy unit would probe to a
-    /// silent `UnitBusy` — drop it from the mask so the walk folds it
+    /// silent unit failure — drop it from the mask so the walk folds it
     /// into the jump distance. The skipped probes mutate nothing and
-    /// keep their hints, the walk's budget advances by the same total
-    /// (gap + 1 arithmetic), and `only_unit_busy` stays true — so
-    /// engage/stall decisions, visit order and all counters are
-    /// bit-identical to the probing scan. Scoreboard probes are
-    /// observable and are never skipped.
+    /// keep their hints, and the walk's budget advances by the same
+    /// total (gap + 1 arithmetic) — so the stall decision, visit order
+    /// and all counters are bit-identical to the probing scan.
+    /// Scoreboard probes are observable and are never skipped.
     #[inline]
-    fn issue_hints(&self, cycle: u64, cfg: &GpuConfig) -> Option<u64> {
+    pub(super) fn issue_hints(&self, cycle: u64, cfg: &GpuConfig) -> Option<u64> {
         let mut hints = self.hint_window? & self.issue_ready;
         if !cfg.scoreboard {
             for (&free, &class) in self.unit_free.iter().zip(&self.class_next) {
@@ -183,81 +146,8 @@ impl Core {
         }
     }
 
-    /// Earliest cycle — not before `earliest` — at which `slot`, which
-    /// just became an issue candidate (writeback retire or i-buffer
-    /// fill), could pass the unit-availability check. `u64::MAX` when
-    /// the slot cannot issue at all until another hint set-site fires
-    /// (empty i-buffer, still-executing, finished or barrier-parked
-    /// warp — for the busy case the commit event performs its own
-    /// refinement when it retires).
-    #[inline]
-    fn candidate_wake(&self, slot: usize, earliest: u64, ctx: &LaunchCtx<'_>) -> u64 {
-        let Some(w) = self.warps[slot].as_ref() else {
-            return u64::MAX;
-        };
-        if w.done || w.at_barrier || w.busy {
-            return u64::MAX;
-        }
-        let Some(pc) = w.ibuf else {
-            return u64::MAX;
-        };
-        let unit = class_index(ctx.decoded[pc as usize].class);
-        unit.map_or(0, |ci| self.unit_free[ci]).max(earliest)
-    }
-
-    /// `slot` just became an issue candidate that can issue at
-    /// `earliest` at the soonest (writeback retire: this cycle; i-buffer
-    /// fill: the next one, as fetch runs after issue within a tick).
-    /// Barrel: refines an engaged issue stall instead of cancelling it
-    /// outright — while every other candidate is silently unit-blocked,
-    /// the new one only forces a re-scan once its own unit frees
-    /// ([`Core::candidate_wake`]), rather than waking the scan for a
-    /// probe that must fail silently. Scoreboard: the new candidate's
-    /// probe counts a read the sleep's rate does not hold (and a retire
-    /// may lift another slot's dependency) — cancel outright, so the
-    /// next scan re-measures the rate.
-    #[inline]
-    pub(super) fn refine_issue_stall(
-        &mut self,
-        slot: usize,
-        earliest: u64,
-        cfg: &GpuConfig,
-        ctx: &LaunchCtx<'_>,
-    ) {
-        if self.issue_stall_until > earliest {
-            self.issue_stall_until = if cfg.scoreboard {
-                0
-            } else {
-                self.issue_stall_until
-                    .min(self.candidate_wake(slot, earliest, ctx))
-            };
-        }
-    }
-
-    /// After a failed [`Core::try_issue`] probe of `slot`, clears its
-    /// issue hint when the failure is *sticky*: it can only end via an
-    /// event that passes a hint set-site (i-buffer fill, writeback
-    /// retire, barrier release, CTA dispatch). Structural-unit and
-    /// scoreboard-dependency failures lapse with time alone — and a
-    /// scoreboard dependency probe counts activity — so those keep the
-    /// hint and count a read every cycle (probed, or replayed by an
-    /// issue-stall sleep).
-    #[inline]
-    fn clear_issue_hint_if_blocked(&mut self, slot: usize, cfg: &GpuConfig) {
-        let sticky = match self.warps[slot].as_ref() {
-            None => true,
-            Some(w) => {
-                w.done
-                    || w.at_barrier
-                    || w.ibuf.is_none()
-                    || (!cfg.scoreboard && (w.busy || w.stack.current().is_none()))
-            }
-        };
-        if sticky {
-            clear_hint(&mut self.issue_ready, slot);
-        }
-    }
-
+    /// Probes `slot` for issue; on success issues its fetched
+    /// instruction and returns `true`.
     fn try_issue(
         &mut self,
         slot: usize,
@@ -265,60 +155,54 @@ impl Core {
         cfg: &GpuConfig,
         ctx: &LaunchCtx<'_>,
         mem: &GpuMemory,
-    ) -> IssueProbe {
+    ) -> bool {
         let (di, mask, pc) = {
             let w = match self.warps[slot].as_ref() {
                 Some(w) => w,
-                None => return IssueProbe::Blocked,
+                None => return false,
             };
             if w.done || w.at_barrier {
-                return IssueProbe::Blocked;
+                return false;
             }
             let pc = match w.ibuf {
                 Some(pc) => pc,
-                None => return IssueProbe::Blocked,
+                None => return false,
             };
             // Barrel blocking needs no instruction metadata — bail out
             // before the decoded-table load on this hot stall path.
             if !cfg.scoreboard && w.busy {
-                return IssueProbe::Blocked;
+                return false;
             }
             let di = ctx.decoded[pc as usize];
             // Dependency check.
             if cfg.scoreboard {
                 // A failed probe still counts scoreboard activity, so
-                // this tick did work (the cycle loop must not gate the
-                // core past it). Every scoreboard failure below
-                // reports `Blocked`; an issue-stall sleep replays its
+                // this tick did work; an issue-stall sleep accrues the
                 // read each cycle (`Core::stall_reads`).
                 self.stats[Ev::ScoreboardReads] += 1;
                 self.work = true;
                 if w.pending_writes & di.dep_mask != 0 {
-                    return IssueProbe::Blocked;
+                    return false;
                 }
                 // Exit and barriers drain the warp first.
                 if di.drains && (w.pending_writes != 0 || w.outstanding_groups > 0) {
-                    return IssueProbe::Blocked;
+                    return false;
                 }
             }
             let entry = match w.stack.current() {
                 Some(e) => e,
-                None => return IssueProbe::Blocked,
+                None => return false,
             };
             (di, entry.mask, pc)
         };
 
-        // Unit availability. On barrel configs these failures are
-        // silent and lapse when the unit frees, which is what lets a
-        // fully unit-blocked scan sleep until [`Core::unit_wake`].
+        // Unit availability. These failures lapse when the unit frees
+        // (on barrel configs silently), which is what bounds an issue
+        // stall by [`Core::candidates_wake`].
         let class = di.class;
         let unit = class_index(class);
         if unit.is_some_and(|ci| self.unit_free[ci] > cycle) {
-            return if cfg.scoreboard {
-                IssueProbe::Blocked
-            } else {
-                IssueProbe::UnitBusy
-            };
+            return false;
         }
         // Cycles the unit is occupied dispatching the warp, and the
         // pipeline latency behind it.
@@ -360,7 +244,7 @@ impl Core {
         // An `Exit` can retire the warp (and free its slot) inside
         // `execute`; nothing further to track in that case.
         let Some(w) = self.warps[slot].as_mut() else {
-            return IssueProbe::Issued;
+            return true;
         };
         w.ibuf = None;
         clear_hint(&mut self.issue_ready, slot);
@@ -384,7 +268,7 @@ impl Core {
             self.events
                 .schedule(commit_cycle, Completion::Commit { warp: slot, dst });
         }
-        IssueProbe::Issued
+        true
     }
 
     fn account_issue(&mut self, di: &DecodedInstr, mask: LaneMask) {

@@ -4,8 +4,6 @@
 //! layer, and the per-space timing (shared banks, constant cache,
 //! L1/coalesced global).
 
-use std::collections::BTreeMap;
-
 use gpusimpow_isa::{Instr, MemSpace, Reg};
 
 use crate::cache::Probe;
@@ -198,8 +196,8 @@ impl Core {
     /// lanes' words between the warp's register row and the CTA's shared
     /// array (`warps`, `ctas` and `scratch` are disjoint fields) or
     /// global memory. Loads see this core's own buffered stores
-    /// (read-your-own-writes via the overlay); stores buffer until the
-    /// serial commit phase.
+    /// (read-your-own-writes); stores buffer until the serial commit
+    /// phase.
     #[allow(clippy::too_many_arguments)]
     fn functional_access(
         &mut self,
@@ -253,12 +251,20 @@ impl Core {
         ldst::coalesce_into(words, line_bytes, segs);
     }
 
+    /// The id [`Core::finish_load`] gives the next load group: the
+    /// most recently vacated slab entry, else a new one.
+    #[inline]
+    fn next_group(&self) -> u32 {
+        let fresh = self.groups.len() as u32;
+        self.free_groups.last().copied().unwrap_or(fresh)
+    }
+
     /// Registers a read of `line` for the load group being assembled
     /// (its id is reserved until [`Core::finish_load`]) and sends it
     /// downstream unless the MSHR merged it into a request already in
     /// flight. Merged or not, the group waits for one reply per call.
     fn issue_read_request(&mut self, line: u32) {
-        if self.mshr.register(line, self.next_group) {
+        if self.mshr.register(line, self.next_group()) {
             self.out_requests.push(MemRequest {
                 core: self.id,
                 write: false,
@@ -283,16 +289,16 @@ impl Core {
             return Some((hit_cycle, dst));
         }
         let dst = dst.expect("load groups always have a destination");
-        let group_id = self.next_group;
-        self.next_group = self.next_group.wrapping_add(1);
-        self.groups.insert(
-            group_id,
-            LoadGroup {
-                warp: slot,
-                dst,
-                remaining: misses,
-            },
-        );
+        let group = LoadGroup {
+            warp: slot,
+            dst,
+            remaining: misses,
+        };
+        match self.free_groups.pop() {
+            Some(id) => self.groups[id as usize] = group,
+            None => self.groups.push(group),
+        }
+        self.live_groups += 1;
         let w = self.warps[slot].as_mut().expect("live warp");
         w.outstanding_groups += 1;
         w.pending_writes |= 1u64 << dst.index().min(63);
@@ -300,28 +306,28 @@ impl Core {
     }
 }
 
-/// Reads a global-memory word through a core's store overlay
-/// (read-your-own-writes within the current cycle). A free function —
-/// rather than a `&self` method — so the load path can hold the warp's
-/// register file mutably while it reads.
-fn read_global_overlay(store_buf: &BTreeMap<u32, u32>, mem: &GpuMemory, addr: u32) -> u32 {
-    if !store_buf.is_empty() {
-        if let Some(v) = store_buf.get(&(addr & !3)) {
-            return *v;
-        }
+/// Reads a global-memory word through a core's buffered stores
+/// (read-your-own-writes within the current cycle: the latest store to
+/// the word wins). A free function — rather than a `&self` method — so
+/// the load path can hold the warp's register file mutably while it
+/// reads.
+fn read_global_overlay(store_buf: &[(u32, u32)], mem: &GpuMemory, addr: u32) -> u32 {
+    let word = addr & !3;
+    match store_buf.iter().rev().find(|&&(a, _)| a == word) {
+        Some(&(_, value)) => value,
+        None => mem.load_word(addr),
     }
-    mem.load_word(addr)
 }
 
 /// Buffers a global-memory store for the commit phase. Bounds are
 /// checked now so an out-of-range kernel store still fails inside the
 /// offending core's compute phase.
-fn buffer_store_into(store_buf: &mut BTreeMap<u32, u32>, mem: &GpuMemory, addr: u32, value: u32) {
+fn buffer_store_into(store_buf: &mut Vec<(u32, u32)>, mem: &GpuMemory, addr: u32, value: u32) {
     let a = addr & !3;
     if a as usize + 4 > mem.capacity() {
         panic!("kernel write past end of simulated memory: 0x{addr:08x}");
     }
-    store_buf.insert(a, value);
+    store_buf.push((a, value));
 }
 
 fn read_smem(smem: &[u8], addr: u32) -> u32 {

@@ -28,50 +28,58 @@
 //! # Scheduler hints
 //!
 //! Four pieces of `Core` state let the stages skip probes that are
-//! proven silent no-ops. All masks are indexed by warp slot and cover
-//! slots 0–63 only; a core with more than 64 warp slots runs the same
-//! walks unhinted (`SlotWalk` probes every slot).
+//! proven silent no-ops, and let `Core::next_wake` name the first cycle
+//! at which a tick could do anything. All masks are indexed by warp
+//! slot and cover slots 0–63 only; a core with more than 64 warp slots
+//! runs the same walks unhinted (`SlotWalk` probes every slot).
 //!
-//! * `issue_ready` — bit `s` set means warp slot `s` *might* issue (or,
-//!   under a scoreboard, might count a dependency probe). A conservative
-//!   superset — stale set bits only cost a wasted probe, while a clear
-//!   bit is a proof that probing the slot would be a silent no-op. Bits
-//!   are cleared only on sticky failures (see
-//!   `Core::clear_issue_hint_if_blocked`) and re-set by the events that
-//!   can end them: i-buffer fill, writeback retire, barrier release and
-//!   CTA dispatch.
+//! * `issue_ready` — bit `s` set means warp slot `s` could issue but for
+//!   a busy unit or, under a scoreboard, a pending register write; a
+//!   clear bit is a proof that probing the slot would be a silent no-op.
+//!   Bits are set only by `Core::publish_candidate` — at the i-buffer
+//!   fill, the writeback retire and the barrier release — and only for
+//!   a warp that could issue: one holding a fetched instruction, not
+//!   parked at a barrier and, on barrel configs, not still executing
+//!   (the event that lifts such a block publishes the warp again). They
+//!   are cleared when the slot issues and when its CTA frees it, so a
+//!   failed probe of a hinted slot keeps its bit: it lapses when the
+//!   unit frees or at a retire.
 //! * `issue_stall_until` — cycles below this are proven to repeat the
 //!   last round-robin scan's outcome, so the scan is skipped. Engaged
-//!   when a scan exhausts its candidates with every failed probe
-//!   silently blocked on a busy execution unit (barrel) — or, under a
-//!   scoreboard, with nothing issued. Either kind of failure lapses only
-//!   when a unit frees (`Core::unit_wake`, the bound) or at an event
-//!   that can create a *new* issue candidate or lift a dependency
-//!   (i-buffer fill, writeback retire, barrier release, CTA dispatch),
-//!   which re-arms the scan by resetting or refining this at its
-//!   `set_hint` site — under a scoreboard always by resetting. The
-//!   scoreboard's failed probes count `ScoreboardReads`, so a sleeping
-//!   core replays them as a rate: `stall_reads`, the reads the engaging
-//!   scan counted (0 for a scan that issued), added every skipped cycle.
-//!   The dense reference (`LaunchCtx::dense`) never engages it.
+//!   whenever a full scan issues nothing: every hinted slot then failed
+//!   on a busy unit (silently, on barrel configs) or on a scoreboard
+//!   dependency, counting a read, and each failure repeats until its
+//!   unit frees or a `publish_candidate` site fires. So the bound is
+//!   `Core::candidates_wake`, the first cycle a unit frees whose class
+//!   holds a hinted slot (`Core::unit_wake` on cores past the masks),
+//!   and each publish site refines the bound to the new candidate's
+//!   unit (barrel) or cancels the sleep (scoreboard, so the next scan
+//!   re-measures its reads). The scoreboard's failed probes count
+//!   `ScoreboardReads`, so a sleeping core accrues them as a rate:
+//!   `stall_reads`, the reads the engaging scan counted, per cycle from
+//!   `stall_from` on. `Core::settle_stall_reads` credits the accrued
+//!   reads at the start of every tick, before every window snapshot and
+//!   before the launch's per-core stats are merged, so the sleeping core
+//!   needs no tick at all. The dense reference (`LaunchCtx::dense`)
+//!   never engages the sleep.
 //! * `class_next[c]` — per-unit-class issue candidates: bit `s` is set
 //!   iff warp slot `s` currently satisfies *every* probe precondition
 //!   short of unit availability — live, not done, not parked at a
 //!   barrier, not executing (barrel `busy`) — and its i-buffer holds a
 //!   decoded instruction of unit class `c` (see `class_index`). Under
 //!   that invariant, probing a masked slot while unit `c` is busy is
-//!   *proven* to return a silent `IssueProbe::UnitBusy`, so the hinted
-//!   issue scan folds such slots into its gap distance instead of
-//!   probing them — generalizing the whole-scan `issue_stall_until`
-//!   short-circuit to per-warp, per-unit-class granularity. Maintained
-//!   at the i-buffer fill, the writeback retire and the barrier release
-//!   (`Core::publish_class` sets the bit once nothing withholds it), the
-//!   issue (the i-buffer empties: clear), and the launch boundary.
-//!   Scoreboard configs maintain but never consult these masks: their
-//!   failed probes count `ScoreboardReads`, so skipping them would
-//!   change the counters.
-//! * `fetch_ready` — same contract as `issue_ready`: bit `s` set means
-//!   slot `s` might fetch. Every fetch failure is sticky (an empty
+//!   *proven* to fail on the unit, which on barrel configs is silent, so
+//!   the hinted issue scan folds such slots into its gap distance
+//!   instead of probing them — generalizing the whole-scan
+//!   `issue_stall_until` short-circuit to per-warp, per-unit-class
+//!   granularity. Set by `publish_candidate`, cleared at issue (the
+//!   i-buffer empties) and at dispatch, zeroed at the launch boundary.
+//!   Scoreboard scans never skip on these masks — their failed probes
+//!   count `ScoreboardReads` — but the sleep bound reads them on both
+//!   kinds of config.
+//! * `fetch_ready` — bit `s` set means slot `s` might fetch; a clear
+//!   bit is a proof that probing it would be a silent no-op. Set at
+//!   issue and dispatch. Every fetch failure is sticky (an empty
 //!   i-buffer can only reappear via issue, a freed slot via dispatch),
 //!   so failed probes always clear their bit.
 
@@ -80,8 +88,8 @@ use std::collections::BTreeMap;
 use gpusimpow_isa::{InstrClass, Kernel, LaunchConfig, Pc, Reg};
 
 use crate::cache::{Mshr, SimCache};
-use crate::config::GpuConfig;
-use crate::events::ActivityVector;
+use crate::config::{GpuConfig, WarpSchedPolicy};
+use crate::events::{ActivityVector, EventKind as Ev};
 use crate::mem::GpuMemory;
 use crate::replay::{Frontend, ReplaySource, Tracer, WarpCapture};
 use crate::simt_stack::{low_lanes, SimtStack};
@@ -143,7 +151,7 @@ enum Completion {
 }
 
 /// An in-flight coalesced load group (one warp load instruction).
-#[derive(Debug)]
+#[derive(Debug, Clone, Copy)]
 struct LoadGroup {
     warp: usize,
     dst: Reg,
@@ -239,7 +247,9 @@ impl SlotWalk {
     fn new(rr: usize, n: usize) -> Self {
         SlotWalk {
             n,
-            pos: rr % n,
+            // A rotating pointer is kept below `n`, except across a
+            // shrinking two-level active set.
+            pos: if rr < n { rr } else { rr % n },
             scanned: 0,
         }
     }
@@ -288,6 +298,9 @@ impl SlotWalk {
     }
 }
 
+/// "No such cycle": an unset [`Core`] `stall_from`.
+const NEVER: u64 = u64::MAX;
+
 /// Maximum lanes per warp the SoA hot path models — the
 /// [`crate::simt_stack::LaneMask`] width. `GpuConfig::validate` bounds
 /// `warp_size` by this.
@@ -320,20 +333,28 @@ pub(crate) struct Core {
     /// [`crate::wheel`]), so retire order and every golden bit pattern
     /// are unchanged.
     events: EventWheel<Completion>,
+    /// Outstanding lines; the waiter tokens are `groups` indices.
     mshr: Mshr<u32>,
-    groups: BTreeMap<u32, LoadGroup>,
-    next_group: u32,
+    /// Load-group slab, indexed by group id; the ids in `free_groups`
+    /// are vacant and reused first.
+    groups: Vec<LoadGroup>,
+    free_groups: Vec<u32>,
+    /// Occupied `groups` entries.
+    live_groups: usize,
+    /// Scratch for the group ids a memory reply completes.
+    waiters: Vec<u32>,
     out_requests: Vec<MemRequest>,
     completed_ctas: u64,
     /// Block coordinates of each resident CTA, by CTA slot.
     cta_coords: BTreeMap<usize, (u32, u32)>,
-    /// Global-memory store overlay filled during the compute phase
-    /// (word address → value) and applied by [`Core::commit_stores`]
-    /// in the commit phase. Loads from this core see it
+    /// Global-memory stores of the compute phase, `(word address,
+    /// value)` in program order, applied by [`Core::commit_stores`] in
+    /// the commit phase. Loads from this core see them
     /// (read-your-own-writes); other cores see the stores one cycle
     /// later, whatever order the cores are ticked in.
-    store_buf: BTreeMap<u32, u32>,
-    /// Whether the current/last tick did observable work.
+    store_buf: Vec<(u32, u32)>,
+    /// Whether the current/last tick did observable work — the wake
+    /// rule of cores the hint masks do not cover ([`Core::next_wake`]).
     work: bool,
     /// The low `max_warps` bits when the hint masks cover every warp
     /// slot, `None` on cores with more than 64 slots (whose walks probe
@@ -343,9 +364,12 @@ pub(crate) struct Core {
     issue_ready: u64,
     /// Issue-scan sleep (module docs, "Scheduler hints").
     issue_stall_until: u64,
-    /// `ScoreboardReads` credited per cycle while the issue scan sleeps
+    /// `ScoreboardReads` accrued per cycle while the issue scan sleeps
     /// (module docs, "Scheduler hints"); written at every engage.
     stall_reads: u64,
+    /// First sleeping cycle whose `stall_reads` are not credited yet;
+    /// [`NEVER`] unless a sleep with a non-zero rate is accruing.
+    stall_from: u64,
     /// Per-unit-class issue candidates (module docs, "Scheduler hints").
     class_next: [u64; 4],
     /// Fetch-scan hint mask (module docs, "Scheduler hints").
@@ -394,22 +418,23 @@ impl Core {
             const_cache: SimCache::new(cfg.const_cache_bytes, 64, 4),
             unit_free: [0; 4],
             events: EventWheel::new(),
-            // Generously sized: the pending-request table of the
-            // coalescer merges requests chip-side in our model.
-            mshr: Mshr::new(128, 4096),
-            groups: BTreeMap::new(),
-            next_group: 0,
+            mshr: Mshr::new(128),
+            groups: Vec::new(),
+            free_groups: Vec::new(),
+            live_groups: 0,
+            waiters: Vec::new(),
             out_requests: Vec::new(),
             completed_ctas: 0,
             cta_coords: BTreeMap::new(),
-            store_buf: BTreeMap::new(),
+            store_buf: Vec::new(),
             work: false,
             hint_window: (max_warps <= 64).then(|| low_lanes(max_warps)),
-            issue_ready: !0,
+            issue_ready: 0,
             issue_stall_until: 0,
             stall_reads: 0,
+            stall_from: NEVER,
             class_next: [0; 4],
-            fetch_ready: !0,
+            fetch_ready: 0,
             scratch: LaneScratch::new(),
             stats: ActivityVector::new(),
             tracer: Tracer::Off,
@@ -436,7 +461,7 @@ impl Core {
 
     /// `true` while any work is resident or in flight.
     pub fn is_busy(&self) -> bool {
-        self.resident_ctas() > 0 || !self.events.is_empty() || !self.groups.is_empty()
+        self.resident_ctas() > 0 || !self.events.is_empty() || self.live_groups > 0
     }
 
     /// Arms the frontend for the next launch: live, live plus stream
@@ -475,10 +500,11 @@ impl Core {
         self.issue_rr = 0;
         self.active_set.clear();
         self.pending_rr = 0;
-        self.issue_ready = !0;
+        self.issue_ready = 0;
         self.issue_stall_until = 0;
+        self.stall_from = NEVER;
         self.class_next = [0; 4];
-        self.fetch_ready = !0;
+        self.fetch_ready = 0;
         self.icache.flush();
         self.const_cache.flush();
         if let Some(l1) = &mut self.l1 {
@@ -494,16 +520,13 @@ impl Core {
     }
 
     /// Applies the global-memory stores buffered during the compute
-    /// phase. Called per core, in core order, once every core has
-    /// ticked the cycle; buffered addresses are distinct words
-    /// (the overlay keeps the last write per word), so the application
-    /// order within one core cannot affect the result — and the ordered
-    /// overlay drains in ascending address order anyway, so the sequence
-    /// of `store_word` calls is itself deterministic (simlint's
-    /// `nondeterministic_collection` pass bans order-randomised maps in
-    /// this crate outright).
+    /// phase, in program order. Called per core, in core order, once
+    /// every core has ticked the cycle. The buffer holds one tick's
+    /// stores — whenever it is non-empty the cycle commits — so a word
+    /// written twice ends at its later value, exactly as if each store
+    /// had been applied at issue.
     pub fn commit_stores(&mut self, mem: &mut GpuMemory) {
-        while let Some((addr, value)) = self.store_buf.pop_first() {
+        for (addr, value) in self.store_buf.drain(..) {
             mem.store_word(addr, value);
         }
     }
@@ -521,45 +544,89 @@ impl Core {
     }
 
     /// Earliest future cycle at which any execution unit frees, or
-    /// `u64::MAX` when none is busy (then only a hint set-site event
-    /// can create issue work).
+    /// `u64::MAX` when none is busy.
     #[inline]
     fn unit_wake(&self, cycle: u64) -> u64 {
         let busy = self.unit_free.iter().copied().filter(|&free| free > cycle);
         busy.min().unwrap_or(u64::MAX)
     }
 
-    /// The earliest future cycle at which this core could make progress
-    /// again, assuming no memory responses arrive: the next writeback
-    /// event or pipeline-busy release. `None` when nothing is scheduled
-    /// (the core is idle, or deadlocked at a barrier).
-    pub fn next_wake(&self, cycle: u64) -> Option<u64> {
-        let unit = self.unit_wake(cycle);
-        let wake = self.events.next_fire().map_or(unit, |w| w.min(unit));
+    /// Earliest future cycle at which an execution unit frees whose
+    /// class holds a hinted issue candidate (`class_next[c] &
+    /// issue_ready`), or `u64::MAX` when none does. Until then every
+    /// hinted slot of a busy class keeps failing on its unit.
+    #[inline]
+    fn candidates_wake(&self, cycle: u64) -> u64 {
+        let classes = self.unit_free.iter().zip(&self.class_next);
+        classes
+            .filter(|&(&free, &class)| free > cycle && class & self.issue_ready != 0)
+            .map(|(&free, _)| free)
+            .min()
+            .unwrap_or(u64::MAX)
+    }
+
+    /// The first cycle after `cycle` at which a tick of this core could
+    /// do anything, unless a dispatch or a memory response reaches it
+    /// first (the cycle loop makes the core due at once on both).
+    /// `None` when it never can: the core is idle, or deadlocked at a
+    /// barrier. Called after every tick.
+    ///
+    /// On round-robin cores the hint masks cover (module docs,
+    /// "Scheduler hints") it is exact: the next cycle while a slot may
+    /// fetch or, with the issue scan awake, may issue; otherwise the end
+    /// of the issue-stall sleep or the first cycle a hinted candidate's
+    /// unit frees — whichever of those and the next writeback event
+    /// comes first. A sleeping scoreboard core is therefore not ticked
+    /// at all: its counted reads accrue as a rate
+    /// ([`Core::settle_stall_reads`]). Other cores are due next cycle
+    /// after a tick that did work, else at the next writeback event or
+    /// unit release.
+    pub fn next_wake(&self, cycle: u64, cfg: &GpuConfig) -> Option<u64> {
+        if !self.is_busy() {
+            return None;
+        }
+        let next = cycle + 1;
+        let stages = match self.hint_window {
+            Some(window) if cfg.warp_scheduler == WarpSchedPolicy::RoundRobin => {
+                if self.fetch_ready & window != 0 {
+                    next
+                } else if next < self.issue_stall_until {
+                    self.issue_stall_until
+                } else if self.issue_hints(next, cfg).is_some_and(|hints| hints != 0) {
+                    next
+                } else {
+                    self.candidates_wake(cycle)
+                }
+            }
+            _ if self.work => next,
+            _ => self.unit_wake(cycle),
+        };
+        let wake = self.events.next_fire().map_or(stages, |w| w.min(stages));
         (wake != u64::MAX).then_some(wake)
+    }
+
+    /// Credits the `ScoreboardReads` an issue-stall sleep accrued over
+    /// the cycles before `cycle` that are not credited yet. Every cycle
+    /// before the core's next tick sleeps (the tick would otherwise be
+    /// due earlier), so the count equals what per-cycle scans would have
+    /// counted up to `cycle`.
+    pub fn settle_stall_reads(&mut self, cycle: u64) {
+        if cycle > self.stall_from {
+            self.stats[Ev::ScoreboardReads] += self.stall_reads * (cycle - self.stall_from);
+            self.stall_from = cycle;
+        }
     }
 
     /// Advances the core by one shader cycle — the *compute* phase of
     /// the two-phase step. The core only reads shared global memory;
-    /// its stores are buffered in the overlay and applied by
-    /// [`Core::commit_stores`] in the commit phase, so a tick never
-    /// observes another core's same-cycle stores and compute phases
-    /// have no cross-core coupling (what the per-core wake gating in
-    /// `Gpu::launch_impl` relies on).
-    ///
-    /// Returns `true` when the core did observable work (including
-    /// failed-but-counted scoreboard probes, probed or replayed by an
-    /// issue-stall sleep); `false` means the tick was a provable no-op,
-    /// and so is every tick before [`Core::next_wake`] unless a
-    /// dispatch or a memory response reaches the core first — the
-    /// cycle loop does not tick it until then.
-    pub fn tick(
-        &mut self,
-        cycle: u64,
-        cfg: &GpuConfig,
-        ctx: &LaunchCtx<'_>,
-        mem: &GpuMemory,
-    ) -> bool {
+    /// its stores are buffered and applied by [`Core::commit_stores`]
+    /// in the commit phase, so a tick never observes another core's
+    /// same-cycle stores and compute phases have no cross-core coupling
+    /// (what the per-core wake gating in `Gpu::launch_impl` relies on).
+    /// The cycle loop asks [`Core::next_wake`] after every tick when the
+    /// core is next due.
+    pub fn tick(&mut self, cycle: u64, cfg: &GpuConfig, ctx: &LaunchCtx<'_>, mem: &GpuMemory) {
+        self.settle_stall_reads(cycle);
         self.work = false;
         // Fully idle core: no resident CTAs (CTA completion frees every
         // warp slot, so the warp table is empty too), no scheduled
@@ -567,8 +634,8 @@ impl Core {
         // scan empty structures and mutate nothing — skip them outright.
         // This is the dominant case for launches that occupy only a few
         // cores (the paper's Fig. 4 cluster-power sweep).
-        if self.cta_coords.is_empty() && self.events.is_empty() && self.groups.is_empty() {
-            return false;
+        if !self.is_busy() {
+            return;
         }
         // The stage entry points (and `execute`/`execute_mem` behind
         // `try_issue`) are `#[inline]`: each has exactly one call site,
@@ -577,27 +644,49 @@ impl Core {
         self.retire(cycle, cfg, ctx);
         self.issue_stage(cycle, cfg, ctx, mem);
         self.fetch_stage(cycle, cfg, ctx);
-        self.work
     }
 
-    /// Publishes `slot`'s fetched instruction in its unit-class mask —
-    /// but only for a warp that could actually probe to `UnitBusy` right
-    /// now. For a still-executing or barrier-parked warp the bit is
-    /// withheld; the retire/release site that lifts the block calls this
-    /// again (fetch ignores `busy` and `at_barrier`, so the i-buffer may
-    /// have refilled meanwhile).
+    /// `slot` may just have become an issue candidate (i-buffer fill,
+    /// writeback retire, barrier release) that can issue at `earliest`
+    /// at the soonest. If the warp could issue — it holds a fetched
+    /// instruction, is not parked at a barrier and (barrel) is not still
+    /// executing — hints it in `issue_ready` and its unit-class mask and
+    /// re-arms an engaged issue stall: barrel refines the stall to the
+    /// cycle the candidate's unit accepts it, while every other
+    /// candidate is silently unit-blocked; scoreboard cancels it, since
+    /// the new candidate's probe counts a read the sleep's rate does not
+    /// hold. Otherwise nothing is hinted, and the event that lifts the
+    /// block calls this again (fetch ignores `busy` and `at_barrier`,
+    /// so the i-buffer may have refilled meanwhile).
     #[inline]
-    fn publish_class(&mut self, slot: usize, ctx: &LaunchCtx<'_>) {
+    fn publish_candidate(
+        &mut self,
+        slot: usize,
+        earliest: u64,
+        cfg: &GpuConfig,
+        ctx: &LaunchCtx<'_>,
+    ) {
         let Some(w) = self.warps[slot].as_ref() else {
             return;
         };
-        if w.busy || w.at_barrier {
+        let Some(pc) = w.ibuf else {
+            return;
+        };
+        if w.done || w.at_barrier || w.busy {
             return;
         }
-        if let Some(pc) = w.ibuf {
-            if let Some(ci) = class_index(ctx.decoded[pc as usize].class) {
-                set_hint(&mut self.class_next[ci], slot);
-            }
+        set_hint(&mut self.issue_ready, slot);
+        let unit = class_index(ctx.decoded[pc as usize].class);
+        if let Some(ci) = unit {
+            set_hint(&mut self.class_next[ci], slot);
+        }
+        if self.issue_stall_until > earliest {
+            self.issue_stall_until = if cfg.scoreboard {
+                0
+            } else {
+                let accepts = unit.map_or(0, |ci| self.unit_free[ci]);
+                self.issue_stall_until.min(accepts.max(earliest))
+            };
         }
     }
 }

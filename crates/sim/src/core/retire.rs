@@ -5,7 +5,7 @@
 use crate::config::GpuConfig;
 use crate::events::EventKind as Ev;
 
-use super::{set_hint, Completion, Core, LaunchCtx};
+use super::{Completion, Core, LaunchCtx, LoadGroup};
 
 impl Core {
     /// Delivers a memory reply for the 128-byte line containing `addr`.
@@ -18,28 +18,28 @@ impl Core {
             l1.install(addr);
             self.stats[Ev::L1Fills] += 1;
         }
-        for group_id in self.mshr.complete(addr) {
-            let finished = {
-                let group = self
-                    .groups
-                    .get_mut(&group_id)
-                    .expect("response for unknown group");
-                group.remaining -= 1;
-                group.remaining == 0
-            };
-            if finished {
-                let group = self.groups.remove(&group_id).expect("present");
-                if let Some(w) = self.warps[group.warp].as_mut() {
-                    w.outstanding_groups -= 1;
-                }
-                self.events.schedule(
-                    cycle + 2,
-                    Completion::Commit {
-                        warp: group.warp,
-                        dst: Some(group.dst),
-                    },
-                );
+        self.waiters.clear();
+        self.mshr.complete_into(addr, &mut self.waiters);
+        for i in 0..self.waiters.len() {
+            let id = self.waiters[i];
+            let group = &mut self.groups[id as usize];
+            group.remaining -= 1;
+            if group.remaining > 0 {
+                continue;
             }
+            let LoadGroup { warp, dst, .. } = *group;
+            self.free_groups.push(id);
+            self.live_groups -= 1;
+            if let Some(w) = self.warps[warp].as_mut() {
+                w.outstanding_groups -= 1;
+            }
+            self.events.schedule(
+                cycle + 2,
+                Completion::Commit {
+                    warp,
+                    dst: Some(dst),
+                },
+            );
         }
     }
 
@@ -58,12 +58,10 @@ impl Core {
                 self.stats[Ev::ScoreboardWrites] += 1;
             }
             w.busy = false;
-            set_hint(&mut self.issue_ready, warp);
             // The retired warp may already hold a fetched next
             // instruction (fetch ignores `busy`); now that it stopped
             // executing it is a real issue candidate.
-            self.publish_class(warp, ctx);
-            self.refine_issue_stall(warp, cycle, cfg, ctx);
+            self.publish_candidate(warp, cycle, cfg, ctx);
         }
     }
 }

@@ -365,10 +365,9 @@ impl Gpu {
     /// runs) lets the cycle loop skip what it can prove is a no-op
     /// (DESIGN.md §11):
     ///
-    /// * **Per-core wake gating.** A core whose tick did no work is not
-    ///   ticked again until its next writeback event or pipeline release
-    ///   (`Core::next_wake`), a CTA dispatch onto it, or a memory
-    ///   response to it.
+    /// * **Per-core wake gating.** After every tick a core is not ticked
+    ///   again until the first cycle it could act (`Core::next_wake`), a
+    ///   CTA dispatch onto it, or a memory response to it.
     /// * **Batching.** A cycle in which no ticked core buffered a store,
     ///   emitted a memory request, went idle or completed a CTA skips the
     ///   commit phase; on an idle uncore its uncore advance and busy
@@ -378,9 +377,11 @@ impl Gpu {
     ///   clamped to the sampling-window boundary and the watchdog trip.
     /// * **Core-local issue-stall sleep.** A core whose round-robin
     ///   issue scan proved every probe repeats its outcome skips the
-    ///   scan until a unit frees or a new candidate appears, crediting
-    ///   the scan's counted scoreboard reads once per skipped cycle
-    ///   (module docs of `core`, "Scheduler hints").
+    ///   scan until a candidate's unit frees or a new candidate
+    ///   appears; the scan's counted scoreboard reads accrue as a rate
+    ///   and are credited when the core next ticks, at each window
+    ///   snapshot and at the end of the launch (module docs of `core`,
+    ///   "Scheduler hints").
     ///
     /// None of these changes results: every counter, window delta and
     /// `time_s` is bit-identical in both modes, which is what the tests
@@ -810,9 +811,9 @@ impl Gpu {
         // the commit order identical to the all-cores walk.
         let mut live: Vec<usize> = Vec::with_capacity(self.cores.len());
         // The first cycle at which each core (by id) is due for a tick
-        // (DESIGN.md §11). A tick that did no work proves the core inert
-        // until `Core::next_wake`; a dispatch onto it or a memory
-        // response to it makes it due again at once.
+        // (DESIGN.md §11): after every tick, `Core::next_wake`; a
+        // dispatch onto it or a memory response to it makes it due
+        // again at once.
         let mut wake: Vec<u64> = vec![0; self.cores.len()];
         // Cycles already stepped on an idle uncore whose uncore advance
         // and busy charge are not paid yet (see the uncore domain below).
@@ -848,10 +849,11 @@ impl Gpu {
                     }
                     let core = &mut cores[id];
                     let completed = core.completed_ctas();
-                    wake[id] = if core.tick(cycle, &cfg, &ctx, mem) || dense {
+                    core.tick(cycle, &cfg, &ctx, mem);
+                    wake[id] = if dense {
                         cycle + 1
                     } else {
-                        core.next_wake(cycle).unwrap_or(u64::MAX)
+                        core.next_wake(cycle, &cfg).unwrap_or(u64::MAX)
                     };
                     if core.completed_ctas() != completed {
                         dispatch_dirty |= next_block < total_blocks;
@@ -953,7 +955,7 @@ impl Gpu {
                 if cycle == next_window_at {
                     let snapshot = Self::snapshot_running(
                         &stats,
-                        &self.cores,
+                        &mut self.cores,
                         cycle,
                         uncore.uncore_cycles(),
                         uncore.dram_cycles(),
@@ -982,6 +984,7 @@ impl Gpu {
         let chip_vector = stats.clone();
         let mut per_core: Vec<ActivityVector> = Vec::with_capacity(self.cores.len());
         for core in &mut self.cores {
+            core.settle_stall_reads(cycle);
             let core_stats = std::mem::take(&mut core.stats);
             stats += &core_stats;
             per_core.push(core_stats);
@@ -1055,10 +1058,11 @@ impl Gpu {
     }
 
     /// Cumulative counter snapshot mid-launch, assembled the same way the
-    /// final report is: running globals + time counters + per-core stats.
+    /// final report is: running globals + time counters + per-core stats,
+    /// with every issue-stall sleep's reads settled up to `cycle`.
     fn snapshot_running(
         stats: &ActivityVector,
-        cores: &[Core],
+        cores: &mut [Core],
         cycle: u64,
         uncore_cycle: u64,
         dram_cycle: u64,
@@ -1068,6 +1072,7 @@ impl Gpu {
         snap[Ev::UncoreCycles] = uncore_cycle;
         snap[Ev::DramCycles] = dram_cycle;
         for core in cores {
+            core.settle_stall_reads(cycle);
             snap += &core.stats;
         }
         snap

@@ -186,3 +186,56 @@ fn l2_absorbs_repeated_lines_on_fermi() {
         s.dram_read_bursts
     );
 }
+
+#[test]
+fn a_full_chip_of_independent_per_lane_misses_completes() {
+    // 32 blocks of 768 threads on GTX580: two blocks (48 warps) per SM,
+    // and each thread issues six independent loads, each from its own
+    // 128-byte line — 9 216 lines outstanding per SM at the peak. The
+    // MSHR file must hold them all (outstanding lines are bounded by
+    // warps × destination registers × lanes, not by a fixed table), and
+    // the run must match the dense reference loop exactly.
+    let threads = 32 * 768u32;
+    let words = threads * 6 * 32;
+    let run = |dense: bool| {
+        let mut gpu = Gpu::new(GpuConfig::gtx580()).unwrap();
+        gpu.set_dense_reference(dense);
+        let buf = gpu.alloc(words * 4);
+        let out = gpu.alloc_f32(threads);
+        gpu.h2d_u32(buf, &(0..words).collect::<Vec<u32>>());
+        let loads: String = (0..6)
+            .map(|k| format!("ld.global r{}, [r4+{}]\n", 5 + k, buf.addr() + 128 * k))
+            .collect();
+        let src = format!(
+            "
+            s2r r0, tid.x
+            s2r r1, ctaid.x
+            s2r r2, ntid.x
+            imad r3, r1, r2, r0
+            imul r4, r3, #768
+            {loads}
+            iadd r11, r5, r6
+            iadd r11, r11, r7
+            iadd r11, r11, r8
+            iadd r11, r11, r9
+            iadd r11, r11, r10
+            shl r12, r3, #2
+            st.global [r12+{}], r11
+            exit
+        ",
+            out.addr()
+        );
+        let k = assemble("six_lines_per_lane", &src).unwrap();
+        let report = gpu.launch(&k, LaunchConfig::linear(32, 768)).unwrap();
+        (report, gpu.d2h_u32(out, threads as usize))
+    };
+    let (report, sums) = run(false);
+    assert_eq!(report.stats.l1_misses, u64::from(threads) * 6);
+    // Thread `g` loaded words 32 · (6g + k) for k = 0..6.
+    for (g, &sum) in sums.iter().enumerate() {
+        assert_eq!(sum, 1152 * g as u32 + 480, "thread {g}");
+    }
+    let (dense, _) = run(true);
+    assert_eq!(report.stats, dense.stats);
+    assert_eq!(report.scoped, dense.scoped);
+}

@@ -14,14 +14,20 @@
 //! GT240 under both warp schedulers, where cores are gated while the
 //! uncore is busy, and on scoreboard cores of every issue width, where
 //! the dense reference also keeps every core scanning for issue each
-//! cycle and so checks the issue-stall sleep's replayed scoreboard
+//! cycle and so checks the issue-stall sleep's accrued scoreboard
 //! reads — a wrong rate moves no pinned field but the counters, the
-//! windows and the priced energy behind them.
+//! windows and the priced energy behind them. The shared-memory
+//! conflict and LFSR probes keep scoreboard cores asleep with a
+//! non-zero rate for most of their run, and their prime-width windows
+//! close while cores sleep, so every window snapshot settles a partly
+//! accrued sleep.
 
 use gpusimpow::Simulator;
+use gpusimpow_isa::LaunchConfig;
 use gpusimpow_kernels::bfs::Bfs;
 use gpusimpow_kernels::blackscholes::BlackScholes;
 use gpusimpow_kernels::common::Benchmark;
+use gpusimpow_kernels::micro;
 use gpusimpow_kernels::scalarprod::ScalarProd;
 use gpusimpow_kernels::vectoradd::VectorAdd;
 use gpusimpow_sim::{
@@ -82,11 +88,14 @@ fn gpu(cfg: &GpuConfig, batch: bool) -> Gpu {
     gpu
 }
 
-/// Every launch of `bench` on `cfg`, with its 256-cycle windows.
-fn record(cfg: &GpuConfig, bench: &dyn Benchmark, batch: bool) -> Vec<RecordedLaunch> {
+/// The launches of one program on a GPU.
+type Program<'a> = &'a dyn Fn(&mut Gpu) -> Vec<LaunchReport>;
+
+/// Every launch of `program` on `cfg`, with its `window`-cycle windows.
+fn record(cfg: &GpuConfig, program: Program, window: u64, batch: bool) -> Vec<RecordedLaunch> {
     let mut gpu = gpu(cfg, batch);
-    gpu.attach_sink(256, Box::new(WindowRecorder::new()));
-    bench.run(&mut gpu).expect("verifies");
+    gpu.attach_sink(window, Box::new(WindowRecorder::new()));
+    program(&mut gpu);
     let mut sink = gpu.detach_sink().expect("sink attached");
     let recorder = sink
         .as_any_mut()
@@ -102,26 +111,23 @@ fn assert_reports_match(what: &str, a: &LaunchReport, b: &LaunchReport) {
     assert_eq!(a.time_s.to_bits(), b.time_s.to_bits(), "{what}: time_s");
 }
 
-fn assert_same_either_way(cfg: &GpuConfig, bench: &dyn Benchmark) {
+fn assert_same_either_way(name: &str, cfg: &GpuConfig, window: u64, program: Program) {
     let what = format!(
-        "{} on {} (issue width {}, {:?})",
-        bench.name(),
-        cfg.name,
-        cfg.issue_width,
-        cfg.warp_scheduler
+        "{name} on {} (issue width {}, {:?})",
+        cfg.name, cfg.issue_width, cfg.warp_scheduler
     );
 
     // With no sink attached no window boundary caps a span, so spans of
     // any length are covered here.
-    let on = bench.run(&mut gpu(cfg, true)).expect("verifies");
-    let off = bench.run(&mut gpu(cfg, false)).expect("verifies");
+    let on = program(&mut gpu(cfg, true));
+    let off = program(&mut gpu(cfg, false));
     assert_eq!(on.len(), off.len(), "{what}: launches");
     for (a, b) in on.iter().zip(&off) {
         assert_reports_match(&format!("{what}, {} without a sink", a.kernel), a, b);
     }
 
-    let on = record(cfg, bench, true);
-    let off = record(cfg, bench, false);
+    let on = record(cfg, program, window, true);
+    let off = record(cfg, program, window, false);
     assert_eq!(on.len(), off.len(), "{what}: windowed launches");
     for (a, b) in on.iter().zip(&off) {
         let what = format!("{what}, {}", a.kernel);
@@ -147,9 +153,19 @@ fn stats_match_exactly_either_way() {
     // Beyond the pinned fields: the *entire* counter vector, the scoped
     // breakdown and `time_s` must match with and without a sink, and so
     // must every window.
-    let blackscholes = BlackScholes { options: 2048 };
+    let bench = |bench: &dyn Benchmark, cfg: &GpuConfig| {
+        let run = |gpu: &mut Gpu| bench.run(gpu).expect("verifies");
+        assert_same_either_way(bench.name(), cfg, 256, &run);
+    };
     for cfg in [GpuConfig::gt240(), GpuConfig::gtx580()] {
-        assert_same_either_way(&cfg, &blackscholes);
+        bench(&BlackScholes { options: 2048 }, &cfg);
+        for (kernel, launch) in [
+            (micro::conflict_kernel(4, 48), LaunchConfig::linear(48, 32)),
+            (micro::lfsr_kernel(31, 8), LaunchConfig::linear(16, 256)),
+        ] {
+            let run = |gpu: &mut Gpu| vec![gpu.launch(&kernel, launch).expect("runs")];
+            assert_same_either_way(kernel.name(), &cfg, 37, &run);
+        }
     }
     let kernels: [&dyn Benchmark; 3] = [
         &VectorAdd { n: 2048 },
@@ -176,8 +192,8 @@ fn stats_match_exactly_either_way() {
         ..GpuConfig::gt240()
     });
     for cfg in &configs {
-        for bench in kernels {
-            assert_same_either_way(cfg, bench);
+        for program in kernels {
+            bench(program, cfg);
         }
     }
 }

@@ -1,11 +1,12 @@
 //! Steady-state allocation contract of the SoA hot path: once a `Gpu`
 //! is warm, the cycle loop must not allocate per executed instruction.
 //!
-//! The scratch block (`LaneScratch`), the coalescer's segment buffers
-//! and the uncore queues are all reused across cycles, so scaling a
-//! pure-compute kernel's iteration count — more cycles, more executed
-//! instructions, identical launch shape — must not scale the number of
-//! heap allocations. Launch setup (warp vectors, register files, SIMT
+//! The scratch block (`LaneScratch`), the coalescer's segment buffers,
+//! the load/store unit's tables (store buffer, load groups, MSHR) and
+//! the uncore queues are all reused across cycles, so scaling a
+//! kernel's iteration count — more cycles, more executed instructions,
+//! identical launch shape — must not scale the number of heap
+//! allocations. Launch setup (warp vectors, register files, SIMT
 //! stacks) allocates proportionally to the *grid*, which is held fixed
 //! here; a per-cycle `vec!`/`collect` regression in the execute or
 //! LD/ST path makes the long run's allocation count grow with the
@@ -13,14 +14,18 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
 
-use gpusimpow_isa::LaunchConfig;
+use gpusimpow_isa::{Kernel, KernelBuilder, LaunchConfig, Operand, Reg, SpecialReg};
 use gpusimpow_kernels::micro;
 use gpusimpow_sim::{Gpu, GpuConfig};
 
 struct CountingAlloc;
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+
+/// The counter is process-wide: tests hold this while they measure.
+static SERIAL: Mutex<()> = Mutex::new(());
 
 // SAFETY: pure pass-through to `System` plus a relaxed counter bump;
 // every layout/pointer contract is forwarded to the system allocator
@@ -47,40 +52,90 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
-/// Allocations during one launch on an already-warm `Gpu`.
-fn allocations_during_launch(gpu: &mut Gpu, iterations: u32) -> u64 {
-    let kernel = micro::cluster_step_kernel(iterations);
-    let launch = LaunchConfig::linear(4, 64);
+/// Allocations during one launch of `kernel` on an already-warm `Gpu`.
+fn allocations_during_launch(gpu: &mut Gpu, kernel: &Kernel, launch: LaunchConfig) -> u64 {
     let before = ALLOCATIONS.load(Ordering::Relaxed);
-    let report = gpu.launch(&kernel, launch).expect("launch runs");
+    let report = gpu.launch(kernel, launch).expect("launch runs");
     let after = ALLOCATIONS.load(Ordering::Relaxed);
     assert!(report.stats.shader_cycles > 0);
     after - before
 }
 
-#[test]
-fn allocations_do_not_scale_with_executed_instructions() {
-    let mut gpu = Gpu::new(GpuConfig::gt240()).expect("preset builds");
-
-    // Warm up: first launches grow scratch/queue capacities to their
-    // high-water marks (and assemble each kernel once outside the
-    // measured region is not possible — kernel construction allocates —
-    // so both measured runs pay the same kernel-build cost).
-    allocations_during_launch(&mut gpu, 64);
-    allocations_during_launch(&mut gpu, 512);
-
-    let short = allocations_during_launch(&mut gpu, 64);
-    let long = allocations_during_launch(&mut gpu, 512);
-
-    // The long run executes ~8x the instructions over the same grid. A
-    // per-cycle allocation anywhere in the execute/LD-ST path would
-    // make `long` several multiples of `short`; reused buffers keep the
-    // counts within noise of each other (small slack for amortized
-    // queue growth in the uncore).
+/// Warms `gpu` up on both kernels — the first launches grow scratch and
+/// queue capacities to their high-water marks — then measures one
+/// launch of each. The long kernel executes several times the
+/// instructions over the same grid; a per-cycle allocation anywhere in
+/// the hot path would make its count a multiple of the short one's,
+/// while reused buffers keep the two within noise (small slack for
+/// amortized queue growth in the uncore).
+fn assert_flat(what: &str, gpu: &mut Gpu, short: &Kernel, long: &Kernel, launch: LaunchConfig) {
+    allocations_during_launch(gpu, short, launch);
+    allocations_during_launch(gpu, long, launch);
+    let short = allocations_during_launch(gpu, short, launch);
+    let long = allocations_during_launch(gpu, long, launch);
     assert!(
         long <= short + short / 4 + 64,
-        "allocation count scales with cycle count: {short} allocations \
-         at 64 iterations vs {long} at 512 — the hot path allocates in \
-         steady state"
+        "{what}: allocation count scales with cycle count: {short} \
+         allocations for the short kernel vs {long} for the long one — \
+         the hot path allocates in steady state"
     );
+}
+
+#[test]
+fn allocations_do_not_scale_with_executed_instructions() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let mut gpu = Gpu::new(GpuConfig::gt240()).expect("preset builds");
+    assert_flat(
+        "cluster_step on GT240, 64 vs 512 iterations",
+        &mut gpu,
+        &micro::cluster_step_kernel(64),
+        &micro::cluster_step_kernel(512),
+        LaunchConfig::linear(4, 64),
+    );
+}
+
+/// Every thread loads its own word of `data`, adds one and stores it
+/// back, `iterations` times.
+fn memory_loop_kernel(data: u32, iterations: u32) -> Kernel {
+    let mut k = KernelBuilder::new("memory_loop");
+    let (tid, cta, ntid, gid, addr) = (Reg(0), Reg(1), Reg(2), Reg(3), Reg(4));
+    k.s2r(tid, SpecialReg::TidX);
+    k.s2r(cta, SpecialReg::CtaIdX);
+    k.s2r(ntid, SpecialReg::NTidX);
+    k.imad(gid, cta, ntid, tid);
+    k.shl(addr, gid, Operand::imm_u32(2));
+    let (i, cond, v) = (Reg(5), Reg(6), Reg(7));
+    let offset = data as i32;
+    k.for_range(
+        i,
+        cond,
+        Operand::imm_u32(0),
+        Operand::imm_u32(iterations),
+        1,
+        |k| {
+            k.ld_global(v, addr, offset);
+            k.iadd(v, v, Operand::imm_u32(1));
+            k.st_global(v, addr, offset);
+        },
+    );
+    k.exit();
+    k.build().expect("memory loop kernel is valid")
+}
+
+#[test]
+fn memory_path_allocations_do_not_scale_with_loop_iterations() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let launch = LaunchConfig::linear(8, 128);
+    for cfg in [GpuConfig::gt240(), GpuConfig::gtx580()] {
+        let name = cfg.name.clone();
+        let mut gpu = Gpu::new(cfg).expect("preset builds");
+        let data = gpu.alloc_f32(launch.total_threads() as u32).addr();
+        assert_flat(
+            &format!("global load/add/store loop on {name}, 4 vs 28 iterations"),
+            &mut gpu,
+            &memory_loop_kernel(data, 4),
+            &memory_loop_kernel(data, 28),
+            launch,
+        );
+    }
 }
