@@ -29,9 +29,6 @@ use crate::costs::CircuitCosts;
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Crossbar {
-    inputs: usize,
-    outputs: usize,
-    width_bits: usize,
     costs: CircuitCosts,
 }
 
@@ -90,9 +87,6 @@ impl Crossbar {
         let leakage: Power = leak_per_driver * drivers * 0.25;
 
         Ok(Crossbar {
-            inputs,
-            outputs,
-            width_bits,
             costs: CircuitCosts::uniform(area, transfer_energy, leakage),
         })
     }
@@ -105,21 +99,6 @@ impl Crossbar {
     /// Aggregate bundle.
     pub fn costs(&self) -> CircuitCosts {
         self.costs
-    }
-
-    /// Input port count.
-    pub fn inputs(&self) -> usize {
-        self.inputs
-    }
-
-    /// Output port count.
-    pub fn outputs(&self) -> usize {
-        self.outputs
-    }
-
-    /// Port width in bits.
-    pub fn width_bits(&self) -> usize {
-        self.width_bits
     }
 }
 

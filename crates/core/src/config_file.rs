@@ -412,6 +412,8 @@ mod tests {
             ("mc_queue_depth = 0", "mc_queue_depth"),
             ("shader_ratio = NaN", "shader_ratio"),
             ("uncore_mhz = 1e-300", "uncore_mhz"),
+            // 65 warps of 32 threads: one past the hint masks.
+            ("max_threads_per_core = 2080", "max_threads_per_core"),
         ] {
             let e = parse_config(text).expect_err(text);
             assert_eq!(e.line, 0, "{text}: a validation error, not a parse error");

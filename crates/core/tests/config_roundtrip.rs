@@ -28,7 +28,7 @@ fn arb_config() -> impl Strategy<Value = GpuConfig> {
         1usize..8,
         1usize..4,
         prop_oneof![Just(16usize), Just(32), Just(64)],
-        1usize..49,
+        1usize..65,
         1usize..17,
         1usize..5,
         prop_oneof![Just(None), (1usize..16).prop_map(Some)],

@@ -172,11 +172,6 @@ impl KernelBuilder {
         self.ialu(IntOp::Shr, dst, a, b)
     }
 
-    /// `dst = a >> b` (arithmetic).
-    pub fn sra(&mut self, dst: Reg, a: impl Into<Operand>, b: impl Into<Operand>) -> &mut Self {
-        self.ialu(IntOp::Sra, dst, a, b)
-    }
-
     fn ialu(
         &mut self,
         op: IntOp,
@@ -312,11 +307,6 @@ impl KernelBuilder {
     /// `dst = (f32) a` (from signed int).
     pub fn i2f(&mut self, dst: Reg, a: impl Into<Operand>) -> &mut Self {
         self.emit(Instr::I2F { dst, a: a.into() })
-    }
-
-    /// `dst = (i32) a` (truncating from f32).
-    pub fn f2i(&mut self, dst: Reg, a: impl Into<Operand>) -> &mut Self {
-        self.emit(Instr::F2I { dst, a: a.into() })
     }
 
     /// `dst = src`.

@@ -143,16 +143,6 @@ impl PowerTracer {
         &self.chip
     }
 
-    /// The DVFS table in effect.
-    pub fn dvfs(&self) -> &DvfsTable {
-        &self.dvfs
-    }
-
-    /// The gating setting in effect.
-    pub fn gating(&self) -> ClusterGating {
-        self.gating
-    }
-
     /// Replays a recorded launch under `governor`, producing one sample
     /// per window.
     pub fn replay(&self, launch: &RecordedLaunch, governor: &mut dyn Governor) -> PowerTrace {

@@ -336,10 +336,10 @@ impl GpuConfig {
     /// configuration it accepts builds ([`crate::Gpu::new`] cannot
     /// panic on it) and every launch on it makes progress.
     ///
-    /// Clocks must lie in 1 MHz ..= 100 GHz and the shader ratio in
-    /// 1 ..= 64; every cache needs a power-of-two line size, at least
-    /// one way, and a non-zero capacity that is a multiple of
-    /// line size × ways.
+    /// A core holds 1 ..= 64 warps. Clocks must lie in 1 MHz ..= 100 GHz
+    /// and the shader ratio in 1 ..= 64; every cache needs a power-of-two
+    /// line size, at least one way, and a non-zero capacity that is a
+    /// multiple of line size × ways.
     ///
     /// # Errors
     ///
@@ -371,8 +371,10 @@ impl GpuConfig {
         if !self.max_threads_per_core.is_multiple_of(self.warp_size) {
             return bail("max threads per core must be a warp multiple");
         }
-        if self.max_warps_per_core() == 0 {
-            return bail("core must hold at least one warp");
+        // The scheduler-hint masks hold one bit per warp slot in a `u64`;
+        // no real SM has more slots (gpucachesim: `MAX_WARP_PER_SM`).
+        if !(1..=64).contains(&self.max_warps_per_core()) {
+            return bail("max_threads_per_core must hold 1..=64 warps");
         }
         if self.simd_width == 0 || !self.warp_size.is_multiple_of(self.simd_width) {
             return bail("simd width must divide the warp size");
@@ -536,6 +538,9 @@ mod tests {
             ("uncore_mhz", GpuConfig::gt240, |c| c.uncore_mhz = 1e-300),
             ("uncore_mhz", GpuConfig::gt240, |c| c.uncore_mhz = f64::NAN),
             ("dram_mhz", GpuConfig::gt240, |c| c.dram_mhz = f64::INFINITY),
+            ("max_threads_per_core", GpuConfig::gtx580, |c| {
+                c.max_threads_per_core = 32 * 65
+            }),
         ];
         for (i, (field, base, break_it)) in cases.iter().enumerate() {
             let mut cfg = base();
@@ -547,6 +552,10 @@ mod tests {
         let mut cfg = GpuConfig::gt240();
         cfg.l1_line_bytes = 0;
         cfg.l1_ways = 0;
+        cfg.validate().unwrap();
+        // Exactly 64 warp slots fill the hint masks.
+        let mut cfg = GpuConfig::gtx580();
+        cfg.max_threads_per_core = 32 * 64;
         cfg.validate().unwrap();
     }
 

@@ -15,7 +15,7 @@ impl Core {
         // clears its hint and steady-state full-i-buffer cycles cost one
         // mask test.
         let mut walk = SlotWalk::new(self.fetch_rr, self.max_warps);
-        while let Some(slot) = walk.next(self.hint_window.map(|w| w & self.fetch_ready)) {
+        while let Some(slot) = walk.next(self.fetch_ready) {
             if self.try_fetch(slot, cycle, cfg, ctx) {
                 self.fetch_rr = walk.select();
                 return;
@@ -26,8 +26,8 @@ impl Core {
 
     /// Probes `slot` for fetch; on success fills the i-buffer and
     /// returns `true` (the caller advances the fetch pointer). Every
-    /// failure is silent (no stats, no `work`), which is what lets the
-    /// hinted scan skip cleared slots.
+    /// failure is silent (no stats), which is what lets the hinted scan
+    /// skip cleared slots.
     fn try_fetch(&mut self, slot: usize, cycle: u64, cfg: &GpuConfig, ctx: &LaunchCtx<'_>) -> bool {
         let pc = self.warps[slot].as_ref().and_then(|w| {
             if w.done || w.ibuf.is_some() {
@@ -39,7 +39,6 @@ impl Core {
             Some(pc) if (pc as usize) < ctx.kernel.code().len() => pc,
             _ => return false,
         };
-        self.work = true;
         self.stats[Ev::FetchSchedulerSelects] += 1;
         self.stats[Ev::WstReads] += 1;
         self.stats[Ev::IcacheAccesses] += 1;

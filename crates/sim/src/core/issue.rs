@@ -9,7 +9,7 @@ use crate::config::{GpuConfig, WarpSchedPolicy};
 use crate::events::EventKind as Ev;
 use crate::ldst;
 use crate::mem::GpuMemory;
-use crate::simt_stack::LaneMask;
+use crate::simt_stack::{low_lanes, LaneMask};
 
 use super::{
     class_index, clear_hint, set_hint, Completion, Core, DecodedInstr, LaunchCtx, SlotWalk, Warp,
@@ -25,6 +25,14 @@ const UNIT_EVENTS: [(Ev, Option<Ev>); 4] = [
     (Ev::SfuInstructions, Some(Ev::SfuLaneOps)),
     (Ev::MemInstructions, None),
 ];
+
+/// Whether a warp slot may sit in the two-level active set: it holds a
+/// live warp that is not done, not parked at a barrier and not waiting
+/// on a load.
+fn active_eligible(slot: &Option<Warp>) -> bool {
+    slot.as_ref()
+        .is_some_and(|w| !w.done && !w.at_barrier && w.outstanding_groups == 0)
+}
 
 impl Core {
     #[inline]
@@ -69,10 +77,7 @@ impl Core {
                     if self.stall_reads > 0 {
                         self.stall_from = cycle + 1;
                     }
-                    self.issue_stall_until = match self.hint_window {
-                        Some(_) => self.candidates_wake(cycle),
-                        None => self.unit_wake(cycle),
-                    };
+                    self.issue_stall_until = self.candidates_wake(cycle);
                 }
             }
             WarpSchedPolicy::TwoLevel { active_warps } => {
@@ -81,11 +86,13 @@ impl Core {
                     return;
                 }
                 // Swap the set out instead of cloning it each cycle;
-                // `try_issue` never touches `active_set`.
+                // `try_issue` never touches `active_set`. The walk runs
+                // over set positions in insertion order, unhinted.
                 let set = std::mem::take(&mut self.active_set);
+                let every = low_lanes(set.len());
                 let mut walk = SlotWalk::new(self.issue_rr, set.len());
                 while issued < cfg.issue_width {
-                    let Some(idx) = walk.next(None) else {
+                    let Some(idx) = walk.next(every) else {
                         break;
                     };
                     if self.try_issue(set[idx], cycle, cfg, ctx, mem) {
@@ -99,9 +106,9 @@ impl Core {
         }
     }
 
-    /// The hint mask for the next step of the round-robin issue walk
-    /// (`None` on cores with more than 64 slots), recomputed every step
-    /// because an issue makes its own unit busy mid-scan.
+    /// The hint mask for the next step of the round-robin issue walk,
+    /// recomputed every step because an issue makes its own unit busy
+    /// mid-scan.
     ///
     /// Per-unit-class skip (barrel only): a slot whose published
     /// next-instruction class targets a busy unit would probe to a
@@ -112,8 +119,8 @@ impl Core {
     /// and all counters are bit-identical to the probing scan.
     /// Scoreboard probes are observable and are never skipped.
     #[inline]
-    pub(super) fn issue_hints(&self, cycle: u64, cfg: &GpuConfig) -> Option<u64> {
-        let mut hints = self.hint_window? & self.issue_ready;
+    pub(super) fn issue_hints(&self, cycle: u64, cfg: &GpuConfig) -> u64 {
+        let mut hints = self.issue_ready;
         if !cfg.scoreboard {
             for (&free, &class) in self.unit_free.iter().zip(&self.class_next) {
                 if free > cycle {
@@ -121,29 +128,51 @@ impl Core {
                 }
             }
         }
-        Some(hints)
+        hints
     }
 
     /// Two-level scheduling (Narasiman et al.): keeps at most
     /// `active_warps` issue candidates, demoting warps that stall on
     /// memory or barriers and promoting pending ones round-robin.
     fn maintain_active_set(&mut self, active_warps: usize) {
-        let eligible = |w: &Warp| !w.done && !w.at_barrier && w.outstanding_groups == 0;
         let warps = &self.warps;
-        self.active_set
-            .retain(|&s| warps[s].as_ref().is_some_and(&eligible));
+        self.active_set.retain(|&s| active_eligible(&warps[s]));
         self.active_set.truncate(active_warps);
+        let every = low_lanes(self.max_warps);
         let mut walk = SlotWalk::new(self.pending_rr, self.max_warps);
         while self.active_set.len() < active_warps {
-            let Some(slot) = walk.next(None) else {
+            let Some(slot) = walk.next(every) else {
                 break;
             };
-            if !self.active_set.contains(&slot) && self.warps[slot].as_ref().is_some_and(&eligible)
-            {
+            if !self.active_set.contains(&slot) && active_eligible(&self.warps[slot]) {
                 self.active_set.push(slot);
                 self.pending_rr = walk.select();
             }
         }
+    }
+
+    /// The warp slots the next issue scan probes: every slot under
+    /// round-robin, the active set's members under two-level scheduling.
+    /// `None` while the two-level set is off its fixed point, i.e. while
+    /// [`Core::maintain_active_set`] would still change it or
+    /// `pending_rr`. The set is settled when every member is eligible
+    /// and the set is full or no eligible warp is pending.
+    ///
+    /// Eligibility changes inside a tick (an issued `Bar`, `Exit` or
+    /// missing load) or through a memory response or a dispatch, both of
+    /// which make the core due at once. So while the set is settled,
+    /// deferring `maintain` is exact; while it is not, the core must
+    /// tick next cycle, or a memory response arriving meanwhile could
+    /// change which pending warp is promoted.
+    pub(super) fn scanned_slots(&self, cfg: &GpuConfig) -> Option<u64> {
+        let WarpSchedPolicy::TwoLevel { active_warps } = cfg.warp_scheduler else {
+            return Some(!0);
+        };
+        let eligible = |slot: usize| active_eligible(&self.warps[slot]);
+        let settled = self.active_set.iter().all(|&s| eligible(s))
+            && (self.active_set.len() == active_warps
+                || (0..self.max_warps).all(|s| self.active_set.contains(&s) || !eligible(s)));
+        settled.then(|| self.active_set.iter().fold(0, |mask, &s| mask | 1 << s))
     }
 
     /// Probes `slot` for issue; on success issues its fetched
@@ -176,11 +205,10 @@ impl Core {
             let di = ctx.decoded[pc as usize];
             // Dependency check.
             if cfg.scoreboard {
-                // A failed probe still counts scoreboard activity, so
-                // this tick did work; an issue-stall sleep accrues the
-                // read each cycle (`Core::stall_reads`).
+                // A failed probe still counts a scoreboard read; an
+                // issue-stall sleep accrues it each cycle
+                // (`Core::stall_reads`).
                 self.stats[Ev::ScoreboardReads] += 1;
-                self.work = true;
                 if w.pending_writes & di.dep_mask != 0 {
                     return false;
                 }
@@ -230,7 +258,6 @@ impl Core {
             clear_hint(&mut self.class_next[ci], slot);
             self.unit_free[ci] = cycle + dispatch;
         }
-        self.work = true;
         self.account_issue(&di, mask);
         // Capture records the issued PC; replay checks it against the
         // recorded stream. No-op on the live frontend.

@@ -30,8 +30,8 @@
 //! Four pieces of `Core` state let the stages skip probes that are
 //! proven silent no-ops, and let `Core::next_wake` name the first cycle
 //! at which a tick could do anything. All masks are indexed by warp
-//! slot and cover slots 0–63 only; a core with more than 64 warp slots
-//! runs the same walks unhinted (`SlotWalk` probes every slot).
+//! slot; `GpuConfig::validate` caps a core at 64 slots, so one `u64`
+//! covers them all.
 //!
 //! * `issue_ready` — bit `s` set means warp slot `s` could issue but for
 //!   a busy unit or, under a scoreboard, a pending register write; a
@@ -51,17 +51,16 @@
 //!   dependency, counting a read, and each failure repeats until its
 //!   unit frees or a `publish_candidate` site fires. So the bound is
 //!   `Core::candidates_wake`, the first cycle a unit frees whose class
-//!   holds a hinted slot (`Core::unit_wake` on cores past the masks),
-//!   and each publish site refines the bound to the new candidate's
-//!   unit (barrel) or cancels the sleep (scoreboard, so the next scan
-//!   re-measures its reads). The scoreboard's failed probes count
-//!   `ScoreboardReads`, so a sleeping core accrues them as a rate:
-//!   `stall_reads`, the reads the engaging scan counted, per cycle from
-//!   `stall_from` on. `Core::settle_stall_reads` credits the accrued
-//!   reads at the start of every tick, before every window snapshot and
-//!   before the launch's per-core stats are merged, so the sleeping core
-//!   needs no tick at all. The dense reference (`LaunchCtx::dense`)
-//!   never engages the sleep.
+//!   holds a hinted slot, and each publish site refines the bound to the
+//!   new candidate's unit (barrel) or cancels the sleep (scoreboard, so
+//!   the next scan re-measures its reads). The scoreboard's failed
+//!   probes count `ScoreboardReads`, so a sleeping core accrues them as
+//!   a rate: `stall_reads`, the reads the engaging scan counted, per
+//!   cycle from `stall_from` on. `Core::settle_stall_reads` credits the
+//!   accrued reads at the start of every tick, before every window
+//!   snapshot and before the launch's per-core stats are merged, so the
+//!   sleeping core needs no tick at all. The dense reference
+//!   (`LaunchCtx::dense`) never engages the sleep.
 //! * `class_next[c]` — per-unit-class issue candidates: bit `s` is set
 //!   iff warp slot `s` currently satisfies *every* probe precondition
 //!   short of unit availability — live, not done, not parked at a
@@ -88,11 +87,11 @@ use std::collections::BTreeMap;
 use gpusimpow_isa::{InstrClass, Kernel, LaunchConfig, Pc, Reg};
 
 use crate::cache::{Mshr, SimCache};
-use crate::config::{GpuConfig, WarpSchedPolicy};
+use crate::config::GpuConfig;
 use crate::events::{ActivityVector, EventKind as Ev};
 use crate::mem::GpuMemory;
 use crate::replay::{Frontend, ReplaySource, Tracer, WarpCapture};
-use crate::simt_stack::{low_lanes, SimtStack};
+use crate::simt_stack::SimtStack;
 use crate::wheel::EventWheel;
 
 mod decode;
@@ -190,20 +189,16 @@ struct Cta {
     waiting_at_barrier: usize,
 }
 
-/// Sets a scheduler-hint bit; slots beyond 64 are never hinted.
+/// Sets a scheduler-hint bit.
 #[inline]
 fn set_hint(mask: &mut u64, slot: usize) {
-    if slot < 64 {
-        *mask |= 1u64 << slot;
-    }
+    *mask |= 1u64 << slot;
 }
 
-/// Clears a scheduler-hint bit; slots beyond 64 are never hinted.
+/// Clears a scheduler-hint bit.
 #[inline]
 fn clear_hint(mask: &mut u64, slot: usize) {
-    if slot < 64 {
-        *mask &= !(1u64 << slot);
-    }
+    *mask &= !(1u64 << slot);
 }
 
 /// [`class_index`] of the load/store unit.
@@ -224,9 +219,10 @@ fn class_index(class: InstrClass) -> Option<usize> {
 }
 
 /// The one circular walk over warp slots (or over positions of the
-/// two-level active set): up to `n` consecutive positions from a
+/// two-level active set): up to `n ≤ 64` consecutive positions from a
 /// rotating pointer, wrapping at `n`. It serves the issue scan, the
-/// active-set promotion and the fetch scan, hinted or not.
+/// active-set promotion and the fetch scan; an unhinted walk passes the
+/// full mask `low_lanes(n)`.
 ///
 /// The position is kept as a wrap-around index instead of
 /// `(rr + scanned) % n` on every probe: the walk visits the same slots
@@ -255,29 +251,25 @@ impl SlotWalk {
     }
 
     /// The next position to probe, or `None` once `n` positions are
-    /// spent. With `hints` (cores of at most 64 slots) the walk jumps to
-    /// the next set bit: a hint mask is a superset of the slots whose
-    /// probe could do anything observable, so jumping between set bits
-    /// probes exactly the slots the full walk would have probed
-    /// non-silently, in the same order and with the same budget
-    /// accounting (skipped gaps still count). The mask is passed per
-    /// step because probes change it mid-walk.
+    /// spent. The walk jumps to the next set bit of `hints`: a hint mask
+    /// is a superset of the slots whose probe could do anything
+    /// observable, so jumping between set bits probes exactly the slots
+    /// the full walk would have probed non-silently, in the same order
+    /// and with the same budget accounting (skipped gaps still count).
+    /// The mask is passed per step because probes change it mid-walk.
     #[inline]
-    fn next(&mut self, hints: Option<u64>) -> Option<usize> {
-        let (slot, dist) = match hints {
-            None => (self.pos, 0),
-            Some(0) => return None,
-            Some(mask) => {
-                debug_assert!(self.n <= 64 && mask >> (self.n - 1) <= 1);
-                let ahead = (mask >> self.pos) << self.pos;
-                if ahead != 0 {
-                    let bit = ahead.trailing_zeros() as usize;
-                    (bit, bit - self.pos)
-                } else {
-                    let bit = mask.trailing_zeros() as usize;
-                    (bit, self.n - self.pos + bit)
-                }
-            }
+    fn next(&mut self, hints: u64) -> Option<usize> {
+        if hints == 0 {
+            return None;
+        }
+        debug_assert!(self.n <= 64 && hints >> (self.n - 1) <= 1);
+        let ahead = (hints >> self.pos) << self.pos;
+        let (slot, dist) = if ahead != 0 {
+            let bit = ahead.trailing_zeros() as usize;
+            (bit, bit - self.pos)
+        } else {
+            let bit = hints.trailing_zeros() as usize;
+            (bit, self.n - self.pos + bit)
         };
         if self.scanned + dist >= self.n {
             return None;
@@ -353,13 +345,6 @@ pub(crate) struct Core {
     /// (read-your-own-writes); other cores see the stores one cycle
     /// later, whatever order the cores are ticked in.
     store_buf: Vec<(u32, u32)>,
-    /// Whether the current/last tick did observable work — the wake
-    /// rule of cores the hint masks do not cover ([`Core::next_wake`]).
-    work: bool,
-    /// The low `max_warps` bits when the hint masks cover every warp
-    /// slot, `None` on cores with more than 64 slots (whose walks probe
-    /// every slot). See the module docs, "Scheduler hints".
-    hint_window: Option<u64>,
     /// Issue-scan hint mask (module docs, "Scheduler hints").
     issue_ready: u64,
     /// Issue-scan sleep (module docs, "Scheduler hints").
@@ -427,8 +412,6 @@ impl Core {
             completed_ctas: 0,
             cta_coords: BTreeMap::new(),
             store_buf: Vec::new(),
-            work: false,
-            hint_window: (max_warps <= 64).then(|| low_lanes(max_warps)),
             issue_ready: 0,
             issue_stall_until: 0,
             stall_reads: 0,
@@ -543,14 +526,6 @@ impl Core {
         !self.out_requests.is_empty() || !self.store_buf.is_empty()
     }
 
-    /// Earliest future cycle at which any execution unit frees, or
-    /// `u64::MAX` when none is busy.
-    #[inline]
-    fn unit_wake(&self, cycle: u64) -> u64 {
-        let busy = self.unit_free.iter().copied().filter(|&free| free > cycle);
-        busy.min().unwrap_or(u64::MAX)
-    }
-
     /// Earliest future cycle at which an execution unit frees whose
     /// class holds a hinted issue candidate (`class_next[c] &
     /// issue_ready`), or `u64::MAX` when none does. Until then every
@@ -571,35 +546,34 @@ impl Core {
     /// `None` when it never can: the core is idle, or deadlocked at a
     /// barrier. Called after every tick.
     ///
-    /// On round-robin cores the hint masks cover (module docs,
-    /// "Scheduler hints") it is exact: the next cycle while a slot may
-    /// fetch or, with the issue scan awake, may issue; otherwise the end
-    /// of the issue-stall sleep or the first cycle a hinted candidate's
-    /// unit frees — whichever of those and the next writeback event
-    /// comes first. A sleeping scoreboard core is therefore not ticked
-    /// at all: its counted reads accrue as a rate
-    /// ([`Core::settle_stall_reads`]). Other cores are due next cycle
-    /// after a tick that did work, else at the next writeback event or
-    /// unit release.
+    /// It is read off the scheduler hints (module docs, "Scheduler
+    /// hints"): the next cycle while the two-level active set is off its
+    /// fixed point ([`Core::scanned_slots`]), a slot may fetch or, with
+    /// the issue scan awake, a slot the scan probes may issue; otherwise
+    /// the end of the issue-stall sleep or the first cycle a hinted
+    /// candidate's unit frees — whichever of those and the next
+    /// writeback event comes first. A sleeping scoreboard core is
+    /// therefore not ticked at all: its counted reads accrue as a rate
+    /// ([`Core::settle_stall_reads`]). Two-level cores never engage the
+    /// sleep.
     pub fn next_wake(&self, cycle: u64, cfg: &GpuConfig) -> Option<u64> {
         if !self.is_busy() {
             return None;
         }
         let next = cycle + 1;
-        let stages = match self.hint_window {
-            Some(window) if cfg.warp_scheduler == WarpSchedPolicy::RoundRobin => {
-                if self.fetch_ready & window != 0 {
-                    next
-                } else if next < self.issue_stall_until {
-                    self.issue_stall_until
-                } else if self.issue_hints(next, cfg).is_some_and(|hints| hints != 0) {
-                    next
-                } else {
-                    self.candidates_wake(cycle)
-                }
-            }
-            _ if self.work => next,
-            _ => self.unit_wake(cycle),
+        // An unsettled active set is due next cycle; no writeback event
+        // can come earlier.
+        let Some(scanned) = self.scanned_slots(cfg) else {
+            return Some(next);
+        };
+        let stages = if self.fetch_ready != 0 {
+            next
+        } else if next < self.issue_stall_until {
+            self.issue_stall_until
+        } else if self.issue_hints(next, cfg) & scanned != 0 {
+            next
+        } else {
+            self.candidates_wake(cycle)
         };
         let wake = self.events.next_fire().map_or(stages, |w| w.min(stages));
         (wake != u64::MAX).then_some(wake)
@@ -627,7 +601,6 @@ impl Core {
     /// core is next due.
     pub fn tick(&mut self, cycle: u64, cfg: &GpuConfig, ctx: &LaunchCtx<'_>, mem: &GpuMemory) {
         self.settle_stall_reads(cycle);
-        self.work = false;
         // Fully idle core: no resident CTAs (CTA completion frees every
         // warp slot, so the warp table is empty too), no scheduled
         // events, no outstanding memory groups. Each stage below would

@@ -47,7 +47,6 @@ impl Core {
     #[inline]
     pub(super) fn retire(&mut self, cycle: u64, cfg: &GpuConfig, ctx: &LaunchCtx<'_>) {
         while let Some(completion) = self.events.pop_due(cycle) {
-            self.work = true;
             let Completion::Commit { warp, dst } = completion;
             let Some(w) = self.warps[warp].as_mut() else {
                 continue;

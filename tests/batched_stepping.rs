@@ -12,15 +12,16 @@
 //!
 //! The unpinned differential below runs memory-bound programs too: on
 //! GT240 under both warp schedulers, where cores are gated while the
-//! uncore is busy, and on scoreboard cores of every issue width, where
-//! the dense reference also keeps every core scanning for issue each
-//! cycle and so checks the issue-stall sleep's accrued scoreboard
-//! reads — a wrong rate moves no pinned field but the counters, the
-//! windows and the priced energy behind them. The shared-memory
-//! conflict and LFSR probes keep scoreboard cores asleep with a
-//! non-zero rate for most of their run, and their prime-width windows
-//! close while cores sleep, so every window snapshot settles a partly
-//! accrued sleep.
+//! uncore is busy, on two-level cores of both presets, whose wake also
+//! waits for the active set to settle, and on scoreboard cores of every
+//! issue width, where the dense reference also keeps every core
+//! scanning for issue each cycle and so checks the issue-stall sleep's
+//! accrued scoreboard reads — a wrong rate moves no pinned field but
+//! the counters, the windows and the priced energy behind them. The
+//! shared-memory conflict and LFSR probes keep scoreboard cores asleep
+//! with a non-zero rate for most of their run, and their prime-width
+//! windows close while cores sleep, so every window snapshot settles a
+//! partly accrued sleep.
 
 use gpusimpow::Simulator;
 use gpusimpow_isa::LaunchConfig;
@@ -28,6 +29,7 @@ use gpusimpow_kernels::bfs::Bfs;
 use gpusimpow_kernels::blackscholes::BlackScholes;
 use gpusimpow_kernels::common::Benchmark;
 use gpusimpow_kernels::micro;
+use gpusimpow_kernels::pathfinder::Pathfinder;
 use gpusimpow_kernels::scalarprod::ScalarProd;
 use gpusimpow_kernels::vectoradd::VectorAdd;
 use gpusimpow_sim::{
@@ -167,7 +169,9 @@ fn stats_match_exactly_either_way() {
             assert_same_either_way(kernel.name(), &cfg, 37, &run);
         }
     }
-    let kernels: [&dyn Benchmark; 3] = [
+    // Pathfinder's barriers leave issued warps ineligible for the
+    // two-level active set until the next tick re-balances it.
+    let kernels: [&dyn Benchmark; 4] = [
         &VectorAdd { n: 2048 },
         &ScalarProd {
             pairs: 4,
@@ -177,6 +181,7 @@ fn stats_match_exactly_either_way() {
             nodes: 512,
             degree: 4,
         },
+        &Pathfinder { cols: 512, rows: 6 },
     ];
     let mut configs: Vec<GpuConfig> = [1, 2, 4]
         .map(|issue_width| GpuConfig {
@@ -185,12 +190,22 @@ fn stats_match_exactly_either_way() {
         })
         .into();
     // Barrel cores, where the per-core wake gating skips ticks while the
-    // uncore is busy — under both warp schedulers.
+    // uncore is busy.
     configs.push(GpuConfig::gt240());
-    configs.push(GpuConfig {
-        warp_scheduler: WarpSchedPolicy::TwoLevel { active_warps: 8 },
-        ..GpuConfig::gt240()
-    });
+    // Two-level cores, which are also due every cycle their active set
+    // is off its fixed point: barrel with sets of 8 and 2 (with two,
+    // which pending warp a memory response lets in is contested) and
+    // scoreboarded.
+    for (active_warps, base) in [
+        (8, GpuConfig::gt240 as fn() -> GpuConfig),
+        (2, GpuConfig::gt240),
+        (8, GpuConfig::gtx580),
+    ] {
+        configs.push(GpuConfig {
+            warp_scheduler: WarpSchedPolicy::TwoLevel { active_warps },
+            ..base()
+        });
+    }
     for cfg in &configs {
         for program in kernels {
             bench(program, cfg);

@@ -10,10 +10,6 @@
 //! (issue + unit table), memory-bound (load/store path, global arm),
 //! divergent (SIMT stack + masked lane walk) and barrier (shared and
 //! constant arms, barrier release).
-//!
-//! The `wide` cores hold 96 warps — more than the 64-bit scheduler hint
-//! masks cover — so the fetch, issue and promote walks all run unhinted
-//! over slots ≥ 64. No other test in the repository reaches that path.
 
 use gpusimpow_isa::LaunchConfig;
 use gpusimpow_kernels::micro::{cluster_step_kernel, divergence_kernel};
@@ -27,8 +23,6 @@ use gpusimpow_trace::TraceDigest;
 enum Chip {
     Gt240,
     Gtx580,
-    Gt240Wide,
-    Gtx580Wide,
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -37,26 +31,15 @@ enum Work {
     Mem,
     Divergent,
     Barrier,
-    /// `Alu` with enough blocks to fill all 96 warp slots of a wide core.
-    AluFull,
-    /// `Mem` with enough blocks to fill all 96 warp slots of a wide core.
-    MemFull,
 }
 
 const TWO_LEVEL: WarpSchedPolicy = WarpSchedPolicy::TwoLevel { active_warps: 8 };
 
 fn config(chip: Chip, sched: WarpSchedPolicy) -> GpuConfig {
-    let (mut cfg, wide) = match chip {
-        Chip::Gt240 => (GpuConfig::gt240(), false),
-        Chip::Gtx580 => (GpuConfig::gtx580(), false),
-        Chip::Gt240Wide => (GpuConfig::gt240(), true),
-        Chip::Gtx580Wide => (GpuConfig::gtx580(), true),
+    let mut cfg = match chip {
+        Chip::Gt240 => GpuConfig::gt240(),
+        Chip::Gtx580 => GpuConfig::gtx580(),
     };
-    if wide {
-        cfg.max_threads_per_core = 32 * 96;
-        cfg.max_ctas_per_core = 24;
-        cfg.regfile_regs_per_core *= 4;
-    }
     cfg.warp_scheduler = sched;
     cfg
 }
@@ -67,10 +50,6 @@ fn run(work: Work, gpu: &mut Gpu) -> Vec<LaunchReport> {
             .launch(&cluster_step_kernel(24), LaunchConfig::linear(24, 256))
             .expect("alu probe completes")],
         Work::Mem => VectorAdd { n: 16_384 }.run(gpu).expect("verifies"),
-        Work::AluFull => vec![gpu
-            .launch(&cluster_step_kernel(8), LaunchConfig::linear(192, 256))
-            .expect("alu probe completes")],
-        Work::MemFull => VectorAdd { n: 49_152 }.run(gpu).expect("verifies"),
         Work::Divergent => vec![gpu
             .launch(&divergence_kernel(4), LaunchConfig::linear(16, 128))
             .expect("divergence probe completes")],
@@ -134,75 +113,21 @@ const PINS: &[Pin] = &[
     Pin { chip: Chip::Gtx580, sched: TWO_LEVEL, work: Work::Mem, cycles: 3604, digest: "ec86073031ac252a032069b1d85fb6eb", time_bits: 0x3ec1237d409dfbab },
     Pin { chip: Chip::Gtx580, sched: TWO_LEVEL, work: Work::Divergent, cycles: 2428, digest: "95cac00954df5791034de5355c9d088c", time_bits: 0x3eb717aac0c2ae4d },
     Pin { chip: Chip::Gtx580, sched: TWO_LEVEL, work: Work::Barrier, cycles: 3930, digest: "8100a35e1dd33db510abdb863f40313e", time_bits: 0x3e9dac8a71955e80 },
-    Pin { chip: Chip::Gt240Wide, sched: RR, work: Work::Mem, cycles: 10609, digest: "383827737d9a54b6e1937bb413e3e3bb", time_bits: 0x3ee0609cb10542d6 },
-    Pin { chip: Chip::Gt240Wide, sched: RR, work: Work::MemFull, cycles: 31575, digest: "83f69cb11226e6a7fd69de478a36dc76", time_bits: 0x3ef85f1fa9ae7c73 },
-    Pin { chip: Chip::Gt240Wide, sched: RR, work: Work::AluFull, cycles: 30310, digest: "6c0202cc7ecbd987d6e974e158996d66", time_bits: 0x3ef76529ddddf04f },
-    Pin { chip: Chip::Gt240Wide, sched: TWO_LEVEL, work: Work::Mem, cycles: 10073, digest: "e5f12fd813cf06ff6dbd5411dca1a7ac", time_bits: 0x3edf199387e52ae0 },
-    Pin { chip: Chip::Gt240Wide, sched: TWO_LEVEL, work: Work::MemFull, cycles: 30204, digest: "c6cc694694e6f149498f1c4a2ed156da", time_bits: 0x3ef75037e03750d6 },
-    Pin { chip: Chip::Gt240Wide, sched: TWO_LEVEL, work: Work::AluFull, cycles: 28307, digest: "06eefd7e4eb2362e3fbefd6d2a43bb8c", time_bits: 0x3ef5d9607959d8bc },
-    Pin { chip: Chip::Gtx580Wide, sched: RR, work: Work::Mem, cycles: 3666, digest: "70762a681d6ed79f6164ccb64d5382f2", time_bits: 0x3ec16ef7bc548deb },
-    Pin { chip: Chip::Gtx580Wide, sched: RR, work: Work::MemFull, cycles: 11362, digest: "c504b314e1bbf77e67c8d31033b3dc89", time_bits: 0x3edb040471021f1a },
-    Pin { chip: Chip::Gtx580Wide, sched: RR, work: Work::AluFull, cycles: 22150, digest: "7c92d418c404fadc9ce947260723f4a6", time_bits: 0x3eea55523e06e980 },
-    Pin { chip: Chip::Gtx580Wide, sched: TWO_LEVEL, work: Work::Mem, cycles: 3604, digest: "ec86073031ac252a032069b1d85fb6eb", time_bits: 0x3ec1237d409dfbab },
-    Pin { chip: Chip::Gtx580Wide, sched: TWO_LEVEL, work: Work::MemFull, cycles: 11010, digest: "21b86773196a31722faf6e0527b42ff5", time_bits: 0x3eda2dc1856f77ad },
-    Pin { chip: Chip::Gtx580Wide, sched: TWO_LEVEL, work: Work::AluFull, cycles: 12698, digest: "4c5ae2afc0471de7e1315e0565373806", time_bits: 0x3ede313c9da8ec02 },
 ];
-
-fn assert_pin(pin: &Pin) {
-    for dense in [false, true] {
-        let got = measure(config(pin.chip, pin.sched), pin.work, dense);
-        assert_eq!(
-            got,
-            (pin.cycles, pin.digest.to_string(), pin.time_bits),
-            "{:?} {:?} {:?} dense={dense}",
-            pin.chip,
-            pin.sched,
-            pin.work
-        );
-    }
-}
 
 #[test]
 fn stock_presets_hold_every_pin_in_every_mode() {
     for pin in PINS {
-        if matches!(pin.chip, Chip::Gt240 | Chip::Gtx580) {
-            assert_pin(pin);
+        for dense in [false, true] {
+            let got = measure(config(pin.chip, pin.sched), pin.work, dense);
+            assert_eq!(
+                got,
+                (pin.cycles, pin.digest.to_string(), pin.time_bits),
+                "{:?} {:?} {:?} dense={dense}",
+                pin.chip,
+                pin.sched,
+                pin.work
+            );
         }
-    }
-}
-
-#[test]
-fn wide_cores_walk_slots_past_the_hint_masks() {
-    let wide: Vec<&Pin> = PINS
-        .iter()
-        .filter(|p| matches!(p.chip, Chip::Gt240Wide | Chip::Gtx580Wide))
-        .collect();
-    assert_eq!(wide.len(), 12, "two chips x two schedulers x three kernels");
-    for pin in wide {
-        assert!(config(pin.chip, pin.sched).max_warps_per_core() > 64);
-        assert_pin(pin);
-    }
-}
-
-#[test]
-fn wide_core_replay_matches_live() {
-    // The capture/replay frontend shares the stage code, so the unhinted
-    // walks must also agree between the live and the replayed pipeline —
-    // on the capturing chip and on the other wide chip.
-    let mut gpu = Gpu::new(config(Chip::Gt240Wide, RR)).expect("config is valid");
-    gpu.set_tracing(true);
-    let live_gt240 = run(Work::Mem, &mut gpu).remove(0);
-    let trace = gpu.take_traces().remove(0);
-    let mut other = Gpu::new(config(Chip::Gtx580Wide, RR)).expect("config is valid");
-    let live_gtx580 = run(Work::Mem, &mut other).remove(0);
-    for (chip, live) in [
-        (Chip::Gt240Wide, &live_gt240),
-        (Chip::Gtx580Wide, &live_gtx580),
-    ] {
-        let mut gpu = Gpu::new(config(chip, RR)).expect("config is valid");
-        let replayed = gpu.launch_replay(&trace).expect("trace replays");
-        assert_eq!(live.stats, replayed.stats, "{chip:?}: counters");
-        assert_eq!(live.time_s.to_bits(), replayed.time_s.to_bits(), "{chip:?}");
-        assert_eq!(live.scoped, replayed.scoped, "{chip:?}: scoped activity");
     }
 }
