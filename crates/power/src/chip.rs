@@ -429,9 +429,8 @@ mod tests {
         priced.extend(DramPower::EVENTS.iter().copied());
 
         // The documented allowlists live next to `EnergyMap` in
-        // `registry.rs`, where simlint's `unpriced_event` pass parses
-        // them; this runtime test and the static pass check the same
-        // contract against the same lists.
+        // `registry.rs`; this test is the one check of the coverage
+        // contract against them.
         let base: BTreeSet<Ev> = crate::registry::BASE_MODEL_EVENTS.iter().copied().collect();
         let unpriced: BTreeSet<Ev> = crate::registry::UNPRICED_EVENTS.iter().copied().collect();
 

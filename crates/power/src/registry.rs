@@ -31,11 +31,10 @@ use gpusimpow_tech::units::Energy;
 /// This is the documented allowlist of the component-event registry's
 /// coverage contract: every [`EventKind`] must be priced by a component
 /// [`EnergyMap`], consumed by the empirical base model
-/// ([`BASE_MODEL_EVENTS`]), or listed here. Both checks of that
-/// contract read this list — the runtime test in `chip.rs` and the
-/// `unpriced_event` pass of `simlint`, which parses this const
-/// textually and fails the build *before* any test executes when a new
-/// event is missing from all three places.
+/// ([`BASE_MODEL_EVENTS`]), or listed here. The runtime test in
+/// `chip.rs` checks that contract against this list, so a new event
+/// missing from all three places fails `cargo test`, and an entry
+/// naming an event that no longer exists does not compile.
 pub const UNPRICED_EVENTS: &[EventKind] = &[
     EventKind::UncoreCycles,
     EventKind::IcacheMisses,

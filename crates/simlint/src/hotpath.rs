@@ -11,24 +11,13 @@
 //! an allocating expression (`vec!`, `Vec::new`, `.collect()`, …)
 //! written inside a `for`/`while`/`loop` body of a hot-path file.
 //!
-//! Scope: every file under `crates/sim/src/core/` plus
-//! `crates/sim/src/{func,ldst,wheel}.rs` — the files the per-cycle
-//! pipeline lives in. Launch-setup allocations that happen to
+//! Scope: the tick-path files ([`crate::scope::tick_path`]) — where
+//! the per-cycle pipeline lives. Launch-setup allocations that happen to
 //! sit in loops (one register file per dispatched warp, for example)
 //! are grid-proportional, not cycle-proportional, and carry a justified
 //! `simlint: allow(lane_loop_alloc)` marker.
 //!
-//! A second, sharper pass guards the core scheduler specifically:
-//! [`UNBOUNDED_QUEUE_IN_CORE`] flags `BinaryHeap`/`VecDeque`
-//! construction inside loop bodies of `crates/sim/src/core/*.rs` and
-//! `crates/sim/src/wheel.rs`.
-//! The calendar wheel replaced the per-core heap precisely because
-//! comparison-queue traffic dominated the Fig. 4 hot path (DESIGN.md
-//! §16–§17); a queue built per iteration would reintroduce both the
-//! allocation and the O(log n) discipline in one move, so it gets a
-//! dedicated name a reviewer can `allow` only with a written reason.
-//!
-//! Both passes walk the expression IR: loop bodies are [`Expr::Loop`]
+//! The pass walks the expression IR: loop bodies are [`Expr::Loop`]
 //! nodes (so `impl Trait for Type` and `for<'a>` bounds can no longer
 //! even look like loops), allocation sites are macro-call, path and
 //! method-call nodes, and closures inside a loop body inherit the
@@ -36,20 +25,11 @@
 //! exempt — a `#[cfg(test)]` helper building a `Vec` per iteration
 //! costs nothing at simulation time.
 
-use crate::scope::SIM_CORE_DIR;
 use crate::syntax::{Expr, Item, Stmt};
 use crate::{Diagnostic, SourceFile};
 
 /// Heap allocation inside a loop body of a hot-path file.
 pub const LANE_LOOP_ALLOC: &str = "lane_loop_alloc";
-
-/// `BinaryHeap`/`VecDeque` construction inside a loop body of the core
-/// scheduler files — reintroducing the comparison queue the calendar
-/// wheel removed.
-pub const UNBOUNDED_QUEUE_IN_CORE: &str = "unbounded_queue_in_core";
-
-/// Queue types the core scheduler must not rebuild per iteration.
-const QUEUE_TYPES: &[&str] = &["BinaryHeap", "VecDeque"];
 
 /// Owning container/smart-pointer types whose `::new`-style
 /// constructors allocate (or will on first push).
@@ -74,29 +54,15 @@ const ALLOC_METHODS: &[&str] = &["collect", "to_vec", "to_string", "to_owned"];
 /// Macros that expand to an allocation.
 const ALLOC_MACROS: &[&str] = &["vec", "format"];
 
-/// The files whose loop bodies are the per-cycle hot path.
-pub fn scope(rel_path: &str) -> bool {
-    rel_path.starts_with(SIM_CORE_DIR)
-        || matches!(
-            rel_path,
-            "crates/sim/src/func.rs" | "crates/sim/src/ldst.rs" | "crates/sim/src/wheel.rs"
-        )
-}
-
-/// The core scheduler files [`UNBOUNDED_QUEUE_IN_CORE`] guards.
-pub fn queue_scope(rel_path: &str) -> bool {
-    rel_path.starts_with(SIM_CORE_DIR) || rel_path == "crates/sim/src/wheel.rs"
-}
-
 /// A `Type::ctor` path match: the last two segments name an allocating
-/// constructor on one of `types` (`std::collections::BinaryHeap::new`
+/// constructor of an [`ALLOC_TYPES`] type (`std::collections::BinaryHeap::new`
 /// matches through its full path).
-fn ctor_path<'e>(e: &'e Expr, types: &[&str]) -> Option<(&'e str, &'e str, u32)> {
+fn ctor_path(e: &Expr) -> Option<(&str, &str, u32)> {
     if let Expr::Path { segs, line } = e {
         if segs.len() >= 2 {
             let ty = &segs[segs.len() - 2];
             let ctor = &segs[segs.len() - 1];
-            if types.contains(&ty.as_str()) && ALLOC_CTORS.contains(&ctor.as_str()) {
+            if ALLOC_TYPES.contains(&ty.as_str()) && ALLOC_CTORS.contains(&ctor.as_str()) {
                 return Some((ty, ctor, *line));
             }
         }
@@ -235,18 +201,11 @@ fn scan_item(item: &Item, sink: &mut impl FnMut(&Expr)) {
     }
 }
 
-/// Runs `sink` over every expression that executes inside a loop body
-/// of `file`, skipping test items.
-fn in_loop_exprs(file: &SourceFile, sink: &mut impl FnMut(&Expr)) {
-    for item in &file.ast.items {
-        scan_item(item, sink);
-    }
-}
-
-/// Flags allocating expressions inside loop bodies.
+/// Flags allocating expressions inside loop bodies, skipping test
+/// items.
 pub fn check(file: &SourceFile) -> Vec<Diagnostic> {
     let mut out = Vec::new();
-    in_loop_exprs(file, &mut |e| {
+    let mut sink = |e: &Expr| {
         let (what, line) = match e {
             Expr::MacroCall { name, line, .. } if ALLOC_MACROS.contains(&name.as_str()) => {
                 (format!("`{name}!`"), *line)
@@ -254,7 +213,7 @@ pub fn check(file: &SourceFile) -> Vec<Diagnostic> {
             Expr::MethodCall { method, line, .. } if ALLOC_METHODS.contains(&method.as_str()) => {
                 (format!("`.{method}()`"), *line)
             }
-            _ => match ctor_path(e, ALLOC_TYPES) {
+            _ => match ctor_path(e) {
                 Some((ty, ctor, line)) => (format!("`{ty}::{ctor}`"), line),
                 None => return,
             },
@@ -269,31 +228,9 @@ pub fn check(file: &SourceFile) -> Vec<Diagnostic> {
                  allocation-free"
             ),
         ));
-    });
-    out
-}
-
-/// Flags `BinaryHeap`/`VecDeque` construction inside loop bodies of the
-/// core scheduler files. Test items are exempt (the wheel's own
-/// differential test drives a reference `BinaryHeap` on purpose); real
-/// scheduler state must justify itself with an
-/// `allow(unbounded_queue_in_core)` marker.
-pub fn check_queues(file: &SourceFile) -> Vec<Diagnostic> {
-    let mut out = Vec::new();
-    in_loop_exprs(file, &mut |e| {
-        let Some((ty, ctor, line)) = ctor_path(e, QUEUE_TYPES) else {
-            return;
-        };
-        out.push(file.diag(
-            line,
-            UNBOUNDED_QUEUE_IN_CORE,
-            format!(
-                "`{ty}::{ctor}` builds a comparison/deque queue inside a loop of the \
-                 core scheduler; the calendar wheel (`EventWheel`) replaced exactly \
-                 this structure in the per-cycle hot path — reuse it or a hoisted \
-                 scratch queue instead"
-            ),
-        ));
-    });
+    };
+    for item in &file.ast.items {
+        scan_item(item, &mut sink);
+    }
     out
 }

@@ -1,16 +1,19 @@
 //! simlint — the workspace invariant checker.
 //!
-//! `rustc` and clippy enforce language rules; this crate enforces the
-//! *simulator's* rules — the cross-cutting contracts this workspace
-//! depends on but no compiler knows about. It is dependency-free: a
-//! comment/string-aware lexer ([`lexer`]) feeds a recovering parser
-//! ([`syntax`]) whose typed item/expression IR the structural passes
-//! walk; lint scopes are discovered from the workspace manifest
+//! `rustc`, clippy and the test suite enforce a great deal; this crate
+//! keeps only the *simulator's* rules that none of them can see. Every
+//! lint here survived a mutation audit (DESIGN.md §14): a seeded
+//! violation that `cargo build`, `cargo clippy -D warnings` and
+//! `cargo test --workspace` all let through, but simlint does not. It
+//! is dependency-free: a comment/string-aware lexer ([`lexer`]) feeds a
+//! recovering parser ([`syntax`]) whose typed item/expression IR the
+//! structural passes walk; the crate scopes of the determinism, unit
+//! and float passes are discovered from the workspace manifest
 //! ([`scope`]) so new crates are covered from their first commit.
 //!
 //! * **Determinism** ([`determinism`]): simulation results must be
 //!   bit-identical run to run (EXPERIMENTS.md is regenerated and
-//!   byte-compared in CI), so result-bearing crates must not iterate
+//!   byte-compared in CI), so result-bearing crates must not name
 //!   `HashMap`/`HashSet` or consult the wall clock.
 //! * **Panic-free decoding** ([`untrusted`]): the service and trace
 //!   wire formats parse bytes that arrive from outside the process, so
@@ -18,15 +21,13 @@
 //!   errors — no `unwrap`/indexing/`panic!` (`panic_path`) and no
 //!   unchecked arithmetic or narrowing casts on decoded lengths and
 //!   counts (`decode_arith`).
-//! * **Float determinism** ([`floats`]): results are byte-compared in
-//!   CI and float addition is not associative, so float reductions
-//!   must not iterate unordered sources (`float_reduce_order`) and
-//!   `#[cfg]`-divergent kernels must not do float math unless pinned
-//!   bit-identical to the fallback (`float_cfg_divergence`).
+//! * **Float determinism** ([`floats`]): `#[cfg]`-divergent kernels
+//!   must not do float math unless pinned bit-identical to the
+//!   fallback (`float_cfg_divergence`).
 //! * **Phase discipline** ([`phase`]): the compute phase of the
 //!   two-phase core step — everything reachable from `tick`,
-//!   cross-file — must not take `&mut GpuMemory`, touch interior
-//!   mutability, or call the commit API (`phase_*`).
+//!   cross-file — must not take `&mut GpuMemory` or touch interior
+//!   mutability (`phase_*`).
 //! * **Unit safety** ([`units`]): energy/power/time arithmetic in the
 //!   power model must stay inside the `gpusimpow_tech::units` newtypes;
 //!   unwrapping to raw `f64` mid-computation is where dimensional bugs
@@ -37,20 +38,17 @@
 //!   manifest diff.
 //! * **Hot-path allocation** ([`hotpath`]): the SoA warp pipeline's
 //!   steady state must not allocate per executed instruction, so loop
-//!   bodies in `crates/sim/src/{core,func,ldst}.rs` must not contain
+//!   bodies on the tick path ([`scope::tick_path`]) must not contain
 //!   allocating expressions (`vec!`, `Vec::new`, `.collect()`, …) —
-//!   the static twin of `tests/steady_state_alloc.rs`.
-//! * **Registry coverage** ([`registry`]): every `EventKind` of the
-//!   component-event registry must be priced by an `EnergyMap`,
-//!   consumed by the empirical base model, or documented as
-//!   intentionally unpriced — checked *statically*, before any test
-//!   runs.
+//!   the static twin of `tests/steady_state_alloc.rs`, which only sees
+//!   the paths its kernels execute.
 //!
 //! Run it as `cargo run -p simlint` from the workspace root; it prints
 //! `file:line: lint: message` per finding and exits non-zero when
 //! anything fires (`--json PATH` additionally writes a
-//! schema-versioned machine-readable report). Findings are suppressed
-//! per site with a justified marker comment:
+//! schema-versioned machine-readable report; with `--json -` the report
+//! alone goes to stdout and the finding lines to stderr). Findings are
+//! suppressed per site with a justified marker comment:
 //!
 //! ```text
 //! // simlint: allow(nondeterministic_collection): keyed access only,
@@ -66,7 +64,6 @@ pub mod floats;
 pub mod hotpath;
 pub mod lexer;
 pub mod phase;
-pub mod registry;
 pub mod scope;
 pub mod syntax;
 pub mod units;
@@ -86,19 +83,13 @@ pub const LINTS: &[&str] = &[
     determinism::WALL_CLOCK,
     units::RAW_UNIT_MATH,
     hotpath::LANE_LOOP_ALLOC,
-    hotpath::UNBOUNDED_QUEUE_IN_CORE,
     unsafety::UNDOCUMENTED_UNSAFE,
     unsafety::UNSAFE_MANIFEST_DRIFT,
-    registry::UNPRICED_EVENT,
-    registry::UNKNOWN_EVENT,
-    registry::CONFLICTING_PRICE,
     untrusted::PANIC_PATH,
     untrusted::DECODE_ARITH,
-    floats::FLOAT_REDUCE_ORDER,
     floats::FLOAT_CFG_DIVERGENCE,
     phase::PHASE_MUT_MEMORY,
     phase::PHASE_INTERIOR_MUT,
-    phase::PHASE_COMMIT_API,
     MISSING_JUSTIFICATION,
     UNKNOWN_LINT,
 ];
@@ -254,43 +245,38 @@ impl SourceFile {
     }
 }
 
-/// Whether token index `idx` lies inside any of `regions`.
-pub(crate) fn in_regions(regions: &[(usize, usize)], idx: usize) -> bool {
-    regions.iter().any(|&(a, b)| a <= idx && idx <= b)
-}
-
 /// Runs every per-file pass applicable to `rel_path` on `src` under the
 /// static default scopes and returns the surviving (non-suppressed)
 /// findings. This is the entry point the fixture tests drive;
-/// [`run_workspace`] discovers scopes from the manifest and goes
-/// through [`check_source_with`].
+/// [`run_workspace`] discovers scopes from the manifest instead.
 pub fn check_source(rel_path: &str, src: &str) -> Vec<Diagnostic> {
-    check_source_with(&ScopeConfig::default_static(), rel_path, src)
+    check_file(
+        &ScopeConfig::default_static(),
+        &SourceFile::parse(rel_path, src),
+    )
 }
 
-/// [`check_source`] with explicit lint scopes.
-pub fn check_source_with(scopes: &ScopeConfig, rel_path: &str, src: &str) -> Vec<Diagnostic> {
-    let file = SourceFile::parse(rel_path, src);
+/// Every per-file pass applicable to `file` under `scopes`, with
+/// suppressions applied and marker findings added.
+fn check_file(scopes: &ScopeConfig, file: &SourceFile) -> Vec<Diagnostic> {
+    let rel_path = file.rel_path.as_str();
     let mut raw = Vec::new();
     if scopes.determinism(rel_path) {
-        raw.extend(determinism::check(&file));
+        raw.extend(determinism::check(file));
     }
     if scopes.units(rel_path) {
-        raw.extend(units::check(&file));
+        raw.extend(units::check(file));
     }
-    if hotpath::scope(rel_path) {
-        raw.extend(hotpath::check(&file));
-    }
-    if hotpath::queue_scope(rel_path) {
-        raw.extend(hotpath::check_queues(&file));
+    if scope::tick_path(rel_path) {
+        raw.extend(hotpath::check(file));
     }
     if untrusted::scope(rel_path) {
-        raw.extend(untrusted::check(&file));
+        raw.extend(untrusted::check(file));
     }
     if scopes.floats(rel_path) {
-        raw.extend(floats::check(&file));
+        raw.extend(floats::check(file));
     }
-    raw.extend(unsafety::check(&file));
+    raw.extend(unsafety::check(file));
     let mut out: Vec<Diagnostic> = raw
         .into_iter()
         .filter(|d| !file.allowed(d.lint, d.line))
@@ -321,7 +307,10 @@ fn rel(root: &Path, path: &Path) -> String {
         .join("/")
 }
 
-fn collect_rs_files(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
+/// Every first-party `.rs` file under `dir`, in sorted path order:
+/// build outputs (`target`), vendored stand-ins (`vendor`), `.git` and
+/// simlint's own lint fixtures (`fixtures`) are skipped.
+pub fn collect_rs_files(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
     let mut entries: Vec<PathBuf> = fs::read_dir(dir)?
         .map(|e| Ok(e?.path()))
         .collect::<io::Result<_>>()?;
@@ -340,9 +329,9 @@ fn collect_rs_files(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
     Ok(())
 }
 
-/// Checks the whole workspace rooted at `root`: every first-party `.rs`
-/// file (vendored stubs, build outputs and simlint's own lint fixtures
-/// excluded), the registry-coverage contract, and `UNSAFE.md` drift.
+/// Checks the whole workspace rooted at `root`: every file
+/// [`collect_rs_files`] yields, parsed once and handed to every pass,
+/// the cross-file phase pass over the tick path, and `UNSAFE.md` drift.
 pub fn run_workspace(root: &Path) -> io::Result<WorkspaceReport> {
     let scopes = ScopeConfig::discover(root)?;
     let mut paths = Vec::new();
@@ -350,37 +339,19 @@ pub fn run_workspace(root: &Path) -> io::Result<WorkspaceReport> {
 
     let mut diagnostics = Vec::new();
     let mut unsafe_files = Vec::new();
-    let mut events_file = None;
-    let mut registry_file = None;
-    let mut pricing_files = Vec::new();
     let mut phase_files = Vec::new();
 
     for path in &paths {
         let rel_path = rel(root, path);
-        let src = fs::read_to_string(path)?;
-        diagnostics.extend(check_source_with(&scopes, &rel_path, &src));
-        let file = SourceFile::parse(&rel_path, &src);
+        let file = SourceFile::parse(&rel_path, &fs::read_to_string(path)?);
+        diagnostics.extend(check_file(&scopes, &file));
         let sites = unsafety::sites(&file);
         if !sites.is_empty() {
             unsafe_files.push((rel_path.clone(), sites));
         }
-        if phase::scope(&rel_path) {
-            phase_files.push(SourceFile::parse(&rel_path, &src));
+        if scope::tick_path(&rel_path) {
+            phase_files.push(file);
         }
-        match rel_path.as_str() {
-            "crates/sim/src/events.rs" => events_file = Some(file),
-            "crates/power/src/registry.rs" => registry_file = Some(file),
-            p if p.starts_with("crates/power/src/components/")
-                || p == "crates/power/src/dram.rs" =>
-            {
-                pricing_files.push(file)
-            }
-            _ => {}
-        }
-    }
-
-    if let (Some(events), Some(reg)) = (&events_file, &registry_file) {
-        diagnostics.extend(registry::check(events, reg, &pricing_files));
     }
 
     let phase_refs: Vec<&SourceFile> = phase_files.iter().collect();

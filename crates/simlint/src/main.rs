@@ -36,18 +36,18 @@ fn main() -> ExitCode {
                 println!(
                     "usage: simlint [--root PATH] [--update-unsafe-manifest] [--json PATH]\n\
                      \n\
-                     Checks the workspace invariants no compiler enforces:\n\
-                     determinism (no HashMap iteration / wall clock in\n\
-                     result-bearing crates), unit safety (no raw f64 math on\n\
-                     unwrapped quantities in the power model), hot-path and\n\
-                     decode-path discipline (allocation, panic and arithmetic\n\
-                     rules), float determinism, the core step's\n\
-                     two-phase contract, unsafe audit (SAFETY comments +\n\
-                     UNSAFE.md inventory), and registry coverage (every\n\
-                     EventKind priced, base-model, or documented unpriced).\n\
+                     Checks the workspace invariants rustc, clippy and the\n\
+                     test suite cannot see: determinism (no HashMap / wall\n\
+                     clock in result-bearing crates), unit safety (no raw f64\n\
+                     math on unwrapped quantities in the power model),\n\
+                     hot-path and decode-path discipline (allocation, panic\n\
+                     and arithmetic rules), cfg-divergent float kernels, no\n\
+                     interior mutability on the tick path, and the unsafe\n\
+                     audit (SAFETY comments + UNSAFE.md inventory).\n\
                      Exits 1 when anything fires. `--json` additionally\n\
                      writes a schema-versioned machine-readable report to\n\
-                     PATH (`-` for stdout)."
+                     PATH; with `-` the report goes to stdout and the\n\
+                     finding lines to stderr."
                 );
                 return ExitCode::SUCCESS;
             }
@@ -69,6 +69,17 @@ fn main() -> ExitCode {
         }
     };
 
+    // With the JSON report on stdout, the human-readable lines go to
+    // stderr so stdout stays one parseable document.
+    let json_to_stdout = json_path.as_ref().is_some_and(|p| p.as_os_str() == "-");
+    let say = |line: String| {
+        if json_to_stdout {
+            eprintln!("{line}");
+        } else {
+            println!("{line}");
+        }
+    };
+
     let mut diagnostics = report.diagnostics;
     if update_manifest {
         let path = root.join("UNSAFE.md");
@@ -76,13 +87,13 @@ fn main() -> ExitCode {
             eprintln!("simlint: cannot write {}: {e}", path.display());
             return ExitCode::FAILURE;
         }
-        println!("simlint: wrote {}", path.display());
+        say(format!("simlint: wrote {}", path.display()));
         diagnostics.retain(|d| d.lint != simlint::unsafety::UNSAFE_MANIFEST_DRIFT);
     }
 
     if let Some(path) = &json_path {
         let json = simlint::json_report(&diagnostics, report.files_checked);
-        if path.as_os_str() == "-" {
+        if json_to_stdout {
             print!("{json}");
         } else if let Err(e) = std::fs::write(path, &json) {
             eprintln!("simlint: cannot write {}: {e}", path.display());
@@ -91,13 +102,13 @@ fn main() -> ExitCode {
     }
 
     for d in &diagnostics {
-        println!("{d}");
+        say(d.to_string());
     }
     if diagnostics.is_empty() {
-        println!(
+        say(format!(
             "simlint: {} files checked, no findings",
             report.files_checked
-        );
+        ));
         ExitCode::SUCCESS
     } else {
         eprintln!("simlint: {} finding(s)", diagnostics.len());

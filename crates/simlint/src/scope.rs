@@ -7,10 +7,10 @@
 //! crate is linted from its first commit and can only leave a scope
 //! through an explicit, documented opt-out below.
 //!
-//! Two kinds of scope exist:
+//! Three kinds of scope exist:
 //!
-//! * **Discovery-driven** (determinism, panic-path/decode-arithmetic's
-//!   crate guard): every first-party member is in unless opted out.
+//! * **Discovery-driven** (determinism): every first-party member is in
+//!   unless opted out.
 //!   Opt-outs: `vendor/*` (third-party API stand-ins, not our code)
 //!   and `crates/bench` (reads the wall clock by design — that is its
 //!   job). The root meta-crate re-exports only and has no `src`
@@ -23,6 +23,9 @@
 //!   math. The named crates are intersected with the discovered
 //!   member set, so a renamed or deleted crate drops out instead of
 //!   lingering as a dead path prefix.
+//! * **Fixed file sets** inside one crate: the tick path
+//!   ([`tick_path`], hot-path allocation and phase discipline) and the
+//!   decode files ([`crate::untrusted::scope`]).
 
 use std::fs;
 use std::io;
@@ -46,10 +49,22 @@ const UNIT_CRATES: &[&str] = &["power", "trace"];
 /// [`UNIT_CRATES`].
 const FLOAT_CRATES: &[&str] = &["sim", "power", "pm"];
 
-/// The directory holding the SIMT core's per-stage modules. The
-/// hot-path and phase lints match it as a *prefix*, not as a file list,
-/// so a further split of the core cannot drop a file out of scope.
-pub const SIM_CORE_DIR: &str = "crates/sim/src/core/";
+/// The directory holding the SIMT core's per-stage modules.
+const SIM_CORE_DIR: &str = "crates/sim/src/core/";
+
+/// The files the per-cycle tick path runs through: everything under
+/// `crates/sim/src/core/` plus `crates/sim/src/{func,ldst,wheel}.rs`.
+/// The hot-path allocation lint scans their loop bodies; the phase pass
+/// walks the tick call graph across them. The core directory matches
+/// as a *prefix*, not as a file list, so a further split of the core
+/// cannot drop a file out of scope.
+pub fn tick_path(rel_path: &str) -> bool {
+    rel_path.starts_with(SIM_CORE_DIR)
+        || matches!(
+            rel_path,
+            "crates/sim/src/func.rs" | "crates/sim/src/ldst.rs" | "crates/sim/src/wheel.rs"
+        )
+}
 
 /// Resolved path-prefix scopes every per-file pass consults.
 #[derive(Debug, Clone)]
@@ -261,7 +276,7 @@ mod tests {
     }
 
     #[test]
-    fn core_stage_scopes_follow_the_directory_not_a_file_list() {
+    fn tick_path_follows_the_core_directory_not_a_file_list() {
         for file in [
             "mod.rs",
             "issue.rs",
@@ -270,13 +285,10 @@ mod tests {
             "not_split_yet.rs",
         ] {
             let path = format!("{SIM_CORE_DIR}{file}");
-            assert!(crate::hotpath::scope(&path), "{path}");
-            assert!(crate::hotpath::queue_scope(&path), "{path}");
-            assert!(crate::phase::scope(&path), "{path}");
+            assert!(tick_path(&path), "{path}");
         }
         // The pre-split single file is gone; nothing may still match it.
-        assert!(!crate::hotpath::scope("crates/sim/src/core.rs"));
-        assert!(!crate::phase::scope("crates/sim/src/core.rs"));
+        assert!(!tick_path("crates/sim/src/core.rs"));
     }
 
     #[test]

@@ -23,8 +23,8 @@
 //! test in `tests/syntax_corpus.rs` keeps the opaque fraction honest on
 //! the real workspace). Macro invocation arguments are re-parsed as
 //! comma-separated expressions when they parse cleanly (`assert!`,
-//! `write!`, `vec!` bodies), and kept as raw token spans otherwise
-//! (`macro_rules!` tables like `for_each_event!`).
+//! `write!`, `vec!` bodies), and skipped otherwise (`macro_rules!`
+//! tables like `for_each_event!`).
 //!
 //! Known, accepted approximations (each picked because the lint scopes
 //! never hit them or the failure mode is an `Opaque` leaf, not a wrong
@@ -98,9 +98,9 @@ pub enum ItemKind {
     Const,
     /// `type` alias.
     Alias,
-    /// `macro_rules!` definition (args span kept raw).
+    /// `macro_rules!` definition (body skipped).
     MacroDef,
-    /// Item-level macro invocation (args span kept raw).
+    /// Item-level macro invocation (args skipped).
     MacroCall,
     /// Anything the item grammar does not cover.
     Other,
@@ -115,8 +115,6 @@ pub struct Item {
     pub name: Option<String>,
     /// 1-based line of the first token (after attributes).
     pub line: u32,
-    /// Inclusive token-index range, attributes included.
-    pub span: (usize, usize),
     /// Outer attributes.
     pub attrs: Vec<Attr>,
     /// `fn` signature.
@@ -132,9 +130,6 @@ pub struct Item {
     pub init: Option<Expr>,
     /// `impl`/`mod`/`trait` members.
     pub children: Vec<Item>,
-    /// `MacroDef`/`MacroCall`: inclusive token range *inside* the
-    /// delimiters.
-    pub macro_args: Option<(usize, usize)>,
 }
 
 impl Item {
@@ -177,8 +172,6 @@ pub struct Param {
 /// A `{ ... }` block.
 #[derive(Debug, Default)]
 pub struct Block {
-    /// Inclusive token range of the braces.
-    pub span: (usize, usize),
     /// Statements in order.
     pub stmts: Vec<Stmt>,
 }
@@ -358,14 +351,12 @@ pub enum Expr {
         line: u32,
     },
     /// `name!(args)`; `args` parsed as expressions when they parse
-    /// cleanly, the raw span is always kept.
+    /// cleanly.
     MacroCall {
         /// Macro name (last path segment).
         name: String,
         /// Cleanly parsed arguments (possibly empty).
         args: Vec<Expr>,
-        /// Inclusive token range inside the delimiters.
-        args_span: (usize, usize),
         /// 1-based line.
         line: u32,
     },
@@ -473,37 +464,6 @@ pub enum Expr {
 }
 
 impl Expr {
-    /// 1-based source line of the expression's anchor token.
-    pub fn line(&self) -> u32 {
-        match self {
-            Expr::Path { line, .. }
-            | Expr::Lit { line, .. }
-            | Expr::MethodCall { line, .. }
-            | Expr::Call { line, .. }
-            | Expr::Index { line, .. }
-            | Expr::Field { line, .. }
-            | Expr::Binary { line, .. }
-            | Expr::Assign { line, .. }
-            | Expr::Unary { line, .. }
-            | Expr::Ref { line, .. }
-            | Expr::Cast { line, .. }
-            | Expr::Try { line, .. }
-            | Expr::MacroCall { line, .. }
-            | Expr::Paren { line, .. }
-            | Expr::Tuple { line, .. }
-            | Expr::Array { line, .. }
-            | Expr::Range { line, .. }
-            | Expr::StructLit { line, .. }
-            | Expr::Block { line, .. }
-            | Expr::If { line, .. }
-            | Expr::Match { line, .. }
-            | Expr::Loop { line, .. }
-            | Expr::Closure { line, .. }
-            | Expr::Jump { line, .. }
-            | Expr::Opaque { line } => *line,
-        }
-    }
-
     /// Pre-order walk over this expression and every nested one,
     /// including block statements, arm guards/bodies and closure
     /// bodies. Nested *items* (a `fn` defined inside a block) are not
@@ -736,7 +696,7 @@ impl Block {
 
 impl Ast {
     /// Depth-first walk over every item, including `impl`/`mod`/`trait`
-    /// members and items nested in blocks.
+    /// members and items nested in blocks at any depth.
     pub fn walk_items(&self, f: &mut impl FnMut(&Item)) {
         fn rec(item: &Item, f: &mut impl FnMut(&Item)) {
             f(item);
@@ -744,80 +704,16 @@ impl Ast {
                 rec(child, f);
             }
             if let Some(body) = &item.body {
-                walk_block_items(body, f);
-            }
-        }
-        fn walk_block_items(block: &Block, f: &mut impl FnMut(&Item)) {
-            for stmt in &block.stmts {
-                if let Stmt::Item(item) = stmt {
-                    rec(item, f);
-                }
+                body.walk_stmts(&mut |stmt| {
+                    if let Stmt::Item(nested) = stmt {
+                        rec(nested, f);
+                    }
+                });
             }
         }
         for item in &self.items {
             rec(item, f);
         }
-    }
-
-    /// Token spans (inclusive) of test-only items: `#[test]` functions
-    /// and `#[cfg(test)]`-gated items, at any nesting depth.
-    pub fn test_spans(&self) -> Vec<(usize, usize)> {
-        let mut out = Vec::new();
-        self.walk_items(&mut |item| {
-            if item.is_test_only() {
-                out.push(item.span);
-            }
-        });
-        out
-    }
-
-    /// Token spans of `impl Display/Debug for ...` blocks.
-    pub fn fmt_impl_spans(&self) -> Vec<(usize, usize)> {
-        let mut out = Vec::new();
-        self.walk_items(&mut |item| {
-            if item.kind == ItemKind::Impl {
-                if let Some(tp) = &item.trait_path {
-                    if tp.iter().any(|s| s == "Display" || s == "Debug") {
-                        out.push(item.span);
-                    }
-                }
-            }
-        });
-        out
-    }
-
-    /// Every `fn` item (at any depth) paired with the impl self-type
-    /// tokens of its enclosing `impl`, when any.
-    pub fn fns(&self) -> Vec<(&Item, Option<&[String]>)> {
-        let mut out: Vec<(&Item, Option<&[String]>)> = Vec::new();
-        fn rec<'a>(
-            item: &'a Item,
-            enclosing: Option<&'a [String]>,
-            out: &mut Vec<(&'a Item, Option<&'a [String]>)>,
-        ) {
-            let enclosing = if item.kind == ItemKind::Impl {
-                Some(item.ty.as_slice())
-            } else {
-                enclosing
-            };
-            if item.kind == ItemKind::Fn {
-                out.push((item, enclosing));
-            }
-            for child in &item.children {
-                rec(child, enclosing, out);
-            }
-            if let Some(body) = &item.body {
-                for stmt in &body.stmts {
-                    if let Stmt::Item(nested) = stmt {
-                        rec(nested, enclosing, out);
-                    }
-                }
-            }
-        }
-        for item in &self.items {
-            rec(item, None, &mut out);
-        }
-        out
     }
 }
 
@@ -861,20 +757,6 @@ pub fn visit_exprs(items: &[Item], skip: &impl Fn(&Item) -> bool, f: &mut impl F
     for it in items {
         item(it, skip, f);
     }
-}
-
-/// The standard exemption predicate for expression lints: test-only
-/// items, and (when `skip_fmt_impls`) `Display`/`Debug` impls.
-pub fn exempt_item(item: &Item, skip_fmt_impls: bool) -> bool {
-    if item.is_test_only() {
-        return true;
-    }
-    if skip_fmt_impls && item.kind == ItemKind::Impl {
-        if let Some(tp) = &item.trait_path {
-            return tp.iter().any(|s| s == "Display" || s == "Debug");
-        }
-    }
-    false
 }
 
 /// Parses one lexed file into the IR. Total: never fails.
@@ -1053,7 +935,6 @@ impl<'a> Parser<'a> {
 
     /// Parses one item. Always advances.
     fn item(&mut self) -> Item {
-        let start = self.i;
         let attrs = self.attrs();
         let line = self.line();
 
@@ -1090,7 +971,6 @@ impl<'a> Parser<'a> {
             kind: ItemKind::Other,
             name: None,
             line,
-            span: (start, start),
             attrs,
             sig: None,
             trait_path: None,
@@ -1098,7 +978,6 @@ impl<'a> Parser<'a> {
             body: None,
             init: None,
             children: Vec::new(),
-            macro_args: None,
         };
 
         match self.cur() {
@@ -1147,10 +1026,7 @@ impl<'a> Parser<'a> {
                 self.eat_punct("!");
                 item.name = self.take_name();
                 if matches!(self.cur(), "{" | "(" | "[") {
-                    let open = self.i;
-                    let end = self.after_group(open);
-                    item.macro_args = Some((open + 1, end.saturating_sub(2)));
-                    self.i = end;
+                    self.i = self.after_group(self.i);
                     self.eat_punct(";");
                 }
             }
@@ -1176,10 +1052,7 @@ impl<'a> Parser<'a> {
                     self.i += 1;
                 }
                 if matches!(self.cur(), "{" | "(" | "[") {
-                    let open = self.i;
-                    let end = self.after_group(open);
-                    item.macro_args = Some((open + 1, end.saturating_sub(2)));
-                    self.i = end;
+                    self.i = self.after_group(self.i);
                 }
                 self.eat_punct(";");
             }
@@ -1189,8 +1062,6 @@ impl<'a> Parser<'a> {
                 self.i += 1;
             }
         }
-
-        item.span = (start, self.i.saturating_sub(1).max(start));
         item
     }
 
@@ -1493,7 +1364,6 @@ impl<'a> Parser<'a> {
     /// Parses a brace block.
     fn block(&mut self) -> Block {
         debug_assert!(self.at_punct("{"));
-        let open = self.i;
         self.i += 1;
         let mut stmts = Vec::new();
         while self.i < self.t.len() && !self.at_punct("}") {
@@ -1505,12 +1375,8 @@ impl<'a> Parser<'a> {
                 self.i += 1; // never stall
             }
         }
-        let close = self.i;
         self.eat_punct("}");
-        Block {
-            span: (open, close),
-            stmts,
-        }
+        Block { stmts }
     }
 
     /// Parses one statement, or `None` for stray semicolons.
@@ -2178,19 +2044,14 @@ impl<'a> Parser<'a> {
             self.i += 1;
             let open = self.i;
             let end = self.after_group(open);
-            let args_span = (open + 1, end.saturating_sub(2));
-            let args = if args_span.0 <= args_span.1 {
-                self.comma_exprs(args_span.0, args_span.1)
+            let (lo, hi) = (open + 1, end.saturating_sub(2));
+            let args = if lo <= hi {
+                self.comma_exprs(lo, hi)
             } else {
                 Vec::new()
             };
             self.i = end;
-            return Expr::MacroCall {
-                name,
-                args,
-                args_span,
-                line,
-            };
+            return Expr::MacroCall { name, args, line };
         }
         if self.at_punct("{") && !no_struct {
             // Struct literal.
@@ -2499,17 +2360,6 @@ fn num_lit_kind(text: &str) -> LitKind {
     LitKind::Int
 }
 
-/// Whether a literal expression is a float literal.
-pub fn is_float_lit(e: &Expr) -> bool {
-    matches!(
-        e,
-        Expr::Lit {
-            kind: LitKind::Float,
-            ..
-        }
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -2519,10 +2369,19 @@ mod tests {
         parse(&lex(src))
     }
 
+    fn fn_names(ast: &Ast) -> Vec<String> {
+        let mut out = Vec::new();
+        ast.walk_items(&mut |item| {
+            if item.kind == ItemKind::Fn {
+                out.push(item.name.clone().unwrap_or_default());
+            }
+        });
+        out
+    }
+
     fn only_fn(ast: &Ast) -> &Item {
-        let fns = ast.fns();
-        assert_eq!(fns.len(), 1, "{ast:#?}");
-        fns[0].0
+        assert_eq!(fn_names(ast).len(), 1, "{ast:#?}");
+        &ast.items[0]
     }
 
     #[test]
@@ -2530,11 +2389,10 @@ mod tests {
         let ast = parse_src(
             "impl Reader { pub fn u16(&mut self, what: &'static str) -> Result<u16, WireError> { self.take(2) } }",
         );
-        let fns = ast.fns();
-        assert_eq!(fns.len(), 1);
-        let (f, self_ty) = (&fns[0].0, fns[0].1.unwrap());
-        assert_eq!(f.name.as_deref(), Some("u16"));
-        assert_eq!(self_ty, ["Reader"]);
+        assert_eq!(fn_names(&ast), ["u16"]);
+        let imp = &ast.items[0];
+        assert_eq!(imp.ty, ["Reader"]);
+        let f = &imp.children[0];
         let sig = f.sig.as_ref().unwrap();
         assert_eq!(sig.params.len(), 2);
         assert_eq!(sig.params[0].name, "self");
@@ -2618,7 +2476,9 @@ mod tests {
         let ast = parse_src(
             "#[cfg(test)] mod tests { #[test] fn t() { let m = HashMap::new(); } }\nfn real() {}",
         );
-        assert_eq!(ast.test_spans().len(), 2); // the mod and the fn
+        let mut tests = 0;
+        ast.walk_items(&mut |item| tests += usize::from(item.is_test_only()));
+        assert_eq!(tests, 2); // the mod and the fn
         assert_eq!(ast.items.len(), 2);
         assert!(!ast.items[1].is_test_only());
     }
@@ -2637,7 +2497,8 @@ mod tests {
         let ast = parse_src(
             "impl fmt::Display for W { fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result { write!(f, \"{}\", self.0) } }",
         );
-        assert_eq!(ast.fmt_impl_spans().len(), 1);
+        let trait_path = ast.items[0].trait_path.as_deref().unwrap_or_default();
+        assert!(trait_path.iter().any(|t| t == "Display"), "{trait_path:?}");
     }
 
     #[test]
@@ -2734,22 +2595,18 @@ mod tests {
     }
 
     #[test]
-    fn item_macro_calls_keep_raw_spans() {
+    fn item_macro_calls_are_items() {
         let ast = parse_src("for_each_event! { (A, a, Core, PerCore, \"doc\") }");
         let item = &ast.items[0];
         assert_eq!(item.kind, ItemKind::MacroCall);
         assert_eq!(item.name.as_deref(), Some("for_each_event"));
-        assert!(item.macro_args.is_some());
     }
 
     #[test]
     fn parser_never_stalls_on_garbage() {
         let ast = parse_src("@@ %% fn ok() { let x = 1 + ; } ## }}}}");
         // It recovered enough to find the fn.
-        assert!(ast
-            .fns()
-            .iter()
-            .any(|(f, _)| f.name.as_deref() == Some("ok")));
+        assert!(fn_names(&ast).iter().any(|f| f == "ok"));
     }
 
     #[test]

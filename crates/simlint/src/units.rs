@@ -27,7 +27,7 @@
 //! `Voltage::squared` replacing `vdd.volts() * vdd.volts()`) or a
 //! justified `// simlint: allow(raw_unit_math): …` marker.
 
-use crate::syntax::{exempt_item, visit_exprs, Expr};
+use crate::syntax::{visit_exprs, Expr, Item, ItemKind};
 use crate::{Diagnostic, SourceFile};
 
 /// Raw `f64` multiplication/division on an unwrapped unit value.
@@ -82,47 +82,53 @@ fn spine_extractors<'e>(mut e: &'e Expr, out: &mut Vec<(&'e str, u32)>) {
     }
 }
 
+/// The exempt regions: test-only items and `Display`/`Debug` impls.
+fn exempt(item: &Item) -> bool {
+    item.is_test_only()
+        || (item.kind == ItemKind::Impl
+            && item
+                .trait_path
+                .as_ref()
+                .is_some_and(|tp| tp.iter().any(|s| s == "Display" || s == "Debug")))
+}
+
 /// Flags extractor calls feeding raw `*`/`/` arithmetic, outside test
 /// items and `Display`/`Debug` impls.
 pub fn check(file: &SourceFile) -> Vec<Diagnostic> {
     let mut out = Vec::new();
-    visit_exprs(
-        &file.ast.items,
-        &|item| exempt_item(item, true),
-        &mut |node| {
-            let Expr::Binary {
-                op: "*" | "/",
-                lhs,
-                rhs,
-                ..
-            } = node
-            else {
-                return;
-            };
-            let mut hits = Vec::new();
-            // The left operand feeds the operator only when the
-            // extractor call itself ends it (`.watts() *`); a `?` or
-            // cast in between changes what the operator sees.
-            if let Some(hit) = extractor_call(lhs) {
-                hits.push(hit);
-            }
-            // The right operand is tainted along its whole receiver
-            // spine: every extractor there has the operator directly to
-            // its left.
-            spine_extractors(rhs, &mut hits);
-            for (method, line) in hits {
-                out.push(file.diag(
-                    line,
-                    RAW_UNIT_MATH,
-                    format!(
-                        "`.{method}()` unwraps a typed quantity straight into raw f64 \
+    visit_exprs(&file.ast.items, &exempt, &mut |node| {
+        let Expr::Binary {
+            op: "*" | "/",
+            lhs,
+            rhs,
+            ..
+        } = node
+        else {
+            return;
+        };
+        let mut hits = Vec::new();
+        // The left operand feeds the operator only when the
+        // extractor call itself ends it (`.watts() *`); a `?` or
+        // cast in between changes what the operator sees.
+        if let Some(hit) = extractor_call(lhs) {
+            hits.push(hit);
+        }
+        // The right operand is tainted along its whole receiver
+        // spine: every extractor there has the operator directly to
+        // its left.
+        spine_extractors(rhs, &mut hits);
+        for (method, line) in hits {
+            out.push(file.diag(
+                line,
+                RAW_UNIT_MATH,
+                format!(
+                    "`.{method}()` unwraps a typed quantity straight into raw f64 \
                          arithmetic; use the newtype operators in \
                          gpusimpow_tech::units (they encode the only physically \
                          meaningful combinations) or justify with an allow marker"
-                    ),
-                ));
-            }
-        },
-    );
+                ),
+            ));
+        }
+    });
     out
 }

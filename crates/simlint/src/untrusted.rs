@@ -15,7 +15,9 @@
 //!   indexing/slicing — each is a reachable panic on malformed input.
 //!   Entry points are the functions whose return type mentions one of
 //!   the wire error types; reachability is the same-file call graph
-//!   from those roots (method and function calls resolved by name).
+//!   from those roots (calls, method calls and function values
+//!   resolved by name). The phase pass reuses this walker
+//!   (`collect_fns`, `reachable`) over the tick path.
 //! * [`DECODE_ARITH`]: flag unchecked `+`/`*`/`<<` (and their
 //!   compound-assignment forms) on values derived from decoded
 //!   lengths/counts, and `as` casts that narrow such a value. Taint
@@ -42,7 +44,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use crate::syntax::{Block, Expr, Item, ItemKind, Stmt};
+use crate::syntax::{Expr, Item, ItemKind, Stmt};
 use crate::{Diagnostic, SourceFile};
 
 /// A reachable panic (`unwrap`, indexing, `panic!`…) on a decode path.
@@ -118,22 +120,33 @@ fn lengthy_param(name: &str) -> bool {
         || name.ends_with("_size")
 }
 
-/// One function in the file, with its ancestry-aware test flag.
-struct FnNode<'a> {
-    item: &'a Item,
-    in_test: bool,
+/// One function of a lint unit: the index of its file in the unit, and
+/// its test flag inherited from enclosing items.
+pub(crate) struct FnNode<'a> {
+    pub(crate) file: usize,
+    pub(crate) item: &'a Item,
+    pub(crate) in_test: bool,
 }
 
-/// Collects every `fn` with test-ness inherited from enclosing items
-/// (`ast.fns()` cannot see that a fn sits inside a `#[cfg(test)]`
-/// module).
-fn collect_fns<'a>(items: &'a [Item], in_test: bool, out: &mut Vec<FnNode<'a>>) {
+/// Collects every `fn` of file `file` with test-ness inherited from
+/// enclosing items (a fn inside a `#[cfg(test)]` module is test code
+/// even without attributes of its own).
+pub(crate) fn collect_fns<'a>(
+    file: usize,
+    items: &'a [Item],
+    in_test: bool,
+    out: &mut Vec<FnNode<'a>>,
+) {
     for item in items {
         let in_test = in_test || item.is_test_only();
         if item.kind == ItemKind::Fn {
-            out.push(FnNode { item, in_test });
+            out.push(FnNode {
+                file,
+                item,
+                in_test,
+            });
         }
-        collect_fns(&item.children, in_test, out);
+        collect_fns(file, &item.children, in_test, out);
         if let Some(body) = &item.body {
             let mut nested = Vec::new();
             body.walk_stmts(&mut |stmt| {
@@ -142,23 +155,67 @@ fn collect_fns<'a>(items: &'a [Item], in_test: bool, out: &mut Vec<FnNode<'a>>) 
                 }
             });
             for it in nested {
-                collect_fns(std::slice::from_ref(it), in_test, out);
+                collect_fns(file, std::slice::from_ref(it), in_test, out);
             }
         }
     }
 }
 
-/// Call edges out of `body`: bare names of called functions and
-/// methods.
-fn callees(body: &Block) -> BTreeSet<String> {
+/// Names bound locally inside `item`: parameters, `let` bindings,
+/// closure parameters, and `match`-pattern identifiers. A bare path
+/// mention of one of these is a variable read, not a function edge.
+fn bound_names(item: &Item) -> BTreeSet<String> {
     let mut out = BTreeSet::new();
+    if let Some(sig) = &item.sig {
+        for p in &sig.params {
+            out.insert(p.name.clone());
+        }
+    }
+    if let Some(body) = &item.body {
+        body.walk_stmts(&mut |stmt| {
+            if let Stmt::Let { names, .. } = stmt {
+                out.extend(names.iter().cloned());
+            }
+        });
+        body.walk_exprs(&mut |e| match e {
+            Expr::Closure { params, .. } => out.extend(params.iter().cloned()),
+            Expr::Match { arms, .. } => {
+                for arm in arms {
+                    out.extend(
+                        arm.pat
+                            .iter()
+                            .filter(|t| t.starts_with(|c: char| c.is_lowercase() || c == '_'))
+                            .cloned(),
+                    );
+                }
+            }
+            _ => {}
+        });
+    }
+    out
+}
+
+/// Function names `item`'s body calls or refers to: method names, and
+/// the last segment of every path. Bare path mentions count as edges
+/// too — the tick path passes lane kernels as function values
+/// (`alu!(.., func::eval_imad_lanes, ..)`), and a reference that never
+/// runs only over-approximates. Single-segment mentions of locally
+/// bound names are variable reads and are dropped; resolution against
+/// the unit's own `fn` table keeps variant and constant paths from
+/// adding edges.
+fn callees(item: &Item) -> BTreeSet<String> {
+    let mut out = BTreeSet::new();
+    let Some(body) = &item.body else {
+        return out;
+    };
+    let bound = bound_names(item);
     body.walk_exprs(&mut |e| match e {
         Expr::MethodCall { method, .. } => {
             out.insert(method.clone());
         }
-        Expr::Call { callee, .. } => {
-            if let Expr::Path { segs, .. } = &**callee {
-                if let Some(last) = segs.last() {
+        Expr::Path { segs, .. } => {
+            if let Some(last) = segs.last() {
+                if segs.len() > 1 || !bound.contains(last) {
                     out.insert(last.clone());
                 }
             }
@@ -168,8 +225,10 @@ fn callees(body: &Block) -> BTreeSet<String> {
     out
 }
 
-/// Indices of the functions reachable from decode entry points.
-fn reachable(fns: &[FnNode<'_>]) -> BTreeSet<usize> {
+/// Indices of the non-test functions reachable from the roots `is_root`
+/// picks, following [`callees`] by bare name (a name collision pulls in
+/// every fn of that name — conservative).
+pub(crate) fn reachable(fns: &[FnNode<'_>], is_root: impl Fn(&Item) -> bool) -> BTreeSet<usize> {
     let mut by_name: BTreeMap<&str, Vec<usize>> = BTreeMap::new();
     for (i, node) in fns.iter().enumerate() {
         if let Some(name) = node.item.name.as_deref() {
@@ -179,20 +238,12 @@ fn reachable(fns: &[FnNode<'_>]) -> BTreeSet<usize> {
     let mut seen: BTreeSet<usize> = BTreeSet::new();
     let mut queue: Vec<usize> = Vec::new();
     for (i, node) in fns.iter().enumerate() {
-        let is_entry = node
-            .item
-            .sig
-            .as_ref()
-            .is_some_and(|s| s.ret.iter().any(|t| WIRE_ERRORS.contains(&t.as_str())));
-        if is_entry && !node.in_test && seen.insert(i) {
+        if !node.in_test && is_root(node.item) && seen.insert(i) {
             queue.push(i);
         }
     }
     while let Some(i) = queue.pop() {
-        let Some(body) = &fns[i].item.body else {
-            continue;
-        };
-        for name in callees(body) {
+        for name in callees(fns[i].item) {
             for &j in by_name.get(name.as_str()).into_iter().flatten() {
                 if !fns[j].in_test && seen.insert(j) {
                     queue.push(j);
@@ -201,6 +252,14 @@ fn reachable(fns: &[FnNode<'_>]) -> BTreeSet<usize> {
         }
     }
     seen
+}
+
+/// Whether `item` is a decode entry point: its return type mentions one
+/// of the wire error types.
+fn is_entry(item: &Item) -> bool {
+    item.sig
+        .as_ref()
+        .is_some_and(|s| s.ret.iter().any(|t| WIRE_ERRORS.contains(&t.as_str())))
 }
 
 /// Width of the decoded data flowing through `e`, if any: the widest
@@ -284,8 +343,8 @@ fn tainted_names(item: &Item) -> BTreeMap<String, u32> {
 /// Runs both untrusted-input passes over one decode-scope file.
 pub fn check(file: &SourceFile) -> Vec<Diagnostic> {
     let mut fns = Vec::new();
-    collect_fns(&file.ast.items, false, &mut fns);
-    let live = reachable(&fns);
+    collect_fns(0, &file.ast.items, false, &mut fns);
+    let live = reachable(&fns, is_entry);
     let mut out = Vec::new();
     for i in live {
         let item = fns[i].item;

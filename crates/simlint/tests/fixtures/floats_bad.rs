@@ -1,15 +1,4 @@
-//! Order-ambiguous float reductions and build-divergent float math —
-//! each construct here must fire.
-
-use std::collections::BTreeMap;
-
-pub fn total_power(parts: &BTreeMap<String, f64>) -> f64 {
-    parts.values().sum::<f64>()
-}
-
-pub fn folded(parts: &BTreeMap<String, f64>) -> f64 {
-    parts.values().fold(0.0, |acc, p| acc + p)
-}
+//! Build-divergent float math — must fire.
 
 #[cfg(target_arch = "x86_64")]
 pub fn lane_energy(xs: &[f32]) -> f32 {

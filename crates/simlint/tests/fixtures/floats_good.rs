@@ -1,15 +1,4 @@
-//! Ordered float reductions and build-invariant float math — must
-//! stay clean.
-
-use std::collections::BTreeMap;
-
-pub fn total_power(parts: &BTreeMap<String, f64>) -> f64 {
-    parts.iter().map(|(_, p)| p).sum::<f64>()
-}
-
-pub fn indexed(parts: &[f64]) -> f64 {
-    parts.iter().fold(0.0, |acc, p| acc + p)
-}
+//! Build-invariant float math — must stay clean.
 
 pub fn lane_energy(xs: &[f32]) -> f32 {
     let mut acc = 0.0f32;

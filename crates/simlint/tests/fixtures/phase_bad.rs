@@ -1,4 +1,4 @@
-//! Compute-phase contract violations — each construct here must fire.
+//! Compute-phase contract violations reached from `tick` — each must fire.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 

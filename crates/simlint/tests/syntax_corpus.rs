@@ -21,27 +21,6 @@ fn workspace_root() -> PathBuf {
         .to_path_buf()
 }
 
-/// Every first-party `.rs` file, mirroring the CLI's own exclusions
-/// (build output, vendored code, lint fixtures).
-fn corpus(dir: &Path, out: &mut Vec<PathBuf>) {
-    let mut entries: Vec<PathBuf> = std::fs::read_dir(dir)
-        .unwrap_or_else(|e| panic!("read_dir {}: {e}", dir.display()))
-        .map(|e| e.expect("dir entry").path())
-        .collect();
-    entries.sort();
-    for path in entries {
-        let name = path.file_name().unwrap_or_default().to_string_lossy();
-        if path.is_dir() {
-            if matches!(name.as_ref(), "target" | "vendor" | ".git" | "fixtures") {
-                continue;
-            }
-            corpus(&path, out);
-        } else if name.ends_with(".rs") {
-            out.push(path);
-        }
-    }
-}
-
 struct Tally {
     files: usize,
     items: usize,
@@ -55,7 +34,7 @@ struct Tally {
 fn every_workspace_source_file_parses_with_low_opacity() {
     let root = workspace_root();
     let mut paths = Vec::new();
-    corpus(&root, &mut paths);
+    simlint::collect_rs_files(&root, &mut paths).expect("workspace walk");
     assert!(
         paths.len() >= 100,
         "corpus walk found only {} files — wrong root?",
