@@ -193,7 +193,7 @@ pub fn table5_breakdown() -> gpusimpow_power::PowerReport {
 
 /// Per-cluster attribution of the Table V workload, with the
 /// core-component energy maps applied to each cluster's scoped registry
-/// vector (the `--per-cluster` report).
+/// vector (the `per_cluster` section).
 pub fn table5_scoped() -> gpusimpow_power::ScopedPowerReport {
     let (sim, report) = blackscholes_on_gt240();
     sim.evaluate_scoped(&report.launch)

@@ -17,7 +17,7 @@ fn sections_rendered_by_name_reassemble_the_report() {
     for section in SECTIONS.iter().filter(|s| s.in_report) {
         md += &report::generate_only(section.name, &ctx).expect("table names are valid");
     }
-    assert_eq!(md, report::generate(true, false, &pool));
+    assert_eq!(md, report::generate(true, &pool));
 }
 
 #[test]

@@ -32,8 +32,8 @@
 //!
 //! Activity can be traced live ([`PowerTracer::stream`]) or recorded
 //! once with [`gpusimpow_sim::WindowRecorder`] and replayed under many
-//! policies ([`PowerTracer::replay`]), which is how the
-//! `power_trace` experiment driver compares governors without
+//! policies ([`PowerTracer::replay`]), which is how the `power_trace`
+//! section of `run_all_experiments` compares governors without
 //! re-simulating.
 
 #![warn(missing_docs)]

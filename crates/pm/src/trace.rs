@@ -2,8 +2,6 @@
 //! [`gpusimpow_power::PowerReport`].
 
 use std::fmt;
-use std::io::Write as _;
-use std::path::Path;
 
 use gpusimpow_tech::clockdomain::OperatingPoint;
 use gpusimpow_tech::units::{Energy, Power, Time};
@@ -165,16 +163,6 @@ impl PowerTrace {
         out
     }
 
-    /// Writes [`PowerTrace::to_csv`] to `path`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors from file creation or writing.
-    pub fn write_csv(&self, path: impl AsRef<Path>) -> std::io::Result<()> {
-        let mut f = std::fs::File::create(path)?;
-        f.write_all(self.to_csv().as_bytes())
-    }
-
     /// Renders the trace in Chrome trace-event JSON (counter events,
     /// loadable in `chrome://tracing` / Perfetto). Timestamps are in
     /// microseconds; each chip component becomes one series of the
@@ -208,16 +196,6 @@ impl PowerTrace {
             ));
         }
         format!("{{\"traceEvents\":[\n{}\n]}}\n", events.join(",\n"))
-    }
-
-    /// Writes [`PowerTrace::to_chrome_trace`] to `path`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors from file creation or writing.
-    pub fn write_chrome_trace(&self, path: impl AsRef<Path>) -> std::io::Result<()> {
-        let mut f = std::fs::File::create(path)?;
-        f.write_all(self.to_chrome_trace().as_bytes())
     }
 }
 

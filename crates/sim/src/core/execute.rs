@@ -323,12 +323,12 @@ impl Core {
         cfg: &GpuConfig,
         ctx: &LaunchCtx<'_>,
     ) {
-        let slots = {
-            let cta = self.ctas[cta_slot].as_mut().expect("live cta");
-            cta.waiting_at_barrier = 0;
-            cta.warp_slots.clone()
-        };
-        for s in slots {
+        let cta = self.ctas[cta_slot].as_mut().expect("live cta");
+        cta.waiting_at_barrier = 0;
+        // Walked by index: `publish_candidate` takes `&mut self`, and a
+        // copy of the slots would allocate on every release.
+        for i in 0..cta.warp_slots.len() {
+            let s = self.ctas[cta_slot].as_ref().expect("live cta").warp_slots[i];
             if let Some(w) = self.warps[s].as_mut() {
                 w.at_barrier = false;
                 // A released warp with a fetched instruction becomes an

@@ -16,9 +16,9 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-use gpusimpow_isa::{Kernel, KernelBuilder, LaunchConfig, Operand, Reg, SpecialReg};
+use gpusimpow_isa::{Kernel, KernelBuilder, LaunchConfig, Operand, Reg, SfuOp, SpecialReg};
 use gpusimpow_kernels::micro;
-use gpusimpow_sim::{Gpu, GpuConfig};
+use gpusimpow_sim::{Gpu, GpuConfig, WarpSchedPolicy};
 
 struct CountingAlloc;
 
@@ -135,6 +135,62 @@ fn memory_path_allocations_do_not_scale_with_loop_iterations() {
             &mut gpu,
             &memory_loop_kernel(data, 4),
             &memory_loop_kernel(data, 28),
+            launch,
+        );
+    }
+}
+
+/// Per iteration: an `S2R`, an SFU op, a shared store and load two words
+/// apart (two-way bank conflicts), a barrier and a branch that diverges
+/// on odd lanes.
+fn barrier_loop_kernel(threads_per_cta: u32, iterations: u32) -> Kernel {
+    let mut k = KernelBuilder::new("barrier_loop");
+    let smem = k.alloc_smem(threads_per_cta * 8);
+    let (tid, addr, odd, v) = (Reg(0), Reg(1), Reg(2), Reg(3));
+    k.s2r(tid, SpecialReg::TidX);
+    k.shl(addr, tid, Operand::imm_u32(3));
+    k.iadd(addr, addr, Operand::imm_u32(smem));
+    k.iand(odd, tid, Operand::imm_u32(1));
+    let (i, cond) = (Reg(4), Reg(5));
+    k.for_range(
+        i,
+        cond,
+        Operand::imm_u32(0),
+        Operand::imm_u32(iterations),
+        1,
+        |k| {
+            k.s2r(v, SpecialReg::TidX);
+            k.i2f(v, v);
+            k.sfu(SfuOp::Rsqrt, v, v);
+            k.st_shared(v, addr, 0);
+            k.ld_shared(v, addr, 0);
+            k.bar();
+            k.if_then(odd, |k| {
+                k.fadd(v, v, v);
+            });
+        },
+    );
+    k.exit();
+    k.build().expect("barrier loop kernel is valid")
+}
+
+#[test]
+fn barrier_path_allocations_do_not_scale_with_loop_iterations() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    // 16 warps per CTA: more than a two-level core's active set of 8, so
+    // every barrier release also promotes pending warps.
+    let launch = LaunchConfig::linear(4, 512);
+    let mut two_level = GpuConfig::gt240();
+    two_level.warp_scheduler = WarpSchedPolicy::TwoLevel { active_warps: 8 };
+    two_level.name = "GT240 two-level:8".to_string();
+    for cfg in [GpuConfig::gt240(), GpuConfig::gtx580(), two_level] {
+        let name = cfg.name.clone();
+        let mut gpu = Gpu::new(cfg).expect("config builds");
+        assert_flat(
+            &format!("S2R/SFU/shared/barrier/divergence loop on {name}, 4 vs 64 iterations"),
+            &mut gpu,
+            &barrier_loop_kernel(launch.threads_per_block(), 4),
+            &barrier_loop_kernel(launch.threads_per_block(), 64),
             launch,
         );
     }

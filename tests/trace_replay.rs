@@ -10,18 +10,67 @@ use gpusimpow_isa::LaunchConfig;
 use gpusimpow_kernels::{
     blackscholes::BlackScholes, micro::lfsr_kernel, suite::small_benchmarks, Benchmark,
 };
-use gpusimpow_sim::{Gpu, GpuConfig, LaunchReport, SimError, SimPool};
+use gpusimpow_sim::{
+    ActivityWindow, Gpu, GpuConfig, LaunchReport, SimError, SimPool, WindowRecorder,
+};
 use gpusimpow_trace::{synth, KernelTrace};
 
 /// Runs a benchmark with capture enabled, returning the per-launch
 /// reports paired with their captured traces.
 fn capture(bench: &dyn Benchmark, cfg: GpuConfig) -> Vec<(LaunchReport, KernelTrace)> {
-    let mut gpu = Gpu::new(cfg).expect("preset builds");
+    capture_on(&mut Gpu::new(cfg).expect("preset builds"), bench)
+}
+
+/// [`capture`] on a caller-prepared `gpu`.
+fn capture_on(gpu: &mut Gpu, bench: &dyn Benchmark) -> Vec<(LaunchReport, KernelTrace)> {
     gpu.set_tracing(true);
-    let reports = bench.run(&mut gpu).expect("benchmark verifies");
+    let reports = bench.run(gpu).expect("benchmark verifies");
     let traces = gpu.take_traces();
     assert_eq!(reports.len(), traces.len(), "one captured trace per launch");
     reports.into_iter().zip(traces).collect()
+}
+
+type Capture = fn(GpuConfig) -> Vec<(LaunchReport, KernelTrace)>;
+
+/// The captured inputs of the cross-config checks: memory-heavy
+/// BlackScholes and the integer-only §III-D LFSR probe.
+const INPUTS: [(&str, Capture); 2] = [
+    ("blackscholes", |cfg| {
+        capture(&BlackScholes { options: 2048 }, cfg)
+    }),
+    ("lfsr", |cfg| {
+        let mut gpu = Gpu::new(cfg).expect("preset builds");
+        let launch = LaunchConfig::linear(4, 128);
+        vec![gpu
+            .launch_traced(&lfsr_kernel(32, 64), launch)
+            .expect("micro kernel runs")]
+    }),
+];
+
+/// Detaches `gpu`'s `WindowRecorder` and returns the windows of every
+/// launch it recorded.
+fn recorded_windows(gpu: &mut Gpu) -> Vec<Vec<ActivityWindow>> {
+    let mut sink = gpu.detach_sink().expect("a sink is attached");
+    let recorder = sink.as_any_mut().and_then(|s| s.downcast_mut());
+    std::mem::take::<WindowRecorder>(recorder.expect("the sink is a WindowRecorder"))
+        .into_launches()
+        .into_iter()
+        .map(|launch| launch.windows)
+        .collect()
+}
+
+fn assert_windows_identical(live: &[ActivityWindow], replayed: &[ActivityWindow], what: &str) {
+    assert_eq!(live.len(), replayed.len(), "{what}: window count");
+    for (l, r) in live.iter().zip(replayed) {
+        let bounds = |w: &ActivityWindow| (w.index, w.start_cycle, w.end_cycle);
+        assert_eq!(bounds(l), bounds(r), "{what}: window bounds");
+        assert_eq!(l.stats, r.stats, "{what}: window {} counters", l.index);
+        assert_eq!(
+            l.cluster_busy, r.cluster_busy,
+            "{what}: window {} cluster busy cycles",
+            l.index
+        );
+    }
 }
 
 /// Asserts two reports are bit-identical in every observable:
@@ -61,10 +110,18 @@ fn capture_does_not_perturb_the_live_run() {
 
 #[test]
 fn full_small_suite_replays_bit_identically_on_both_presets() {
+    // Both sides sample 2048-cycle windows, so the replay must also
+    // reproduce every window a power trace is priced from.
+    const WINDOW_CYCLES: u64 = 2048;
     for cfg in [GpuConfig::gt240(), GpuConfig::gtx580()] {
         for bench in small_benchmarks() {
-            let pairs = capture(bench.as_ref(), cfg.clone());
-            for (i, (live, trace)) in pairs.iter().enumerate() {
+            let mut gpu = Gpu::new(cfg.clone()).expect("preset builds");
+            gpu.attach_sink(WINDOW_CYCLES, Box::new(WindowRecorder::new()));
+            let pairs = capture_on(&mut gpu, bench.as_ref());
+            let windows = recorded_windows(&mut gpu);
+            assert_eq!(windows.len(), pairs.len(), "one recording per launch");
+            for (i, ((live, trace), live_windows)) in pairs.iter().zip(&windows).enumerate() {
+                let what = format!("{} launch {i}", bench.name());
                 // Roundtrip through the v1 byte format on the way: the
                 // replayed trace is the decoded one, so this also pins
                 // encode/decode fidelity on real workloads.
@@ -72,8 +129,11 @@ fn full_small_suite_replays_bit_identically_on_both_presets() {
                     KernelTrace::decode(&trace.encode()).expect("captured trace roundtrips");
                 assert_eq!(&decoded, trace);
                 let mut gpu = Gpu::new(cfg.clone()).expect("preset builds");
+                gpu.attach_sink(WINDOW_CYCLES, Box::new(WindowRecorder::new()));
                 let replayed = gpu.launch_replay(&decoded).expect("trace replays");
-                assert_reports_identical(live, &replayed, &format!("{} launch {i}", bench.name()));
+                assert_reports_identical(live, &replayed, &what);
+                let replayed_windows = recorded_windows(&mut gpu).remove(0);
+                assert_windows_identical(live_windows, &replayed_windows, &what);
             }
         }
     }
@@ -82,32 +142,42 @@ fn full_small_suite_replays_bit_identically_on_both_presets() {
 #[test]
 fn cross_config_replay_matches_independent_live_run() {
     // The recorded streams are configuration-independent (for a fixed
-    // warp size): a GT240-captured trace replayed on a GTX580 must match
-    // the live GTX580 run bit for bit.
-    let bench = BlackScholes { options: 2048 };
-    let gt240_pairs = capture(&bench, GpuConfig::gt240());
-    let gtx580_live = capture(&bench, GpuConfig::gtx580());
-    assert_eq!(gt240_pairs.len(), gtx580_live.len());
-    for ((_, trace), (live, _)) in gt240_pairs.iter().zip(&gtx580_live) {
-        let mut gpu = Gpu::new(GpuConfig::gtx580()).expect("preset builds");
-        let replayed = gpu.launch_replay(trace).expect("trace replays");
-        assert_reports_identical(live, &replayed, "gt240 trace on gtx580");
+    // warp size): a GT240-captured trace, roundtripped through the byte
+    // format, must match the live run bit for bit on the GT240 itself
+    // and on a GTX580.
+    for (name, input) in INPUTS {
+        // The capture run is itself the GT240's live run.
+        let gt240_traces = input(GpuConfig::gt240());
+        let gtx580_live = input(GpuConfig::gtx580());
+        for (cfg, live) in [
+            (GpuConfig::gt240(), &gt240_traces),
+            (GpuConfig::gtx580(), &gtx580_live),
+        ] {
+            assert_eq!(gt240_traces.len(), live.len());
+            for ((_, trace), (live, _)) in gt240_traces.iter().zip(live) {
+                let decoded = KernelTrace::decode(&trace.encode()).expect("trace roundtrips");
+                let mut gpu = Gpu::new(cfg.clone()).expect("preset builds");
+                let replayed = gpu.launch_replay(&decoded).expect("trace replays");
+                let what = format!("{name}: gt240 trace on {}", cfg.name);
+                assert_reports_identical(live, &replayed, &what);
+            }
+        }
     }
 }
 
 #[test]
 fn sweep_from_one_trace_matches_independent_live_runs() {
-    let bench = BlackScholes { options: 2048 };
     let configs = [GpuConfig::gt240(), GpuConfig::gtx580()];
-    let (_, trace) = capture(&bench, GpuConfig::gt240()).remove(0);
-
     let pool = SimPool::new(2);
-    let swept = pool.run_sweep_replay(&trace, &configs, |_, _| Ok(()));
-
-    for (cfg, swept) in configs.iter().zip(swept) {
-        let swept = swept.expect("sweep slot replays");
-        let live = capture(&bench, cfg.clone()).remove(0).0;
-        assert_reports_identical(&live, &swept, "sweep vs independent live");
+    for (name, input) in INPUTS {
+        // The capture run is itself the GT240's live run.
+        let (gt240_live, trace) = input(GpuConfig::gt240()).remove(0);
+        let gtx580_live = input(GpuConfig::gtx580()).remove(0).0;
+        let swept = pool.run_sweep_replay(&trace, &configs, |_, _| Ok(()));
+        for (live, swept) in [gt240_live, gtx580_live].iter().zip(swept) {
+            let swept = swept.expect("sweep slot replays");
+            assert_reports_identical(live, &swept, &format!("{name}: sweep vs live"));
+        }
     }
 }
 
