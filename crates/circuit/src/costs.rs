@@ -71,18 +71,6 @@ impl CircuitCosts {
             leakage,
         }
     }
-
-    /// Scales the whole bundle by a replication count (`n` identical
-    /// instances *each* accessed independently: energy stays per-access,
-    /// area and leakage multiply).
-    pub fn replicated(self, n: usize) -> Self {
-        CircuitCosts {
-            area: self.area * n as f64,
-            read_energy: self.read_energy,
-            write_energy: self.write_energy,
-            leakage: self.leakage * n as f64,
-        }
-    }
 }
 
 impl Add for CircuitCosts {
@@ -123,14 +111,6 @@ mod tests {
         assert!((s.read_energy.picojoules() - 2.0).abs() < 1e-12);
         assert!((s.write_energy.picojoules() - 4.0).abs() < 1e-12);
         assert!((s.leakage.milliwatts() - 6.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn replication_multiplies_area_and_leakage_only() {
-        let r = sample().replicated(4);
-        assert!((r.area.mm2() - 2.0).abs() < 1e-12);
-        assert!((r.leakage.milliwatts() - 12.0).abs() < 1e-12);
-        assert!((r.read_energy.picojoules() - 1.0).abs() < 1e-12);
     }
 
     #[test]

@@ -467,11 +467,6 @@ impl Instr {
         }
         n
     }
-
-    /// Returns `true` for instructions that may change control flow.
-    pub fn is_control_flow(&self) -> bool {
-        matches!(self, Instr::Bra { .. } | Instr::Jmp { .. } | Instr::Exit)
-    }
 }
 
 #[cfg(test)]
@@ -555,14 +550,6 @@ mod tests {
             Operand::Imm(bits) => assert_eq!(f32::from_bits(bits), 1.5),
             _ => panic!("expected an immediate"),
         }
-    }
-
-    #[test]
-    fn control_flow_detection() {
-        assert!(Instr::Exit.is_control_flow());
-        assert!(Instr::Jmp { target: 0 }.is_control_flow());
-        assert!(!Instr::Bar.is_control_flow());
-        assert!(!Instr::Nop.is_control_flow());
     }
 
     #[test]

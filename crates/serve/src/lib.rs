@@ -19,10 +19,9 @@
 //!    same uncached job coalesce onto a single simulation
 //!    ([`server`]).
 //!
-//! The `gpusimpow-serve` bin runs the server; the `loadgen` bin is its
-//! CI smoke burst — a fixed job stream whose cache contract it asserts
-//! (throughput and latency are measured by the `serve_cold` /
-//! `serve_warm` workloads of `benchmark/`).
+//! The `gpusimpow-serve` bin runs the server. Its cache contract is
+//! checked by `tests/service.rs`; throughput and latency are measured
+//! by the `serve_cold` / `serve_warm` workloads of `benchmark/`.
 //!
 //! Every byte format here — jobs, results, cache entries, frames — is
 //! built from the one cursor, header check and digest in

@@ -57,9 +57,27 @@ fn submit_then_resubmit_serves_from_memory() {
         assert_eq!(a.payload, b.payload, "cache must serve identical bytes");
     }
 
+    // Four more connections replay the batch at once: each one is
+    // served the first pass's bytes from memory, none re-simulates.
+    const CLIENTS: u64 = 4;
+    let addr = server.local_addr();
+    let replays: Vec<_> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..CLIENTS)
+            .map(|_| scope.spawn(|| Client::connect(addr).unwrap().submit(&jobs).unwrap()))
+            .collect();
+        handles.into_iter().map(|h| h.join().unwrap()).collect()
+    });
+    for outcomes in &replays {
+        assert_eq!(outcomes.len(), jobs.len());
+        for (a, b) in first.iter().zip(outcomes) {
+            assert_eq!(b.source, ResultSource::MemoryHit);
+            assert_eq!(a.payload, b.payload, "cache must serve identical bytes");
+        }
+    }
+
     let stats = client.stats().unwrap();
     assert_eq!(stats.misses_simulated, 2);
-    assert_eq!(stats.hits_mem, 2);
+    assert_eq!(stats.hits_mem, 2 + CLIENTS * 2);
     assert_eq!(stats.errors, 0);
 
     client.shutdown().unwrap();

@@ -64,10 +64,8 @@ impl Core {
                 cta_slot,
                 base_tid,
                 stack: SimtStack::new(0, low_lanes(lanes_active)),
-                // simlint: allow(lane_loop_alloc): one register file per
-                // dispatched warp — grid-proportional launch setup, not
-                // per-cycle work; the steady-state alloc test holds the
-                // grid fixed and tolerates exactly this.
+                // One register file per dispatched warp: grid-proportional
+                // launch setup, not per-cycle work.
                 regs: vec![0; cfg.warp_size * num_regs],
                 ibuf: None,
                 pending_writes: 0,

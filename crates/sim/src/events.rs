@@ -343,11 +343,6 @@ impl ActivityVector {
         EventKind::ALL.iter().map(move |&e| (e, self.0[e.index()]))
     }
 
-    /// True when every slot is zero.
-    pub fn is_zero(&self) -> bool {
-        self.0.iter().all(|&v| v == 0)
-    }
-
     /// Adds `units * span` to an event slot — the span-multiply
     /// primitive of the cycle loop in `Gpu::launch_impl`, which charges
     /// a run of cycles wholesale after proving the per-cycle
@@ -467,7 +462,6 @@ mod tests {
     #[test]
     fn vector_index_add_delta_roundtrip() {
         let mut a = ActivityVector::new();
-        assert!(a.is_zero());
         a[EventKind::Decodes] = 7;
         a[EventKind::L2Misses] += 3;
         let mut b = a.clone();

@@ -77,11 +77,6 @@ impl GpuMemory {
         self.data.len()
     }
 
-    /// Bytes allocated so far.
-    pub fn allocated(&self) -> u32 {
-        self.next
-    }
-
     /// Allocates `bytes`, 256-byte aligned (mirrors `cudaMalloc`).
     ///
     /// # Panics

@@ -36,12 +36,6 @@
 //!   `// SAFETY:` comment, and the full inventory is checked into
 //!   `UNSAFE.md` so new unsafe code cannot land without a reviewed
 //!   manifest diff.
-//! * **Hot-path allocation** ([`hotpath`]): the SoA warp pipeline's
-//!   steady state must not allocate per executed instruction, so loop
-//!   bodies on the tick path ([`scope::tick_path`]) must not contain
-//!   allocating expressions (`vec!`, `Vec::new`, `.collect()`, …) —
-//!   the static twin of `tests/steady_state_alloc.rs`, which only sees
-//!   the paths its kernels execute.
 //!
 //! Run it as `cargo run -p simlint` from the workspace root; it prints
 //! `file:line: lint: message` per finding and exits non-zero when
@@ -61,7 +55,6 @@
 
 pub mod determinism;
 pub mod floats;
-pub mod hotpath;
 pub mod lexer;
 pub mod phase;
 pub mod scope;
@@ -82,7 +75,6 @@ pub const LINTS: &[&str] = &[
     determinism::NONDETERMINISTIC_COLLECTION,
     determinism::WALL_CLOCK,
     units::RAW_UNIT_MATH,
-    hotpath::LANE_LOOP_ALLOC,
     unsafety::UNDOCUMENTED_UNSAFE,
     unsafety::UNSAFE_MANIFEST_DRIFT,
     untrusted::PANIC_PATH,
@@ -266,9 +258,6 @@ fn check_file(scopes: &ScopeConfig, file: &SourceFile) -> Vec<Diagnostic> {
     }
     if scopes.units(rel_path) {
         raw.extend(units::check(file));
-    }
-    if scope::tick_path(rel_path) {
-        raw.extend(hotpath::check(file));
     }
     if untrusted::scope(rel_path) {
         raw.extend(untrusted::check(file));

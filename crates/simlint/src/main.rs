@@ -40,8 +40,8 @@ fn main() -> ExitCode {
                      test suite cannot see: determinism (no HashMap / wall\n\
                      clock in result-bearing crates), unit safety (no raw f64\n\
                      math on unwrapped quantities in the power model),\n\
-                     hot-path and decode-path discipline (allocation, panic\n\
-                     and arithmetic rules), cfg-divergent float kernels, no\n\
+                     decode-path discipline (panic and arithmetic rules),\n\
+                     cfg-divergent float kernels, no memory mutation or\n\
                      interior mutability on the tick path, and the unsafe\n\
                      audit (SAFETY comments + UNSAFE.md inventory).\n\
                      Exits 1 when anything fires. `--json` additionally\n\

@@ -24,7 +24,7 @@
 //!   member set, so a renamed or deleted crate drops out instead of
 //!   lingering as a dead path prefix.
 //! * **Fixed file sets** inside one crate: the tick path
-//!   ([`tick_path`], hot-path allocation and phase discipline) and the
+//!   ([`tick_path`], phase discipline) and the
 //!   decode files ([`crate::untrusted::scope`]).
 
 use std::fs;
@@ -54,10 +54,9 @@ const SIM_CORE_DIR: &str = "crates/sim/src/core/";
 
 /// The files the per-cycle tick path runs through: everything under
 /// `crates/sim/src/core/` plus `crates/sim/src/{func,ldst,wheel}.rs`.
-/// The hot-path allocation lint scans their loop bodies; the phase pass
-/// walks the tick call graph across them. The core directory matches
-/// as a *prefix*, not as a file list, so a further split of the core
-/// cannot drop a file out of scope.
+/// The phase pass walks the tick call graph across them. The core
+/// directory matches as a *prefix*, not as a file list, so a further
+/// split of the core cannot drop a file out of scope.
 pub fn tick_path(rel_path: &str) -> bool {
     rel_path.starts_with(SIM_CORE_DIR)
         || matches!(

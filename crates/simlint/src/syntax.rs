@@ -198,17 +198,6 @@ pub enum Stmt {
     Item(Item),
 }
 
-/// Loop flavour.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LoopKind {
-    /// `for pat in iter { }`
-    For,
-    /// `while cond { }` / `while let pat = expr { }`
-    While,
-    /// `loop { }`
-    Loop,
-}
-
 /// Literal flavour.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LitKind {
@@ -429,8 +418,6 @@ pub enum Expr {
     },
     /// `for`/`while`/`loop`.
     Loop {
-        /// Flavour.
-        kind: LoopKind,
         /// Iterated/condition expression (`None` for `loop`).
         head: Option<Box<Expr>>,
         /// Body.
@@ -1882,7 +1869,6 @@ impl<'a> Parser<'a> {
                     Block::default()
                 };
                 Expr::Loop {
-                    kind: LoopKind::For,
                     head: Some(Box::new(head)),
                     body,
                     line,
@@ -1903,7 +1889,6 @@ impl<'a> Parser<'a> {
                     Block::default()
                 };
                 Expr::Loop {
-                    kind: LoopKind::While,
                     head: Some(Box::new(head)),
                     body,
                     line,
@@ -1917,7 +1902,6 @@ impl<'a> Parser<'a> {
                     Block::default()
                 };
                 Expr::Loop {
-                    kind: LoopKind::Loop,
                     head: None,
                     body,
                     line,
@@ -2507,13 +2491,14 @@ mod tests {
             "fn f(xs: &[u32]) { for x in xs { let mut i = 0; while i < 4 { i += 1; } loop { break; } } }",
         );
         let f = only_fn(&ast);
-        let mut kinds = Vec::new();
+        let mut loops = Vec::new();
         f.body.as_ref().unwrap().walk_exprs(&mut |e| {
-            if let Expr::Loop { kind, .. } = e {
-                kinds.push(*kind);
+            if let Expr::Loop { head, body, .. } = e {
+                loops.push((head.is_some(), body.stmts.len()));
             }
         });
-        assert_eq!(kinds, [LoopKind::For, LoopKind::While, LoopKind::Loop]);
+        // `for` and `while` carry a head, `loop` does not.
+        assert_eq!(loops, [(true, 3), (true, 1), (false, 1)]);
     }
 
     #[test]

@@ -74,11 +74,6 @@ impl ClockDomains {
         self.dram_command
     }
 
-    /// GDDR5 data rate in transfers per second (quad data rate).
-    pub fn dram_data_rate(&self) -> Freq {
-        Freq::new(self.dram_command.hertz() * 4.0)
-    }
-
     /// Returns a copy with every on-chip clock scaled by `factor`
     /// (the DRAM clock is left untouched). Used by the §IV-B static-power
     /// estimation experiment, which re-runs a kernel at 80 % clock.
@@ -320,12 +315,6 @@ mod tests {
     fn shader_clock_is_ratio_times_uncore() {
         let c = gt240();
         assert!((c.shader().mhz() - 550.0 * 2.47).abs() < 1e-9);
-    }
-
-    #[test]
-    fn gddr5_is_quad_pumped() {
-        let c = gt240();
-        assert!((c.dram_data_rate().mhz() - 3400.0).abs() < 1e-9);
     }
 
     #[test]

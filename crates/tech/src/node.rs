@@ -129,11 +129,6 @@ impl TechNode {
         })
     }
 
-    /// The list of feature sizes available through [`TechNode::planar`].
-    pub fn supported_nodes() -> impl Iterator<Item = u32> {
-        NODE_TABLE.iter().map(|row| row.0)
-    }
-
     /// Feature size in nanometres.
     pub fn feature_nm(&self) -> u32 {
         self.feature_nm
@@ -147,21 +142,6 @@ impl TechNode {
     /// Nominal supply voltage.
     pub fn vdd(&self) -> Voltage {
         self.vdd
-    }
-
-    /// Returns a copy with a different supply voltage (voltage scaling
-    /// studies).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TechError::InvalidParameter`] if `vdd` is not in
-    /// `(0.3 V, 1.5 V]`.
-    pub fn with_vdd(mut self, vdd: Voltage) -> Result<Self, TechError> {
-        if !(vdd.volts() > 0.3 && vdd.volts() <= 1.5) {
-            return Err(TechError::InvalidParameter("vdd out of (0.3, 1.5] V"));
-        }
-        self.vdd = vdd;
-        Ok(self)
     }
 
     /// Returns a copy evaluated at a different junction temperature.
@@ -262,7 +242,7 @@ mod tests {
 
     #[test]
     fn all_supported_nodes_construct() {
-        for nm in TechNode::supported_nodes() {
+        for &(nm, ..) in NODE_TABLE {
             let t = TechNode::planar(nm).expect("table node must construct");
             assert_eq!(t.feature_nm(), nm);
         }
@@ -315,14 +295,6 @@ mod tests {
         let t45 = TechNode::planar(45).unwrap();
         let ratio = t90.sram_cell_area() / t45.sram_cell_area();
         assert!((ratio - 4.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn vdd_override_validates() {
-        let t = TechNode::planar(40).unwrap();
-        assert!(t.clone().with_vdd(Voltage::new(0.85)).is_ok());
-        assert!(t.clone().with_vdd(Voltage::new(0.0)).is_err());
-        assert!(t.with_vdd(Voltage::new(2.0)).is_err());
     }
 
     #[test]

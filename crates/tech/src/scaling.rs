@@ -56,24 +56,21 @@ pub fn voltage_leakage_factor(v: Voltage, nominal: Voltage) -> f64 {
 /// let to = TechNode::planar(28)?;
 /// let s = NodeScaling::between(&from, &to);
 /// assert!(s.dynamic_energy_factor() < 1.0); // shrinking saves energy
-/// assert!(s.area_factor() < 1.0);
 /// # Ok::<(), gpusimpow_tech::node::TechError>(())
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NodeScaling {
     dynamic_energy: f64,
     leakage_power: f64,
-    area: f64,
 }
 
 impl NodeScaling {
-    /// Computes the factors that carry per-event energy, leakage power and
-    /// area from `from` to `to`.
+    /// Computes the factors that carry per-event energy and leakage power
+    /// from `from` to `to`.
     ///
     /// * dynamic energy scales as `C·V²`; per-µm capacitance scales with
     ///   feature size (narrower devices), voltage with the node tables;
-    /// * leakage power per device scales with `Ioff·W·Vdd`;
-    /// * area scales with `F²`.
+    /// * leakage power per device scales with `Ioff·W·Vdd`.
     pub fn between(from: &TechNode, to: &TechNode) -> Self {
         let f_from = from.feature_um();
         let f_to = to.feature_um();
@@ -86,11 +83,9 @@ impl NodeScaling {
         let leak_to = to.hp_leak_power_per_um().watts() * f_to;
         let leakage_power = leak_to / leak_from;
 
-        let area = (f_to / f_from).powi(2);
         NodeScaling {
             dynamic_energy,
             leakage_power,
-            area,
         }
     }
 
@@ -99,7 +94,6 @@ impl NodeScaling {
         NodeScaling {
             dynamic_energy: 1.0,
             leakage_power: 1.0,
-            area: 1.0,
         }
     }
 
@@ -111,11 +105,6 @@ impl NodeScaling {
     /// Factor applied to leakage powers.
     pub fn leakage_power_factor(&self) -> f64 {
         self.leakage_power
-    }
-
-    /// Factor applied to silicon areas.
-    pub fn area_factor(&self) -> f64 {
-        self.area
     }
 
     /// Convenience: scales an energy by the dynamic factor.
@@ -134,18 +123,14 @@ mod tests {
         let s = NodeScaling::between(&t, &t);
         assert!((s.dynamic_energy_factor() - 1.0).abs() < 1e-12);
         assert!((s.leakage_power_factor() - 1.0).abs() < 1e-12);
-        assert!((s.area_factor() - 1.0).abs() < 1e-12);
     }
 
     #[test]
-    fn shrink_reduces_energy_and_area() {
+    fn shrink_reduces_energy() {
         let from = TechNode::planar(40).unwrap();
         let to = TechNode::planar(22).unwrap();
         let s = NodeScaling::between(&from, &to);
         assert!(s.dynamic_energy_factor() < 1.0);
-        assert!(s.area_factor() < 1.0);
-        // Area scales exactly as F².
-        assert!((s.area_factor() - (22.0f64 / 40.0).powi(2)).abs() < 1e-12);
     }
 
     #[test]
@@ -155,7 +140,6 @@ mod tests {
         let down = NodeScaling::between(&a, &b);
         let up = NodeScaling::between(&b, &a);
         assert!((down.dynamic_energy_factor() * up.dynamic_energy_factor() - 1.0).abs() < 1e-9);
-        assert!((down.area_factor() * up.area_factor() - 1.0).abs() < 1e-9);
     }
 
     #[test]
@@ -186,10 +170,10 @@ mod tests {
     #[test]
     fn per_device_leakage_drops_but_less_than_area() {
         // Narrower devices leak less in absolute terms, but Ioff/µm grows;
-        // leakage must shrink more slowly than area.
+        // leakage must shrink more slowly than area, which goes as F².
         let from = TechNode::planar(90).unwrap();
         let to = TechNode::planar(22).unwrap();
         let s = NodeScaling::between(&from, &to);
-        assert!(s.leakage_power_factor() > s.area_factor());
+        assert!(s.leakage_power_factor() > (22.0f64 / 90.0).powi(2));
     }
 }

@@ -472,12 +472,6 @@ impl Time {
         Time(ns * 1e-9)
     }
 
-    /// Creates a time from microseconds.
-    #[inline]
-    pub const fn from_micros(us: f64) -> Self {
-        Time(us * 1e-6)
-    }
-
     /// Creates a time from milliseconds.
     #[inline]
     pub const fn from_millis(ms: f64) -> Self {
@@ -545,12 +539,6 @@ impl Capacitance {
     #[inline]
     pub const fn from_femtofarads(ff: f64) -> Self {
         Capacitance(ff * 1e-15)
-    }
-
-    /// Creates a capacitance from picofarads.
-    #[inline]
-    pub const fn from_picofarads(pf: f64) -> Self {
-        Capacitance(pf * 1e-12)
     }
 
     /// The capacitance in femtofarads.
@@ -713,7 +701,7 @@ mod tests {
 
     #[test]
     fn switching_energy_low_swing_is_smaller() {
-        let c = Capacitance::from_picofarads(2.0);
+        let c = Capacitance::from_femtofarads(2000.0);
         let full = c.switching_energy(Voltage::new(1.0), Voltage::new(1.0));
         let low = c.switching_energy(Voltage::new(1.0), Voltage::new(0.2));
         assert!(low < full);
@@ -773,7 +761,7 @@ mod tests {
 
     #[test]
     fn cycles_in_time_span() {
-        let cycles = Time::from_micros(1.0) * Freq::from_mhz(550.0);
+        let cycles = Time::from_nanos(1000.0) * Freq::from_mhz(550.0);
         assert!((cycles - 550.0).abs() < 1e-9);
     }
 

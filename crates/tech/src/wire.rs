@@ -1,10 +1,9 @@
 //! On-chip wire models.
 //!
 //! The circuit tier needs wire capacitance (for array word/bitlines,
-//! crossbar buses and clock trees) and wire resistance (for repeater-aware
-//! delay estimates). We model three metal classes, following the CACTI
-//! convention: local (minimum pitch), intermediate (2× pitch) and global
-//! (4× pitch, used for the NoC and clock spines).
+//! crossbar buses and clock trees). We model three metal classes,
+//! following the CACTI convention: local (minimum pitch), intermediate
+//! (2× pitch) and global (4× pitch, used for the NoC and clock spines).
 
 use crate::node::TechNode;
 use crate::units::{Capacitance, Energy, Voltage};
@@ -38,7 +37,6 @@ pub struct Wire {
     class: WireClass,
     length_mm: f64,
     cap_per_mm: Capacitance,
-    res_ohm_per_mm: f64,
     vdd: Voltage,
 }
 
@@ -54,41 +52,24 @@ impl Wire {
             "wire length must be non-negative and finite"
         );
         // Capacitance per mm is nearly node-independent (the dielectric
-        // stack and aspect ratios co-evolve); resistance per mm rises as
-        // wires shrink. Local wires at minimum pitch have the highest C & R.
-        let scale = 45.0 / tech.feature_nm() as f64;
-        let (cap_ff_per_mm, res_ohm_per_mm) = match class {
-            WireClass::Local => (300.0, 1500.0 * scale * scale),
-            WireClass::Intermediate => (250.0, 400.0 * scale * scale),
-            WireClass::Global => (200.0, 100.0 * scale * scale),
+        // stack and aspect ratios co-evolve). Local wires at minimum pitch
+        // have the highest C.
+        let cap_ff_per_mm = match class {
+            WireClass::Local => 300.0,
+            WireClass::Intermediate => 250.0,
+            WireClass::Global => 200.0,
         };
         Wire {
             class,
             length_mm,
             cap_per_mm: Capacitance::from_femtofarads(cap_ff_per_mm),
-            res_ohm_per_mm,
             vdd: tech.vdd(),
         }
-    }
-
-    /// The metal class of this wire.
-    pub fn class(&self) -> WireClass {
-        self.class
-    }
-
-    /// Length in millimetres.
-    pub fn length_mm(&self) -> f64 {
-        self.length_mm
     }
 
     /// Total wire capacitance.
     pub fn capacitance(&self) -> Capacitance {
         self.cap_per_mm * self.length_mm
-    }
-
-    /// Total wire resistance in ohms.
-    pub fn resistance_ohm(&self) -> f64 {
-        self.res_ohm_per_mm * self.length_mm
     }
 
     /// Energy of one full-swing transition on this wire, including the
@@ -101,12 +82,6 @@ impl Wire {
             WireClass::Global => 1.4,
         };
         (self.capacitance() * repeater_overhead).switching_energy(self.vdd, self.vdd)
-    }
-
-    /// Elmore-style RC delay estimate in seconds (0.38·R·C for a
-    /// distributed line), ignoring repeaters.
-    pub fn rc_delay_s(&self) -> f64 {
-        0.38 * self.resistance_ohm() * self.capacitance().farads()
     }
 }
 
@@ -131,21 +106,12 @@ mod tests {
         let local = Wire::new(&t40(), WireClass::Local, 1.0);
         let global = Wire::new(&t40(), WireClass::Global, 1.0);
         assert!(local.capacitance() > global.capacitance());
-        assert!(local.resistance_ohm() > global.resistance_ohm());
-    }
-
-    #[test]
-    fn resistance_rises_at_smaller_nodes() {
-        let w40 = Wire::new(&t40(), WireClass::Global, 1.0);
-        let w22 = Wire::new(&TechNode::planar(22).unwrap(), WireClass::Global, 1.0);
-        assert!(w22.resistance_ohm() > w40.resistance_ohm());
     }
 
     #[test]
     fn zero_length_wire_is_free() {
         let w = Wire::new(&t40(), WireClass::Local, 0.0);
         assert_eq!(w.transition_energy().joules(), 0.0);
-        assert_eq!(w.rc_delay_s(), 0.0);
     }
 
     #[test]

@@ -4,11 +4,16 @@
 //! reference loop produces — every live core ticked and committed every
 //! cycle, one cycle at a time. These tests pin one representative
 //! kernel on both presets — barrel-scheduled GT240 and scoreboarded
-//! GTX580 — against the same golden counts, time bits and power bits as
-//! `tests/determinism.rs`, in both modes (`Gpu::set_dense_reference`).
-//! If a skip ever swallows a side-effect cycle (a buffered store, a CTA
-//! completion, a memory response, a window boundary), the accelerated
-//! pins fire; if a change to the loop itself drifts, both fire.
+//! GTX580 — against golden counts, time bits and power bits, in both
+//! modes (`Gpu::set_dense_reference`); on GT240 a trace of the same
+//! kernel, replayed on a fresh GPU, must hold them too. If a skip ever
+//! swallows a side-effect cycle (a buffered store, a CTA completion, a
+//! memory response, a window boundary), the accelerated pins fire; if a
+//! change to the loop itself drifts, both fire; if capture perturbs the
+//! live run or replay drifts a cycle from it, the replay pins fire.
+//! These pins are also the determinism anchors: an order-randomised
+//! structure in `crates/sim` or a reordered float evaluation in the
+//! power model moves them long before anyone diffs EXPERIMENTS.md.
 //!
 //! The unpinned differential below runs memory-bound programs too: on
 //! GT240 under both warp schedulers, where cores are gated while the
@@ -54,6 +59,25 @@ fn run(
     )
 }
 
+/// The same kernel captured on a live GPU and replayed on a fresh one,
+/// priced with `GpuChip::evaluate` as `Simulator` prices a live launch.
+fn replay(preset: fn() -> Result<Simulator, gpusimpow::Error>) -> (ActivityStats, u64, u64) {
+    let mut live = preset().expect("preset builds");
+    live.gpu_mut().set_tracing(true);
+    BlackScholes { options: 2048 }
+        .run(live.gpu_mut())
+        .expect("verifies");
+    let trace = live.gpu_mut().take_traces().remove(0);
+    let mut sim = preset().expect("preset builds");
+    let r = sim.gpu_mut().launch_replay(&trace).expect("trace replays");
+    let power = sim.chip().evaluate(&r.kernel, &r.stats);
+    (
+        r.stats,
+        r.time_s.to_bits(),
+        power.total_power().watts().to_bits(),
+    )
+}
+
 fn assert_gt240_pins((s, time_bits, power_bits): (ActivityStats, u64, u64)) {
     assert_eq!(s.shader_cycles, 2977);
     assert_eq!(s.warp_instructions, 4544);
@@ -76,6 +100,7 @@ fn assert_gtx580_pins((s, time_bits, power_bits): (ActivityStats, u64, u64)) {
 fn gt240_pins_hold_with_batching_on_and_off() {
     assert_gt240_pins(run(Simulator::gt240, true));
     assert_gt240_pins(run(Simulator::gt240, false));
+    assert_gt240_pins(replay(Simulator::gt240));
 }
 
 #[test]

@@ -11,6 +11,11 @@
 //! here; a per-cycle `vec!`/`collect` regression in the execute or
 //! LD/ST path makes the long run's allocation count grow with the
 //! iteration count and trips the ratio assertion.
+//!
+//! These tests are the contract's only check. The kernels are chosen so
+//! that an allocation seeded into any loop body on the per-cycle path of
+//! `crates/sim/src/core/`, `func.rs`, `ldst.rs` or `wheel.rs` fails at
+//! least one of them (DESIGN.md §14 has the seed-by-seed table).
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -84,26 +89,39 @@ fn assert_flat(what: &str, gpu: &mut Gpu, short: &Kernel, long: &Kernel, launch:
 #[test]
 fn allocations_do_not_scale_with_executed_instructions() {
     let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-    let mut gpu = Gpu::new(GpuConfig::gt240()).expect("preset builds");
-    assert_flat(
-        "cluster_step on GT240, 64 vs 512 iterations",
-        &mut gpu,
-        &micro::cluster_step_kernel(64),
-        &micro::cluster_step_kernel(512),
-        LaunchConfig::linear(4, 64),
-    );
+    // 12-lane warps leave a row tail past the last full 8-lane vector of
+    // the AVX FFMA kernel.
+    let mut narrow = GpuConfig::gt240();
+    narrow.warp_size = 12;
+    narrow.simd_width = 4;
+    narrow.name = "GT240 12-lane warps".to_string();
+    for cfg in [GpuConfig::gt240(), narrow] {
+        let name = cfg.name.clone();
+        let mut gpu = Gpu::new(cfg).expect("config builds");
+        assert_flat(
+            &format!("cluster_step on {name}, 64 vs 512 iterations"),
+            &mut gpu,
+            &micro::cluster_step_kernel(64),
+            &micro::cluster_step_kernel(512),
+            LaunchConfig::linear(4, 64),
+        );
+    }
 }
 
 /// Every thread loads its own word of `data`, adds one and stores it
-/// back, `iterations` times.
-fn memory_loop_kernel(data: u32, iterations: u32) -> Kernel {
+/// back, `iterations` times; each iteration also reads the thread's
+/// word of a constant table.
+fn memory_loop_kernel(data: u32, threads_per_cta: u32, iterations: u32) -> Kernel {
     let mut k = KernelBuilder::new("memory_loop");
+    let table = k.push_consts(&vec![0; threads_per_cta as usize]);
     let (tid, cta, ntid, gid, addr) = (Reg(0), Reg(1), Reg(2), Reg(3), Reg(4));
     k.s2r(tid, SpecialReg::TidX);
     k.s2r(cta, SpecialReg::CtaIdX);
     k.s2r(ntid, SpecialReg::NTidX);
     k.imad(gid, cta, ntid, tid);
     k.shl(addr, gid, Operand::imm_u32(2));
+    let const_addr = Reg(8);
+    k.shl(const_addr, tid, Operand::imm_u32(2));
     let (i, cond, v) = (Reg(5), Reg(6), Reg(7));
     let offset = data as i32;
     k.for_range(
@@ -116,6 +134,7 @@ fn memory_loop_kernel(data: u32, iterations: u32) -> Kernel {
             k.ld_global(v, addr, offset);
             k.iadd(v, v, Operand::imm_u32(1));
             k.st_global(v, addr, offset);
+            k.ld_const(v, const_addr, table as i32);
         },
     );
     k.exit();
@@ -130,19 +149,20 @@ fn memory_path_allocations_do_not_scale_with_loop_iterations() {
         let name = cfg.name.clone();
         let mut gpu = Gpu::new(cfg).expect("preset builds");
         let data = gpu.alloc_f32(launch.total_threads() as u32).addr();
+        let threads = launch.threads_per_block();
         assert_flat(
-            &format!("global load/add/store loop on {name}, 4 vs 28 iterations"),
+            &format!("global load/add/store and constant load loop on {name}, 4 vs 28 iterations"),
             &mut gpu,
-            &memory_loop_kernel(data, 4),
-            &memory_loop_kernel(data, 28),
+            &memory_loop_kernel(data, threads, 4),
+            &memory_loop_kernel(data, threads, 28),
             launch,
         );
     }
 }
 
-/// Per iteration: an `S2R`, an SFU op, a shared store and load two words
-/// apart (two-way bank conflicts), a barrier and a branch that diverges
-/// on odd lanes.
+/// Per iteration: an `S2R` of each thread-id row, an SFU op, a shared
+/// store and load two words apart (two-way bank conflicts), a barrier
+/// and a branch that diverges on odd lanes.
 fn barrier_loop_kernel(threads_per_cta: u32, iterations: u32) -> Kernel {
     let mut k = KernelBuilder::new("barrier_loop");
     let smem = k.alloc_smem(threads_per_cta * 8);
@@ -159,6 +179,7 @@ fn barrier_loop_kernel(threads_per_cta: u32, iterations: u32) -> Kernel {
         Operand::imm_u32(iterations),
         1,
         |k| {
+            k.s2r(v, SpecialReg::TidY);
             k.s2r(v, SpecialReg::TidX);
             k.i2f(v, v);
             k.sfu(SfuOp::Rsqrt, v, v);
