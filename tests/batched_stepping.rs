@@ -4,16 +4,14 @@
 //! reference loop produces — every live core ticked and committed every
 //! cycle, one cycle at a time. These tests pin one representative
 //! kernel on both presets — barrel-scheduled GT240 and scoreboarded
-//! GTX580 — against golden counts, time bits and power bits, in both
-//! modes (`Gpu::set_dense_reference`); on GT240 a trace of the same
-//! kernel, replayed on a fresh GPU, must hold them too. If a skip ever
-//! swallows a side-effect cycle (a buffered store, a CTA completion, a
-//! memory response, a window boundary), the accelerated pins fire; if a
-//! change to the loop itself drifts, both fire; if capture perturbs the
-//! live run or replay drifts a cycle from it, the replay pins fire.
-//! These pins are also the determinism anchors: an order-randomised
-//! structure in `crates/sim` or a reordered float evaluation in the
-//! power model moves them long before anyone diffs EXPERIMENTS.md.
+//! GTX580 — against the same golden counts, time bits and power bits as
+//! `tests/determinism.rs`, in both modes (`Gpu::set_dense_reference`);
+//! on GT240 a trace of the same kernel, replayed on a fresh GPU and
+//! priced, must hold them too. If a skip ever swallows a side-effect
+//! cycle (a buffered store, a CTA completion, a memory response, a
+//! window boundary), the accelerated pins fire; if a change to the loop
+//! itself drifts, both fire; if capture perturbs the live run or replay
+//! drifts a cycle from it, the replay pins fire.
 //!
 //! The unpinned differential below runs memory-bound programs too: on
 //! GT240 under both warp schedulers, where cores are gated while the
