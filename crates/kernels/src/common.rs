@@ -92,7 +92,10 @@ pub trait Benchmark {
 /// # Errors
 ///
 /// Returns a description of the first mismatch.
-#[allow(clippy::neg_cmp_op_on_partial_ord)] // `!(err <= bound)` catches NaN
+#[allow(
+    clippy::neg_cmp_op_on_partial_ord,
+    reason = "`!(err <= bound)` catches NaN"
+)]
 pub fn check_f32(
     benchmark: &'static str,
     got: &[f32],

@@ -27,10 +27,12 @@ use gpusimpow_tech::units::{Power, Time};
 /// measured values.
 #[derive(Debug, Clone)]
 pub struct SiliconTruth {
-    /// Integer lane-op energy (J). The §III-D microbenchmark measures
-    /// ≈ 40 pJ on the real card; the silicon's true value sits nearby.
+    /// Integer lane-op energy (J): 29.5 pJ. The paper's §III-D
+    /// microbenchmark measures ≈ 40 pJ on the real card; this testbed's
+    /// (`run_all_experiments --only=microbench`) recovers 29.8 pJ.
     pub int_op_j: f64,
-    /// FP lane-op energy (J); ≈ 75 pJ measured.
+    /// FP lane-op energy (J): 55.0 pJ. The paper measures ≈ 75 pJ; this
+    /// testbed recovers 63.0 pJ.
     pub fp_op_j: f64,
     /// SFU lane-op energy (J). Real transcendental hardware is hungrier
     /// than the model's estimate — this is what makes the simulator

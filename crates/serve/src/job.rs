@@ -15,6 +15,21 @@
 //! over its `SimPool`; it builds a fresh `Gpu` per job, so jobs are
 //! independent and embarrassingly parallel.
 
+#![deny(
+    clippy::indexing_slicing,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::panic_in_result_fn,
+    clippy::arithmetic_side_effects,
+    clippy::cast_possible_truncation
+)]
+// `assert!` and friends too (clippy.toml `disallowed-macros`), outside tests.
+#![cfg_attr(not(test), deny(clippy::disallowed_macros))]
+
 use gpusimpow_isa::{Kernel, LaunchConfig};
 use gpusimpow_kernels::{micro, small_benchmarks};
 use gpusimpow_pm::{Baseline, ClusterOndemand, Governor, Ondemand, PowerCap, PowerTracer};
@@ -505,8 +520,8 @@ impl KernelSpec {
         match self.form() {
             Form::Probe(probe, values) => probe.validate(values),
             Form::Suite { index, .. } => {
-                let n = small_benchmarks().len() as u8;
-                if index >= n {
+                let n = small_benchmarks().len();
+                if usize::from(index) >= n {
                     return Err(JobError::Invalid(format!(
                         "suite index must be < {n}, got {index}"
                     )));
@@ -669,7 +684,7 @@ impl SweepSpec {
         self.governor.encode(w);
         w.put_u64(self.window_cycles);
         self.kernel.encode(w);
-        w.put_u32(self.gpus.len() as u32);
+        w.put_len(self.gpus.len());
         for gpu in &self.gpus {
             w.put_u8(gpu.tag());
         }
@@ -844,7 +859,7 @@ fn summarize(trace: &gpusimpow_pm::PowerTrace) -> TraceSummary {
                 index: s.index,
                 start_s: s.start.seconds(),
                 duration_s: s.duration.seconds(),
-                op_index: s.op_index as u32,
+                op_index: u32::try_from(s.op_index).unwrap_or(u32::MAX),
                 utilization: s.utilization,
                 dynamic_w: s.dynamic_power().watts(),
                 static_w: s.static_power.watts(),

@@ -25,6 +25,21 @@
 //! travel as exact IEEE-754 bit patterns, so decoding reproduces the
 //! simulator's reports bit-for-bit.
 
+#![deny(
+    clippy::indexing_slicing,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::panic_in_result_fn,
+    clippy::arithmetic_side_effects,
+    clippy::cast_possible_truncation
+)]
+// `assert!` and friends too (clippy.toml `disallowed-macros`), outside tests.
+#![cfg_attr(not(test), deny(clippy::disallowed_macros))]
+
 use std::io::{ErrorKind, Read, Write};
 
 use gpusimpow_power::{
@@ -69,13 +84,14 @@ const MSG_SHUTTING_DOWN: u8 = 0x85;
 /// Returns [`CodecError::TooLarge`] for oversized payloads and
 /// [`WireError::Io`] on socket failure.
 pub fn write_frame(stream: &mut impl Write, payload: &[u8]) -> Result<(), WireError> {
-    if payload.len() > MAX_LEN {
-        return Err(CodecError::TooLarge(payload.len()).into());
-    }
+    let len = match u32::try_from(payload.len()) {
+        Ok(len) if payload.len() <= MAX_LEN => len,
+        _ => return Err(CodecError::TooLarge(payload.len()).into()),
+    };
     // One contiguous write: prefix + payload in separate writes would
     // hand Nagle + delayed-ACK a ~40 ms stall per frame.
-    let mut frame = Vec::with_capacity(4 + payload.len());
-    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    let mut frame = Vec::with_capacity(payload.len().saturating_add(4));
+    frame.extend_from_slice(&len.to_le_bytes());
     frame.extend_from_slice(payload);
     stream.write_all(&frame)?;
     stream.flush()?;
@@ -104,7 +120,7 @@ pub fn read_frame(stream: &mut impl Read) -> Result<Option<Vec<u8>>, WireError> 
                 }
                 .into())
             }
-            Ok(n) => filled += n,
+            Ok(n) => filled = filled.saturating_add(n),
             Err(e) if e.kind() == ErrorKind::Interrupted => {}
             Err(e) => return Err(e.into()),
         }
@@ -155,7 +171,7 @@ impl Request {
         match self {
             Request::Submit(jobs) => {
                 w.put_u8(MSG_SUBMIT);
-                w.put_u32(jobs.len() as u32);
+                w.put_len(jobs.len());
                 for job in jobs {
                     w.put_bytes(&job.canonical_bytes());
                 }
@@ -289,8 +305,8 @@ impl StatsSnapshot {
     /// neither: they neither cost a simulation nor found a cached
     /// result.
     pub fn hit_rate(&self) -> f64 {
-        let hits = self.hits_mem + self.hits_disk;
-        let denom = hits + self.misses_simulated;
+        let hits = self.hits_mem.saturating_add(self.hits_disk);
+        let denom = hits.saturating_add(self.misses_simulated);
         if denom == 0 {
             0.0
         } else {
@@ -354,7 +370,7 @@ impl Response {
         match self {
             Response::Results(outcomes) => {
                 w.put_u8(MSG_RESULTS);
-                w.put_u32(outcomes.len() as u32);
+                w.put_len(outcomes.len());
                 for o in outcomes {
                     w.put_raw(&o.digest.0);
                     w.put_u8(o.source.tag());
@@ -511,7 +527,7 @@ fn get_report(r: &mut Reader<'_>) -> Result<PowerReport, CodecError> {
 
 fn put_scoped(w: &mut Writer, scoped: &ScopedPowerReport) {
     put_report(w, &scoped.report);
-    w.put_u32(scoped.clusters.len() as u32);
+    w.put_len(scoped.clusters.len());
     for row in &scoped.clusters {
         w.put_u64(row.cluster as u64);
         put_split(w, row.power);
@@ -546,7 +562,7 @@ fn get_scoped(r: &mut Reader<'_>) -> Result<ScopedPowerReport, CodecError> {
 fn put_trace(w: &mut Writer, trace: &TraceSummary) {
     w.put_str(&trace.kernel);
     w.put_str(&trace.governor);
-    w.put_u32(trace.samples.len() as u32);
+    w.put_len(trace.samples.len());
     for s in &trace.samples {
         w.put_u64(s.index);
         w.put_f64(s.start_s);
@@ -589,11 +605,11 @@ fn get_trace(r: &mut Reader<'_>) -> Result<TraceSummary, CodecError> {
 pub fn encode_result(result: &JobResult) -> Vec<u8> {
     let mut w = Writer::new();
     w.put_header(&RESULT_MAGIC, RESULT_ENCODING_VERSION);
-    w.put_u32(result.reports.len() as u32);
+    w.put_len(result.reports.len());
     for scoped in &result.reports {
         put_scoped(&mut w, scoped);
     }
-    w.put_u32(result.traces.len() as u32);
+    w.put_len(result.traces.len());
     for trace in &result.traces {
         put_trace(&mut w, trace);
     }
@@ -779,7 +795,7 @@ mod tests {
 
     impl Read for Interrupting<'_> {
         fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-            self.calls += 1;
+            self.calls = self.calls.saturating_add(1);
             if self.calls == 3 {
                 return Err(ErrorKind::Interrupted.into());
             }
@@ -813,7 +829,7 @@ mod tests {
             Err(WireError::Codec(CodecError::Truncated { .. }))
         ));
         // Oversized announced length.
-        let huge = (MAX_LEN as u32 + 1).to_le_bytes();
+        let huge = u32::try_from(MAX_LEN + 1).unwrap().to_le_bytes();
         let mut cursor = std::io::Cursor::new(&huge[..]);
         assert!(matches!(
             read_frame(&mut cursor),

@@ -26,6 +26,21 @@
 //! tiers, explicit recency stamps); all filesystem access lives in the
 //! clearly-marked disk-tier methods at the bottom.
 
+#![deny(
+    clippy::indexing_slicing,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::panic_in_result_fn,
+    clippy::arithmetic_side_effects,
+    clippy::cast_possible_truncation
+)]
+// `assert!` and friends too (clippy.toml `disallowed-macros`), outside tests.
+#![cfg_attr(not(test), deny(clippy::disallowed_macros))]
+
 use std::collections::BTreeMap;
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -86,7 +101,7 @@ pub struct StoreCounters {
 pub struct ResultStore {
     config: StoreConfig,
     /// digest → (recency stamp, payload). BTreeMap keeps iteration
-    /// deterministic (simlint forbids HashMap in this crate).
+    /// deterministic (the root `clippy.toml` disallows `HashMap`).
     mem: BTreeMap<JobDigest, (u64, Arc<Vec<u8>>)>,
     /// recency stamp → digest; the smallest stamp is the LRU victim.
     recency: BTreeMap<u64, JobDigest>,
@@ -149,8 +164,7 @@ impl ResultStore {
 
     fn touch(&mut self, digest: JobDigest, old_stamp: u64) {
         self.recency.remove(&old_stamp);
-        let stamp = self.next_stamp;
-        self.next_stamp += 1;
+        let stamp = self.fresh_stamp();
         self.recency.insert(stamp, digest);
         if let Some(entry) = self.mem.get_mut(&digest) {
             entry.0 = stamp;
@@ -162,19 +176,25 @@ impl ResultStore {
             let old_stamp = *old_stamp;
             self.recency.remove(&old_stamp);
         }
-        let stamp = self.next_stamp;
-        self.next_stamp += 1;
+        let stamp = self.fresh_stamp();
         self.mem.insert(digest, (stamp, payload));
         self.recency.insert(stamp, digest);
         while self.mem.len() > self.config.mem_capacity {
-            let (&victim_stamp, &victim) = self
-                .recency
-                .iter()
-                .next()
-                .expect("recency tracks every mem entry");
-            self.recency.remove(&victim_stamp);
+            // `recency` holds one stamp per mem entry, so it is never
+            // empty while `mem` is over capacity.
+            let Some((_, victim)) = self.recency.pop_first() else {
+                break;
+            };
             self.mem.remove(&victim);
         }
+    }
+
+    /// The next recency stamp. A `u64` bumped once per cache access
+    /// does not wrap within any process lifetime.
+    fn fresh_stamp(&mut self) -> u64 {
+        let stamp = self.next_stamp;
+        self.next_stamp = stamp.wrapping_add(1);
+        stamp
     }
 
     // --- disk tier (the filesystem edge) ----------------------------------
@@ -219,12 +239,12 @@ impl ResultStore {
         let bytes = std::fs::read(&path).ok()?;
         match Self::decode_entry(digest, &bytes) {
             Ok(payload) => {
-                self.counters.disk_reads += 1;
+                self.counters.disk_reads = self.counters.disk_reads.saturating_add(1);
                 Some(payload)
             }
             Err(_) => {
                 let _ = std::fs::remove_file(&path);
-                self.counters.corrupt_evictions += 1;
+                self.counters.corrupt_evictions = self.counters.corrupt_evictions.saturating_add(1);
                 None
             }
         }
@@ -247,7 +267,7 @@ impl ResultStore {
             std::fs::rename(&tmp, &path)
         };
         match write() {
-            Ok(()) => self.counters.disk_writes += 1,
+            Ok(()) => self.counters.disk_writes = self.counters.disk_writes.saturating_add(1),
             Err(_) => {
                 // Disk-tier failures degrade to memory-only caching.
                 let _ = std::fs::remove_file(&tmp);

@@ -102,7 +102,10 @@ impl Core {
     /// copy when the warp is converged). Per-lane results are
     /// bit-identical to the old lane-at-a-time loop because each row
     /// helper applies the same scalar evaluator per lane.
-    #[allow(clippy::too_many_arguments)]
+    #[allow(
+        clippy::too_many_arguments,
+        reason = "the issue stage's operands, passed flat on the hot path"
+    )]
     #[inline]
     pub(super) fn execute(
         &mut self,

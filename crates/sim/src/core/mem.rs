@@ -27,7 +27,10 @@ impl Core {
     /// Returns `Some((commit_cycle, dst))` when the access completes at a
     /// known time (hits, shared, stores) and `None` when a load group
     /// waits on memory replies.
-    #[allow(clippy::too_many_arguments)]
+    #[allow(
+        clippy::too_many_arguments,
+        reason = "the same flat operands as `execute`, which dispatches here"
+    )]
     #[inline]
     pub(super) fn execute_mem(
         &mut self,
@@ -198,7 +201,10 @@ impl Core {
     /// global memory. Loads see this core's own buffered stores
     /// (read-your-own-writes); stores buffer until the serial commit
     /// phase.
-    #[allow(clippy::too_many_arguments)]
+    #[allow(
+        clippy::too_many_arguments,
+        reason = "disjoint field borrows of the core plus the access operands"
+    )]
     fn functional_access(
         &mut self,
         slot: usize,

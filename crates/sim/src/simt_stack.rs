@@ -355,7 +355,7 @@ mod tests {
     }
 
     #[test]
-    #[allow(clippy::needless_range_loop)] // lanes index a fixed array
+    #[allow(clippy::needless_range_loop, reason = "lanes index a fixed array")]
     fn while_loop_full_execution_shape() {
         // Code: 0: header, 1: bra.z -> 4 (reconv 4), 2: body, 3: jmp 0, 4: exit
         // 3 lanes run 1, 2 and 3 iterations respectively.

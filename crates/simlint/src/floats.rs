@@ -16,93 +16,64 @@
 //! Scope: the float-bearing result crates, `crates/{sim,power,pm}`
 //! (see [`crate::scope`]). Test items are exempt.
 
-use crate::syntax::{Expr, Item, ItemKind, LitKind, Stmt};
+use crate::lexer::{own_body, ItemKind, TokKind, Token};
 use crate::{Diagnostic, SourceFile};
 
 /// Float arithmetic in a `#[cfg]`/`#[target_feature]`-divergent item.
 pub const FLOAT_CFG_DIVERGENCE: &str = "float_cfg_divergence";
 
-/// Interned names of float SIMD intrinsics (`_mm*_..._ps/_pd`).
-fn float_intrinsic(name: &str) -> bool {
-    name.starts_with("_mm") && (name.ends_with("_ps") || name.ends_with("_pd"))
-}
-
-/// Whether this fn visibly computes on floats: `f32`/`f64` in the
-/// signature, float literals/paths in the body, `mul_add`, or float
-/// SIMD intrinsics.
-fn fn_does_float_math(item: &Item) -> bool {
-    if let Some(sig) = &item.sig {
-        let ret_float = sig.ret.iter().any(|t| t == "f32" || t == "f64");
-        let param_float = sig
-            .params
-            .iter()
-            .any(|p| p.ty.iter().any(|t| t == "f32" || t == "f64"));
-        if ret_float || param_float {
-            return true;
+/// Whether `t` is float math on sight: `f32`/`f64`, `mul_add`, a
+/// float SIMD intrinsic (`_mm*_..._ps/_pd`) or a float literal.
+fn is_float(t: &Token) -> bool {
+    match t.kind {
+        TokKind::Ident => {
+            matches!(t.text.as_str(), "f32" | "f64" | "mul_add")
+                || (t.text.starts_with("_mm")
+                    && (t.text.ends_with("_ps") || t.text.ends_with("_pd")))
         }
+        TokKind::Num => {
+            let lower = t.text.to_ascii_lowercase();
+            !lower.starts_with("0x")
+                && !lower.starts_with("0b")
+                && !lower.starts_with("0o")
+                && (lower.ends_with("f32")
+                    || lower.ends_with("f64")
+                    || lower.contains('.')
+                    || lower.contains('e'))
+        }
+        _ => false,
     }
-    let mut hit = false;
-    if let Some(body) = &item.body {
-        body.walk_exprs(&mut |e| match e {
-            Expr::Lit {
-                kind: LitKind::Float,
-                ..
-            } => hit = true,
-            Expr::Path { segs, .. }
-                if segs
-                    .iter()
-                    .any(|s| s == "f32" || s == "f64" || float_intrinsic(s)) =>
-            {
-                hit = true;
-            }
-            Expr::MethodCall { method, .. } if method == "mul_add" => hit = true,
-            _ => {}
-        });
-    }
-    hit
 }
 
-/// Flags float-computing fns that exist only in some builds. One
-/// finding per fn, at its declaration line; divergence inherits from
+/// Flags float-computing fns that exist only in some builds: a float
+/// token in the signature or in the body outside nested items. One
+/// finding per fn, at its `fn` line; divergence inherits from
 /// enclosing items (a fn inside `#[cfg(target_arch = ...)] mod` is
 /// divergent even with clean attributes of its own).
 pub fn check(file: &SourceFile) -> Vec<Diagnostic> {
+    let toks = &file.lexed.tokens;
     let mut out = Vec::new();
-    fn rec(items: &[Item], in_test: bool, divergent: bool, out: &mut Vec<(u32, String)>) {
-        for item in items {
-            let in_test = in_test || item.is_test_only();
-            let divergent = divergent || item.is_divergent();
-            if item.kind == ItemKind::Fn && !in_test && divergent && fn_does_float_math(item) {
-                out.push((
-                    item.line,
-                    item.name.clone().unwrap_or_else(|| "_".to_string()),
-                ));
-            }
-            rec(&item.children, in_test, divergent, out);
-            if let Some(body) = &item.body {
-                let mut nested = Vec::new();
-                body.walk_stmts(&mut |stmt| {
-                    if let Stmt::Item(it) = stmt {
-                        nested.push(it);
-                    }
-                });
-                for it in nested {
-                    rec(std::slice::from_ref(it), in_test, divergent, out);
-                }
-            }
+    for (i, item) in file.items.iter().enumerate() {
+        if item.kind != ItemKind::Fn || item.test || !item.divergent {
+            continue;
         }
-    }
-    let mut hits = Vec::new();
-    rec(&file.ast.items, false, false, &mut hits);
-    for (line, name) in hits {
+        if !item
+            .head
+            .clone()
+            .chain(own_body(&file.items, i))
+            .any(|j| is_float(&toks[j]))
+        {
+            continue;
+        }
         out.push(file.diag(
-            line,
+            item.line,
             FLOAT_CFG_DIVERGENCE,
             format!(
-                "`{name}` computes on floats but only exists under a `#[cfg]`/\
+                "`{}` computes on floats but only exists under a `#[cfg]`/\
                  `#[target_feature]` gate; builds that take the other path must \
                  produce bit-identical results — add a differential test pinning \
-                 both paths and justify with an allow marker"
+                 both paths and justify with an allow marker",
+                item.name
             ),
         ));
     }

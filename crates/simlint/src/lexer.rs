@@ -4,9 +4,11 @@
 //! tokens that are provably *code* (not the inside of a string literal
 //! or a doc comment), the line each token starts on, and the comments
 //! themselves (for `// SAFETY:` audits and `simlint: allow(...)`
-//! markers). A full AST buys nothing extra for those checks, so this
-//! lexer intentionally stops at the token level: identifiers, single
-//! punctuation characters, literals and lifetimes.
+//! markers). This lexer stops at the token level: identifiers, single
+//! punctuation characters, literals and lifetimes, plus the partner of
+//! every bracket. On top of that, [`items`] finds the extent of every
+//! `fn`, `impl`, `mod` and `trait`: its attributes, its keyword and its
+//! matching brace. That is all the structure the passes read.
 //!
 //! Handled Rust syntax: line and (nested) block comments, string /
 //! raw-string / byte-string literals with arbitrary `#` fences, char
@@ -61,6 +63,29 @@ pub struct Lexed {
     pub tokens: Vec<Token>,
     /// All comments in source order.
     pub comments: Vec<Comment>,
+    /// For each `(`, `[` or `{` token the index of its closer and for
+    /// each closer the index of its opener; [`NO_PARTNER`] for every
+    /// other token and for an unbalanced bracket.
+    pub(crate) partner: Vec<usize>,
+}
+
+/// [`Lexed::partner`] of a token that has none.
+pub(crate) const NO_PARTNER: usize = usize::MAX;
+
+impl Lexed {
+    /// Text of token `i`, or `""` past the end.
+    pub(crate) fn text(&self, i: usize) -> &str {
+        self.tokens.get(i).map_or("", |t| t.text.as_str())
+    }
+
+    /// The index after the bracket group that opens at `i`, or `i + 1`
+    /// when token `i` opens none.
+    pub(crate) fn skip_group(&self, i: usize) -> usize {
+        match self.partner.get(i) {
+            Some(&p) if p != NO_PARTNER && p > i => p + 1,
+            _ => i + 1,
+        }
+    }
 }
 
 /// Lexes Rust source text. Never fails: unterminated constructs are
@@ -316,6 +341,172 @@ pub fn lex(src: &str) -> Lexed {
         });
         i += 1;
     }
+    out.partner = vec![NO_PARTNER; out.tokens.len()];
+    let mut open = Vec::new();
+    for (i, t) in out.tokens.iter().enumerate() {
+        match (t.kind, t.text.as_str()) {
+            (TokKind::Punct, "(" | "[" | "{") => open.push(i),
+            (TokKind::Punct, ")" | "]" | "}") => {
+                if let Some(o) = open.pop() {
+                    out.partner[o] = i;
+                    out.partner[i] = o;
+                }
+            }
+            _ => {}
+        }
+    }
+    out
+}
+
+/// The keyword an [`Item`] starts with.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum ItemKind {
+    /// `fn` (free, associated, or a bodiless trait declaration).
+    Fn,
+    /// `impl` block.
+    Impl,
+    /// `mod`, inline or `mod name;`.
+    Mod,
+    /// `trait` block.
+    Trait,
+}
+
+/// One `fn`, `impl`, `mod` or `trait` item: its outer attributes, its
+/// keyword and its matching brace. Ranges index [`Lexed::tokens`].
+#[derive(Debug, Clone)]
+pub(crate) struct Item {
+    /// Which keyword.
+    pub kind: ItemKind,
+    /// The identifier after the keyword (`""` for `impl`).
+    pub name: String,
+    /// 1-based line of the keyword.
+    pub line: u32,
+    /// The whole item: first outer attribute through the closing brace.
+    pub span: std::ops::Range<usize>,
+    /// The keyword up to the body: a fn's signature, an impl's header.
+    pub head: std::ops::Range<usize>,
+    /// Inside the braces; empty for a bodiless `fn f();` or `mod m;`.
+    pub body: std::ops::Range<usize>,
+    /// `#[test]` or `#[cfg(test)]` on this item or an enclosing one.
+    pub test: bool,
+    /// A `#[cfg]` that does not mention `test`, or a
+    /// `#[target_feature]`, on this item or an enclosing one: the item
+    /// exists in some builds or on some hosts only.
+    pub divergent: bool,
+}
+
+/// Every `fn`, `impl`, `mod` and `trait` item of `lexed`, at any
+/// nesting depth, in source order (so an item's enclosing items come
+/// before it). `fn name`, `mod name` and `trait name` are always items;
+/// `impl` counts only where an item can start, since `-> impl Trait`
+/// names a type.
+pub(crate) fn items(lexed: &Lexed) -> Vec<Item> {
+    let toks = &lexed.tokens;
+    let text = |i: usize| lexed.text(i);
+    let mut out: Vec<Item> = Vec::new();
+    // Bodies still open at the current keyword: (end, test, divergent).
+    let mut enclosing: Vec<(usize, bool, bool)> = Vec::new();
+    for (k, t) in toks.iter().enumerate() {
+        let kind = match (t.kind, t.text.as_str()) {
+            (TokKind::Ident, "fn") => ItemKind::Fn,
+            (TokKind::Ident, "impl") => ItemKind::Impl,
+            (TokKind::Ident, "mod") => ItemKind::Mod,
+            (TokKind::Ident, "trait") => ItemKind::Trait,
+            _ => continue,
+        };
+        // Back over modifiers (`pub(crate) const unsafe extern "C"`)...
+        let mut start = k;
+        while let Some(p) = start.checked_sub(1).map(|i| &toks[i]) {
+            let opener = lexed.partner[start - 1].checked_sub(1);
+            if p.kind == TokKind::Str
+                || (p.kind == TokKind::Ident
+                    && matches!(
+                        p.text.as_str(),
+                        "pub" | "unsafe" | "const" | "async" | "extern" | "default"
+                    ))
+            {
+                start -= 1;
+            } else if p.text == ")" && opener.is_some_and(|o| text(o) == "pub") {
+                start = lexed.partner[start - 1] - 1;
+            } else {
+                break;
+            }
+        }
+        // ...then back over outer attributes.
+        let (mut test, mut divergent) = (false, false);
+        while start >= 2 && text(start - 1) == "]" {
+            let open = lexed.partner[start - 1];
+            if open.checked_sub(1).is_none_or(|o| text(o) != "#") {
+                break;
+            }
+            let attr = &toks[open + 1..start - 1];
+            let name = attr.first().map_or("", |t| t.text.as_str());
+            let mentions_test = attr.iter().any(|t| t.text == "test");
+            test |= (attr.len() == 1 && name == "test") || (name == "cfg" && mentions_test);
+            divergent |= (name == "cfg" && !mentions_test) || name == "target_feature";
+            start = open - 1;
+        }
+        let is_item = match kind {
+            ItemKind::Impl => start == 0 || matches!(text(start - 1), ";" | "{" | "}" | "]"),
+            _ => toks.get(k + 1).is_some_and(|n| n.kind == TokKind::Ident),
+        };
+        if !is_item {
+            continue;
+        }
+        let mut open = k + 1;
+        while open < toks.len() && !matches!(text(open), "{" | ";") {
+            open = lexed.skip_group(open);
+        }
+        let (body, end) = if text(open) == "{" {
+            let close = lexed.partner[open].min(toks.len());
+            (open + 1..close, (close + 1).min(toks.len()))
+        } else {
+            (open..open, (open + 1).min(toks.len()))
+        };
+        while enclosing.last().is_some_and(|&(end, ..)| end <= k) {
+            enclosing.pop();
+        }
+        if let Some(&(_, t, d)) = enclosing.last() {
+            test |= t;
+            divergent |= d;
+        }
+        if text(open) == "{" {
+            enclosing.push((body.end, test, divergent));
+        }
+        out.push(Item {
+            kind,
+            name: if kind == ItemKind::Impl {
+                String::new()
+            } else {
+                text(k + 1).to_string()
+            },
+            line: t.line,
+            span: start..end,
+            head: k..open,
+            body,
+            test,
+            divergent,
+        });
+    }
+    out
+}
+
+/// Token indices of item `i`'s body that belong to no item nested in
+/// it.
+pub(crate) fn own_body(items: &[Item], i: usize) -> Vec<usize> {
+    let body = items[i].body.clone();
+    let mut out = Vec::new();
+    let mut next = body.start;
+    for nested in &items[i + 1..] {
+        if nested.span.start >= body.end {
+            break;
+        }
+        if nested.span.start >= next {
+            out.extend(next..nested.span.start);
+            next = nested.span.end;
+        }
+    }
+    out.extend(next..body.end);
     out
 }
 
@@ -392,6 +583,48 @@ let real = HashMap::new();
             .filter(|t| t.kind == TokKind::Punct && t.text == "-")
             .count();
         assert_eq!(minuses, 1);
+    }
+
+    #[test]
+    fn items_span_attributes_keyword_and_matching_brace() {
+        let lexed = lex(r#"
+#[cfg(test)]
+mod tests {
+    #[test]
+    fn t() {}
+}
+#[cfg(target_arch = "x86_64")]
+pub(crate) unsafe fn k() -> impl Iterator<Item = u8> { fn inner() {} loop {} }
+impl fmt::Display for X { fn fmt(&self) {} }
+trait T { fn decl(&self); }
+"#);
+        let items = items(&lexed);
+        let summary: Vec<_> = items
+            .iter()
+            .map(|i| (i.kind, i.name.as_str(), i.test, i.divergent))
+            .collect();
+        use ItemKind::*;
+        assert_eq!(
+            summary,
+            [
+                (Mod, "tests", true, false),
+                (Fn, "t", true, false),
+                (Fn, "k", false, true),
+                (Fn, "inner", false, true),
+                (Impl, "", false, false),
+                (Fn, "fmt", false, false),
+                (Trait, "T", false, false),
+                (Fn, "decl", false, false),
+            ]
+        );
+        // `k` starts at its attribute, its head runs to the body, and
+        // its own body leaves out the nested `inner`.
+        let k = &items[2];
+        assert_eq!(lexed.text(k.span.start), "#");
+        assert_eq!(lexed.text(k.head.end), "{");
+        let own: Vec<&str> = own_body(&items, 2).iter().map(|&i| lexed.text(i)).collect();
+        assert_eq!(own, ["loop", "{", "}"]);
+        assert!(items[7].body.is_empty());
     }
 
     #[test]

@@ -4,23 +4,15 @@
 //! keeps only the *simulator's* rules that none of them can see. Every
 //! lint here survived a mutation audit (DESIGN.md §14): a seeded
 //! violation that `cargo build`, `cargo clippy -D warnings` and
-//! `cargo test --workspace` all let through, but simlint does not. It
-//! is dependency-free: a comment/string-aware lexer ([`lexer`]) feeds a
-//! recovering parser ([`syntax`]) whose typed item/expression IR the
-//! structural passes walk; the crate scopes of the determinism, unit
-//! and float passes are discovered from the workspace manifest
-//! ([`scope`]) so new crates are covered from their first commit.
+//! `cargo test --workspace` all let through, but simlint does not.
+//! Determinism (no hash-ordered collections, no wall clock) and
+//! panic-free decoding went to clippy that way: the root `clippy.toml`
+//! and the `#![deny]` list at the top of each decode module. simlint is
+//! dependency-free: a comment/string-aware lexer ([`lexer`]) yields
+//! tokens, bracket partners and item extents, and every pass reads
+//! those. The unit and float scopes are discovered from the workspace
+//! manifest ([`scope`]).
 //!
-//! * **Determinism** ([`determinism`]): simulation results must be
-//!   bit-identical run to run (EXPERIMENTS.md is regenerated and
-//!   byte-compared in CI), so result-bearing crates must not name
-//!   `HashMap`/`HashSet` or consult the wall clock.
-//! * **Panic-free decoding** ([`untrusted`]): the service and trace
-//!   wire formats parse bytes that arrive from outside the process, so
-//!   everything reachable from a decode entry point must return typed
-//!   errors — no `unwrap`/indexing/`panic!` (`panic_path`) and no
-//!   unchecked arithmetic or narrowing casts on decoded lengths and
-//!   counts (`decode_arith`).
 //! * **Float determinism** ([`floats`]): `#[cfg]`-divergent kernels
 //!   must not do float math unless pinned bit-identical to the
 //!   fallback (`float_cfg_divergence`).
@@ -45,26 +37,23 @@
 //! suppressed per site with a justified marker comment:
 //!
 //! ```text
-//! // simlint: allow(nondeterministic_collection): keyed access only,
-//! // the map is never iterated.
+//! // simlint: allow(raw_unit_math): percent column of a report,
+//! // rendering rather than physics.
 //! ```
 //!
 //! A marker without the `: reason` tail is itself a finding
 //! (`missing_justification`), and a marker naming a lint that does not
-//! exist is `unknown_lint` — suppressions cannot rot silently.
+//! exist — including one that moved to clippy — is `unknown_lint`, so
+//! suppressions cannot rot silently.
 
-pub mod determinism;
 pub mod floats;
 pub mod lexer;
 pub mod phase;
 pub mod scope;
-pub mod syntax;
 pub mod units;
 pub mod unsafety;
-pub mod untrusted;
 
-use lexer::{lex, Lexed};
-use scope::ScopeConfig;
+use lexer::{items, lex, Item, Lexed};
 use std::fmt;
 use std::fs;
 use std::io;
@@ -72,13 +61,9 @@ use std::path::{Path, PathBuf};
 
 /// Every lint simlint can emit, for `allow(...)` name validation.
 pub const LINTS: &[&str] = &[
-    determinism::NONDETERMINISTIC_COLLECTION,
-    determinism::WALL_CLOCK,
     units::RAW_UNIT_MATH,
     unsafety::UNDOCUMENTED_UNSAFE,
     unsafety::UNSAFE_MANIFEST_DRIFT,
-    untrusted::PANIC_PATH,
-    untrusted::DECODE_ARITH,
     floats::FLOAT_CFG_DIVERGENCE,
     phase::PHASE_MUT_MEMORY,
     phase::PHASE_INTERIOR_MUT,
@@ -135,8 +120,8 @@ pub struct SourceFile {
     pub rel_path: String,
     /// Token and comment streams.
     pub lexed: Lexed,
-    /// Item/expression IR parsed from the token stream ([`syntax`]).
-    pub ast: syntax::Ast,
+    /// Every `fn`/`impl`/`mod`/`trait` of the file ([`lexer::items`]).
+    pub(crate) items: Vec<Item>,
     allows: Vec<Allow>,
 }
 
@@ -182,11 +167,10 @@ impl SourceFile {
                 });
             }
         }
-        let ast = syntax::parse(&lexed);
         SourceFile {
             rel_path: rel_path.to_string(),
+            items: items(&lexed),
             lexed,
-            ast,
             allows,
         }
     }
@@ -237,32 +221,22 @@ impl SourceFile {
     }
 }
 
-/// Runs every per-file pass applicable to `rel_path` on `src` under the
-/// static default scopes and returns the surviving (non-suppressed)
-/// findings. This is the entry point the fixture tests drive;
-/// [`run_workspace`] discovers scopes from the manifest instead.
+/// Runs every per-file pass applicable to `rel_path` on `src` and
+/// returns the surviving (non-suppressed) findings. This is the entry
+/// point the fixture tests drive.
 pub fn check_source(rel_path: &str, src: &str) -> Vec<Diagnostic> {
-    check_file(
-        &ScopeConfig::default_static(),
-        &SourceFile::parse(rel_path, src),
-    )
+    check_file(&SourceFile::parse(rel_path, src))
 }
 
-/// Every per-file pass applicable to `file` under `scopes`, with
-/// suppressions applied and marker findings added.
-fn check_file(scopes: &ScopeConfig, file: &SourceFile) -> Vec<Diagnostic> {
+/// Every per-file pass applicable to `file`, with suppressions applied
+/// and marker findings added.
+fn check_file(file: &SourceFile) -> Vec<Diagnostic> {
     let rel_path = file.rel_path.as_str();
     let mut raw = Vec::new();
-    if scopes.determinism(rel_path) {
-        raw.extend(determinism::check(file));
-    }
-    if scopes.units(rel_path) {
+    if scope::units(rel_path) {
         raw.extend(units::check(file));
     }
-    if untrusted::scope(rel_path) {
-        raw.extend(untrusted::check(file));
-    }
-    if scopes.floats(rel_path) {
+    if scope::floats(rel_path) {
         raw.extend(floats::check(file));
     }
     raw.extend(unsafety::check(file));
@@ -299,7 +273,7 @@ fn rel(root: &Path, path: &Path) -> String {
 /// Every first-party `.rs` file under `dir`, in sorted path order:
 /// build outputs (`target`), vendored stand-ins (`vendor`), `.git` and
 /// simlint's own lint fixtures (`fixtures`) are skipped.
-pub fn collect_rs_files(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
+fn collect_rs_files(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
     let mut entries: Vec<PathBuf> = fs::read_dir(dir)?
         .map(|e| Ok(e?.path()))
         .collect::<io::Result<_>>()?;
@@ -322,7 +296,6 @@ pub fn collect_rs_files(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
 /// [`collect_rs_files`] yields, parsed once and handed to every pass,
 /// the cross-file phase pass over the tick path, and `UNSAFE.md` drift.
 pub fn run_workspace(root: &Path) -> io::Result<WorkspaceReport> {
-    let scopes = ScopeConfig::discover(root)?;
     let mut paths = Vec::new();
     collect_rs_files(root, &mut paths)?;
 
@@ -333,7 +306,7 @@ pub fn run_workspace(root: &Path) -> io::Result<WorkspaceReport> {
     for path in &paths {
         let rel_path = rel(root, path);
         let file = SourceFile::parse(&rel_path, &fs::read_to_string(path)?);
-        diagnostics.extend(check_file(&scopes, &file));
+        diagnostics.extend(check_file(&file));
         let sites = unsafety::sites(&file);
         if !sites.is_empty() {
             unsafe_files.push((rel_path.clone(), sites));
@@ -433,13 +406,13 @@ mod json_tests {
             Diagnostic {
                 file: "crates/a/src/lib.rs".to_string(),
                 line: 7,
-                lint: "panic_path",
+                lint: "float_cfg_divergence",
                 message: "uses `.unwrap()` — \"bad\"\non two lines".to_string(),
             },
             Diagnostic {
                 file: "crates\\b.rs".to_string(),
                 line: 1,
-                lint: "decode_arith",
+                lint: "raw_unit_math",
                 message: "tab\there".to_string(),
             },
         ];

@@ -37,13 +37,13 @@ fn main() -> ExitCode {
                     "usage: simlint [--root PATH] [--update-unsafe-manifest] [--json PATH]\n\
                      \n\
                      Checks the workspace invariants rustc, clippy and the\n\
-                     test suite cannot see: determinism (no HashMap / wall\n\
-                     clock in result-bearing crates), unit safety (no raw f64\n\
-                     math on unwrapped quantities in the power model),\n\
-                     decode-path discipline (panic and arithmetic rules),\n\
+                     test suite cannot see: unit safety (no raw f64 math on\n\
+                     unwrapped quantities in the power and trace crates),\n\
                      cfg-divergent float kernels, no memory mutation or\n\
                      interior mutability on the tick path, and the unsafe\n\
                      audit (SAFETY comments + UNSAFE.md inventory).\n\
+                     Determinism and panic-free decoding are clippy's\n\
+                     (clippy.toml and the decode modules' #![deny]).\n\
                      Exits 1 when anything fires. `--json` additionally\n\
                      writes a schema-versioned machine-readable report to\n\
                      PATH; with `-` the report goes to stdout and the\n\

@@ -32,18 +32,18 @@
 //!
 //! The analysis is cross-file over the tick path
 //! ([`crate::scope::tick_path`]) because the tick path criss-crosses
-//! those files. Roots are the functions named `tick`; reachability is
-//! the decode passes' walker (`untrusted::reachable`), which
-//! follows call, method and function-value names within the unit
-//! (collisions over-approximate, so the failure mode is a justified
-//! allow, not a hole). Test items are exempt. Findings are
-//! allow-filtered against the file they land in, like every per-file
-//! pass.
+//! those files. Roots are the functions named `tick`. The call graph is
+//! read off tokens: a fn's callees are the identifiers in its body that
+//! name a fn of the unit, which covers calls, method calls and function
+//! values passed through macros (`alu!(.., func::eval_imad_lanes, ..)`).
+//! A local binding or field that shares a fn's name over-approximates,
+//! so the failure mode is a justified allow, not a hole. Test items are
+//! exempt. Findings are allow-filtered against the file they land in,
+//! like every per-file pass.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 
-use crate::syntax::{Expr, ItemKind};
-use crate::untrusted::{collect_fns, reachable};
+use crate::lexer::{own_body, ItemKind, Lexed, TokKind, Token};
 use crate::{Diagnostic, SourceFile};
 
 /// `&mut GpuMemory` in a compute-phase signature.
@@ -53,7 +53,7 @@ pub const PHASE_INTERIOR_MUT: &str = "phase_interior_mut";
 
 /// The one function allowed to take `&mut GpuMemory`: the commit
 /// entry point.
-pub const COMMIT_API: &str = "commit_stores";
+const COMMIT_API: &str = "commit_stores";
 
 /// Interior-mutability type names.
 const INTERIOR_TYPES: &[&str] = &[
@@ -79,32 +79,85 @@ const INTERIOR_TYPES: &[&str] = &[
     "AtomicPtr",
 ];
 
-fn is_interior_type(tokens: &[String]) -> bool {
-    tokens.iter().any(|t| INTERIOR_TYPES.contains(&t.as_str()))
+fn is_interior(t: &Token) -> bool {
+    t.kind == TokKind::Ident && INTERIOR_TYPES.contains(&t.text.as_str())
 }
 
-/// Names of the unit's `const`/`static` items whose type or initialiser
-/// names an interior-mutability type, at any nesting depth.
-fn interior_statics(files: &[&SourceFile]) -> BTreeSet<String> {
-    let mut out = BTreeSet::new();
-    for file in files {
-        file.ast.walk_items(&mut |item| {
-            let Some(name) = &item.name else { return };
-            if item.kind != ItemKind::Const {
-                return;
+/// Names of the `const`/`static` items of `lx` whose type or
+/// initialiser names an interior-mutability type, at any nesting depth.
+fn interior_statics<'a>(lx: &'a Lexed, out: &mut BTreeSet<&'a str>) {
+    for (i, t) in lx.tokens.iter().enumerate() {
+        // `<const N: usize>` and `*const T` are not items.
+        if !matches!(t.text.as_str(), "static" | "const")
+            || t.kind != TokKind::Ident
+            || matches!(lx.text(i.wrapping_sub(1)), "<" | "," | "*")
+        {
+            continue;
+        }
+        let name = if lx.text(i + 1) == "mut" {
+            i + 2
+        } else {
+            i + 1
+        };
+        if lx.tokens.get(name).is_none_or(|t| t.kind != TokKind::Ident) || lx.text(name + 1) != ":"
+        {
+            continue;
+        }
+        // The type and initialiser run to the `;` outside any group.
+        let mut end = name + 2;
+        while end < lx.tokens.len() && lx.text(end) != ";" {
+            end = lx.skip_group(end);
+        }
+        if lx.tokens[name + 2..end].iter().any(is_interior) {
+            out.insert(lx.text(name));
+        }
+    }
+}
+
+/// Each typed parameter of the fn whose head is `head`: the line of its
+/// first token and its type tokens (after the `:`).
+fn params(lx: &Lexed, head: std::ops::Range<usize>) -> Vec<(u32, &[Token])> {
+    // The parameter list is the first `(` outside the generics. Angle
+    // depth skips `>` of a `->`; every other bracket is a group.
+    let mut angle = 0i32;
+    let mut open = None;
+    for i in head.skip(2) {
+        match lx.text(i) {
+            "<" => angle += 1,
+            ">" if lx.text(i - 1) != "-" => angle -= 1,
+            "(" if angle == 0 => {
+                open = Some(i);
+                break;
             }
-            let mut interior = is_interior_type(&item.ty);
-            if let Some(init) = &item.init {
-                init.walk(&mut |e| {
-                    if let Expr::Path { segs, .. } = e {
-                        interior |= is_interior_type(segs);
-                    }
-                });
+            _ => {}
+        }
+    }
+    let Some(open) = open else {
+        return Vec::new();
+    };
+    let close = lx.skip_group(open) - 1;
+    let mut out = Vec::new();
+    let mut start = open + 1;
+    let mut i = start;
+    while i <= close {
+        match lx.text(i) {
+            "<" => angle += 1,
+            ">" if lx.text(i - 1) != "-" => angle -= 1,
+            "(" | "[" if i < close => {
+                i = lx.skip_group(i);
+                continue;
             }
-            if interior {
-                out.insert(name.clone());
+            _ => {}
+        }
+        if i == close || (angle == 0 && lx.text(i) == ",") {
+            let colon = (start..i)
+                .find(|&j| lx.text(j) == ":" && lx.text(j + 1) != ":" && lx.text(j - 1) != ":");
+            if let Some(colon) = colon {
+                out.push((lx.tokens[start].line, &lx.tokens[colon + 1..i]));
             }
-        });
+            start = i + 1;
+        }
+        i += 1;
     }
     out
 }
@@ -112,26 +165,63 @@ fn interior_statics(files: &[&SourceFile]) -> BTreeSet<String> {
 /// Cross-checks the tick path. `files` are the in-scope sources in any
 /// order; findings are already allow-filtered per file.
 pub fn check(files: &[&SourceFile]) -> Vec<Diagnostic> {
-    let mut fns = Vec::new();
-    for (idx, file) in files.iter().enumerate() {
-        collect_fns(idx, &file.ast.items, false, &mut fns);
+    // Every non-test fn of the unit, as (file, item index).
+    let fns: Vec<(usize, usize)> = files
+        .iter()
+        .enumerate()
+        .flat_map(|(f, file)| {
+            file.items
+                .iter()
+                .enumerate()
+                .filter(|(_, item)| item.kind == ItemKind::Fn && !item.test)
+                .map(move |(i, _)| (f, i))
+        })
+        .collect();
+    let mut by_name: BTreeMap<&str, Vec<usize>> = BTreeMap::new();
+    for (n, &(f, i)) in fns.iter().enumerate() {
+        by_name
+            .entry(files[f].items[i].name.as_str())
+            .or_default()
+            .push(n);
     }
-    let statics = interior_statics(files);
+    let bodies: Vec<Vec<usize>> = fns
+        .iter()
+        .map(|&(f, i)| own_body(&files[f].items, i))
+        .collect();
+    let mut statics = BTreeSet::new();
+    for file in files {
+        interior_statics(&file.lexed, &mut statics);
+    }
+
+    // Reachability from every `tick`, following callee names.
+    let mut seen: BTreeSet<usize> = by_name.get("tick").into_iter().flatten().copied().collect();
+    let mut queue: Vec<usize> = seen.iter().copied().collect();
+    while let Some(n) = queue.pop() {
+        let lx = &files[fns[n].0].lexed;
+        for &t in &bodies[n] {
+            for &m in by_name.get(lx.text(t)).into_iter().flatten() {
+                if seen.insert(m) {
+                    queue.push(m);
+                }
+            }
+        }
+    }
 
     let mut out = Vec::new();
-    for i in reachable(&fns, |item| item.name.as_deref() == Some("tick")) {
-        let node = &fns[i];
-        let file = files[node.file];
-        let item = node.item;
-        let fn_name = item.name.as_deref().unwrap_or("_");
-        let params = item.sig.as_ref().map_or(&[][..], |sig| &sig.params[..]);
+    for n in seen {
+        let (f, i) = fns[n];
+        let file = files[f];
+        let lx = &file.lexed;
+        let item = &file.items[i];
+        let fn_name = item.name.as_str();
+        let params = params(lx, item.head.clone());
         let mut raw = Vec::new();
 
         if fn_name != COMMIT_API {
-            for p in params {
-                if p.ty.iter().any(|t| t == "mut") && p.ty.iter().any(|t| t == "GpuMemory") {
+            for (line, ty) in &params {
+                if ty.iter().any(|t| t.text == "mut") && ty.iter().any(|t| t.text == "GpuMemory") {
                     raw.push(file.diag(
-                        p.line,
+                        *line,
                         PHASE_MUT_MEMORY,
                         format!(
                             "compute-phase function `{fn_name}` takes `&mut GpuMemory`; \
@@ -143,33 +233,37 @@ pub fn check(files: &[&SourceFile]) -> Vec<Diagnostic> {
             }
         }
 
-        if let Some(body) = &item.body {
-            // One interior-mutability finding per fn: the first mention
-            // (interior-typed parameter, directly named type, or
-            // unit-level interior static read by name).
-            let mut line = params
-                .iter()
-                .find(|p| is_interior_type(&p.ty))
-                .map(|p| p.line);
-            body.walk_exprs(&mut |e| {
-                if let (None, Expr::Path { segs, line: l }) = (line, e) {
-                    if is_interior_type(segs) || (segs.len() == 1 && statics.contains(&segs[0])) {
-                        line = Some(*l);
-                    }
-                }
+        // One interior-mutability finding per fn: the first mention
+        // (interior-typed parameter, directly named type, or unit-level
+        // interior static read by its bare name).
+        let bare = |t: usize| {
+            lx.text(t.wrapping_sub(1)) != "."
+                && lx.text(t.wrapping_sub(1)) != ":"
+                && lx.text(t + 1) != ":"
+        };
+        let first = params
+            .iter()
+            .find(|(_, ty)| ty.iter().any(is_interior))
+            .map(|(line, _)| *line)
+            .or_else(|| {
+                bodies[n]
+                    .iter()
+                    .find(|&&t| {
+                        is_interior(&lx.tokens[t]) || (statics.contains(lx.text(t)) && bare(t))
+                    })
+                    .map(|&t| lx.tokens[t].line)
             });
-            if let Some(line) = line {
-                raw.push(file.diag(
-                    line,
-                    PHASE_INTERIOR_MUT,
-                    format!(
-                        "compute-phase function `{fn_name}` reaches interior \
-                         mutability; mutation through a shared reference during the \
-                         compute phase makes results interleaving-dependent — move \
-                         the state into the core or behind the commit phase"
-                    ),
-                ));
-            }
+        if let Some(line) = first {
+            raw.push(file.diag(
+                line,
+                PHASE_INTERIOR_MUT,
+                format!(
+                    "compute-phase function `{fn_name}` reaches interior \
+                     mutability; mutation through a shared reference during the \
+                     compute phase makes results interleaving-dependent — move \
+                     the state into the core or behind the commit phase"
+                ),
+            ));
         }
         out.extend(raw.into_iter().filter(|d| !file.allowed(d.lint, d.line)));
     }

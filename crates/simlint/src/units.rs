@@ -7,13 +7,13 @@
 //! extractor like `.watts()` and keeps computing on the raw `f64` —
 //! the compiler can no longer see that `joules * hertz` was meant.
 //!
-//! This pass walks the expression IR and flags an extractor call whose
-//! result feeds a `*` or `/` operand: either as the direct left operand
-//! of the operator, or anywhere on the receiver-chain spine of the
-//! right operand (`2.0 * total(p).watts()` taints `watts` through the
-//! chain). A parenthesised extractor — `(p.watts()) * x` — is a
-//! deliberate raw-math grouping and is left to the human, exactly as
-//! the original token-adjacency pass behaved.
+//! This pass flags an extractor call whose result feeds a `*` or `/`
+//! operand: either as the direct left operand of the operator (the
+//! call's `)` is the token before it), or anywhere on the postfix chain
+//! that starts the right operand (`2.0 * total(p).watts()` taints
+//! `watts` through the chain). A parenthesised extractor — `(p.watts())
+//! * x` — is a deliberate raw-math grouping and is left to the human,
+//! and so is one behind a `?`, a cast or a unary operator.
 //!
 //! Two regions are exempt by construction:
 //!
@@ -27,7 +27,9 @@
 //! `Voltage::squared` replacing `vdd.volts() * vdd.volts()`) or a
 //! justified `// simlint: allow(raw_unit_math): …` marker.
 
-use crate::syntax::{visit_exprs, Expr, Item, ItemKind};
+use std::collections::BTreeSet;
+
+use crate::lexer::{Item, ItemKind, Lexed, TokKind};
 use crate::{Diagnostic, SourceFile};
 
 /// Raw `f64` multiplication/division on an unwrapped unit value.
@@ -49,86 +51,159 @@ const EXTRACTORS: &[&str] = &[
     "farads",
 ];
 
-/// Whether `e` is a bare extractor call: `.name()` with no arguments.
-fn extractor_call(e: &Expr) -> Option<(&str, u32)> {
-    if let Expr::MethodCall {
-        method, args, line, ..
-    } = e
-    {
-        if args.is_empty() && EXTRACTORS.contains(&method.as_str()) {
-            return Some((method.as_str(), *line));
-        }
-    }
-    None
+/// Whether tokens `i..i + 3` are a bare extractor call `name()`.
+fn extractor_call(lx: &Lexed, i: usize) -> bool {
+    EXTRACTORS.contains(&lx.text(i)) && lx.text(i + 1) == "(" && lx.text(i + 2) == ")"
 }
 
-/// Extractor calls on the leftmost receiver-chain spine of `e` — the
-/// calls whose token stream a left-adjacent operator directly precedes.
-/// Parentheses end the spine (their contents are not left-adjacent to
-/// anything outside).
-fn spine_extractors<'e>(mut e: &'e Expr, out: &mut Vec<(&'e str, u32)>) {
-    loop {
-        if let Some(hit) = extractor_call(e) {
-            out.push(hit);
-        }
-        e = match e {
-            Expr::MethodCall { recv, .. } | Expr::Field { recv, .. } | Expr::Index { recv, .. } => {
-                recv
+/// Whether the `*` or `/` at `i` is a binary multiply or divide: not a
+/// compound assignment, and a `*` must follow an operand (otherwise it
+/// is a dereference or a raw-pointer type).
+fn mul_or_div(lx: &Lexed, i: usize) -> bool {
+    let op = &lx.tokens[i];
+    if op.kind != TokKind::Punct || !matches!(op.text.as_str(), "*" | "/") || lx.text(i + 1) == "="
+    {
+        return false;
+    }
+    op.text == "/"
+        || i.checked_sub(1).is_some_and(|p| {
+            let prev = &lx.tokens[p];
+            match prev.kind {
+                TokKind::Ident => !matches!(
+                    prev.text.as_str(),
+                    "as" | "return" | "in" | "match" | "if" | "while" | "mut"
+                ),
+                TokKind::Num | TokKind::Str | TokKind::Char => true,
+                TokKind::Punct => matches!(prev.text.as_str(), ")" | "]" | "?"),
+                TokKind::Lifetime => false,
             }
-            Expr::Call { callee, .. } => callee,
-            Expr::Cast { expr, .. } | Expr::Try { expr, .. } => expr,
-            _ => return,
+        })
+}
+
+/// Index just past a `<...>` generic list starting at `i`.
+fn skip_angles(lx: &Lexed, mut i: usize) -> usize {
+    let mut depth = 0usize;
+    while i < lx.tokens.len() {
+        match lx.text(i) {
+            "<" => depth += 1,
+            ">" if lx.text(i - 1) != "-" => {
+                depth -= 1;
+                if depth == 0 {
+                    return i + 1;
+                }
+            }
+            _ => {}
+        }
+        i += 1;
+    }
+    i
+}
+
+/// Index just past a path starting at `i`: `a::b::<T>::c`.
+fn skip_path(lx: &Lexed, mut i: usize) -> usize {
+    i += 1;
+    while lx.text(i) == ":" && lx.text(i + 1) == ":" {
+        i = if lx.text(i + 2) == "<" {
+            skip_angles(lx, i + 2)
+        } else {
+            i + 3
         };
+    }
+    i
+}
+
+/// Extractor calls on the postfix chain of the operand starting at `i`
+/// — a path, literal, macro call or bracket group, then any `.field`,
+/// `.method(..)`, `(..)`, `[..]`, `?` and `as Type`. A prefix operator
+/// ends the chain before it starts.
+fn spine_extractors(lx: &Lexed, mut i: usize, out: &mut BTreeSet<usize>) {
+    let Some(first) = lx.tokens.get(i) else {
+        return;
+    };
+    i = match first.kind {
+        TokKind::Ident => {
+            let end = skip_path(lx, i);
+            if lx.text(end) == "!" && matches!(lx.text(end + 1), "(" | "[" | "{") {
+                lx.skip_group(end + 1)
+            } else {
+                end
+            }
+        }
+        TokKind::Num | TokKind::Str | TokKind::Char => i + 1,
+        TokKind::Punct if matches!(first.text.as_str(), "(" | "[") => lx.skip_group(i),
+        _ => return,
+    };
+    loop {
+        match lx.text(i) {
+            "." => {
+                let name = i + 1;
+                i += 2;
+                if lx.text(i) == ":" && lx.text(i + 1) == ":" {
+                    i = skip_angles(lx, i + 2);
+                }
+                if lx.text(i) == "(" {
+                    if extractor_call(lx, name) {
+                        out.insert(name);
+                    }
+                    i = lx.skip_group(i);
+                }
+            }
+            "(" | "[" => i = lx.skip_group(i),
+            "?" => i += 1,
+            "as" => i = skip_path(lx, i + 1),
+            _ => return,
+        }
     }
 }
 
 /// The exempt regions: test-only items and `Display`/`Debug` impls.
-fn exempt(item: &Item) -> bool {
-    item.is_test_only()
+fn exempt(lx: &Lexed, item: &Item) -> bool {
+    item.test
         || (item.kind == ItemKind::Impl
             && item
-                .trait_path
-                .as_ref()
-                .is_some_and(|tp| tp.iter().any(|s| s == "Display" || s == "Debug")))
+                .head
+                .clone()
+                .take_while(|&i| lx.text(i) != "for")
+                .any(|i| matches!(lx.text(i), "Display" | "Debug")))
 }
 
 /// Flags extractor calls feeding raw `*`/`/` arithmetic, outside test
 /// items and `Display`/`Debug` impls.
 pub fn check(file: &SourceFile) -> Vec<Diagnostic> {
-    let mut out = Vec::new();
-    visit_exprs(&file.ast.items, &exempt, &mut |node| {
-        let Expr::Binary {
-            op: "*" | "/",
-            lhs,
-            rhs,
-            ..
-        } = node
-        else {
-            return;
-        };
-        let mut hits = Vec::new();
-        // The left operand feeds the operator only when the
-        // extractor call itself ends it (`.watts() *`); a `?` or
-        // cast in between changes what the operator sees.
-        if let Some(hit) = extractor_call(lhs) {
-            hits.push(hit);
+    let lx = &file.lexed;
+    let exempt: Vec<_> = file
+        .items
+        .iter()
+        .filter(|item| exempt(lx, item))
+        .map(|item| item.span.clone())
+        .collect();
+    let mut hits = BTreeSet::new();
+    for op in 0..lx.tokens.len() {
+        if !mul_or_div(lx, op) || exempt.iter().any(|r| r.contains(&op)) {
+            continue;
         }
-        // The right operand is tainted along its whole receiver
-        // spine: every extractor there has the operator directly to
-        // its left.
-        spine_extractors(rhs, &mut hits);
-        for (method, line) in hits {
-            out.push(file.diag(
-                line,
+        // The left operand feeds the operator only when the extractor
+        // call itself ends it (`.watts() *`); a `?` or cast in between
+        // changes what the operator sees.
+        if op >= 4 && lx.text(op - 4) == "." && extractor_call(lx, op - 3) {
+            hits.insert(op - 3);
+        }
+        // The right operand is tainted along its whole postfix chain.
+        spine_extractors(lx, op + 1, &mut hits);
+    }
+    hits.into_iter()
+        .map(|i| {
+            file.diag(
+                lx.tokens[i].line,
                 RAW_UNIT_MATH,
                 format!(
-                    "`.{method}()` unwraps a typed quantity straight into raw f64 \
-                         arithmetic; use the newtype operators in \
-                         gpusimpow_tech::units (they encode the only physically \
-                         meaningful combinations) or justify with an allow marker"
+                    "`.{}()` unwraps a typed quantity straight into raw f64 \
+                     arithmetic; use the newtype operators in \
+                     gpusimpow_tech::units (they encode the only physically \
+                     meaningful combinations) or justify with an allow marker",
+                    lx.tokens[i].text
                 ),
-            ));
-        }
-    });
-    out
+            )
+        })
+        .collect()
 }

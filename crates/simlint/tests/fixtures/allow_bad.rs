@@ -1,6 +1,6 @@
 // Fixture: rotten suppressions. A reasonless marker does not suppress
-// (and is itself a finding); a marker naming a made-up or a deleted lint
-// is flagged.
+// (and is itself a finding); a marker naming a made-up, a deleted or a
+// moved lint is flagged.
 fn run(n: usize) {
     // simlint: allow(nondeterministic_collection)
     let m: HashMap<u32, u32> = make();
@@ -8,5 +8,11 @@ fn run(n: usize) {
     let s: HashSet<u32> = make();
     // simlint: allow(lane_loop_alloc): one register file per warp
     let regs = vec![0; n];
-    let _ = (m, s, regs);
+    // simlint: allow(nondeterministic_collection): now the root clippy.toml's
+    let keyed: HashMap<u32, u32> = make();
+    // simlint: allow(panic_path): now the decode modules' #![deny] list
+    let first = regs[0];
+    // simlint: allow(undocumented_unsafe)
+    let p = unsafe { read() };
+    let _ = (m, s, regs, keyed, first, p);
 }

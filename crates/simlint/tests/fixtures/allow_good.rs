@@ -1,9 +1,9 @@
 // Fixture: justified suppressions — above the line with a wrapped
 // reason, and trailing on the same line.
 fn run() {
-    // simlint: allow(nondeterministic_collection): keyed access only;
-    // this map is never iterated, so hash ordering cannot reach results.
-    let m: HashMap<u32, u32> = HashMap::new();
-    let t0 = Instant::now(); // simlint: allow(wall_clock): fixture demo of trailing markers
-    let _ = (m, t0);
+    // simlint: allow(undocumented_unsafe): fixture demo; the invariant
+    // is the caller's, so this wrapped reason names it there.
+    let a = unsafe { read() };
+    let b = unsafe { read() }; // simlint: allow(undocumented_unsafe): fixture demo of trailing markers
+    let _ = (a, b);
 }

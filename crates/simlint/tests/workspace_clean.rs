@@ -3,7 +3,7 @@
 //! the same run CI performs via `cargo run -p simlint`, kept as a test
 //! so `cargo test` alone catches invariant regressions.
 
-use simlint::scope::ScopeConfig;
+use simlint::scope::{FLOAT_CRATES, UNIT_CRATES};
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
@@ -33,27 +33,15 @@ fn workspace_has_no_findings_and_manifest_is_current() {
 }
 
 #[test]
-fn discovered_scopes_cover_the_static_mirror() {
-    // Fixture tests run under `ScopeConfig::default_static`; this pins
-    // that discovery on the real tree yields at least those prefixes,
-    // so the fixtures never exercise a scope the workspace run lacks.
-    let discovered = ScopeConfig::discover(&workspace_root()).unwrap();
-    let fixed = ScopeConfig::default_static();
-    for (name, want, have) in [
-        (
-            "determinism",
-            &fixed.determinism_prefixes,
-            &discovered.determinism_prefixes,
-        ),
-        ("units", &fixed.units_prefixes, &discovered.units_prefixes),
-        ("floats", &fixed.float_prefixes, &discovered.float_prefixes),
-    ] {
-        for prefix in want {
-            assert!(
-                have.contains(prefix),
-                "{name}: discovery lost `{prefix}`: {have:?}"
-            );
-        }
+fn curated_scope_crates_exist() {
+    // A renamed or deleted crate must fail here rather than linger as a
+    // scope prefix that matches nothing.
+    let root = workspace_root();
+    for krate in UNIT_CRATES.iter().chain(FLOAT_CRATES) {
+        assert!(
+            root.join(krate).join("src").is_dir(),
+            "scope lists `{krate}`, which has no src/ directory"
+        );
     }
 }
 

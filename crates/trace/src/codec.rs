@@ -6,6 +6,21 @@
 //! byte decodes to a typed error instead of an invalid discriminant),
 //! branch targets as varints and byte offsets zigzag-folded.
 
+#![deny(
+    clippy::indexing_slicing,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::panic_in_result_fn,
+    clippy::arithmetic_side_effects,
+    clippy::cast_possible_truncation
+)]
+// `assert!` and friends too (clippy.toml `disallowed-macros`), outside tests.
+#![cfg_attr(not(test), deny(clippy::disallowed_macros))]
+
 use gpusimpow_isa::{CmpOp, FpOp, Instr, IntOp, MemSpace, Operand, Reg, SfuOp, SpecialReg};
 
 use crate::wire::{Reader, Writer};

@@ -18,6 +18,21 @@
 //! version, which changes every digest, which cleanly orphans all
 //! previously cached results rather than silently serving stale ones.
 
+#![deny(
+    clippy::indexing_slicing,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::panic_in_result_fn,
+    clippy::arithmetic_side_effects,
+    clippy::cast_possible_truncation
+)]
+// `assert!` and friends too (clippy.toml `disallowed-macros`), outside tests.
+#![cfg_attr(not(test), deny(clippy::disallowed_macros))]
+
 use std::fmt;
 
 use crate::wire::CodecError;
@@ -67,11 +82,12 @@ impl Digest {
 
     /// Lowercase 32-character hex form (file names, logs, goldens).
     pub fn to_hex(self) -> String {
-        let digit = |nibble: u8| char::from(nibble + if nibble < 10 { b'0' } else { b'a' - 10 });
         let mut s = String::with_capacity(32);
         for b in self.0 {
-            s.push(digit(b >> 4));
-            s.push(digit(b & 0xf));
+            for nibble in [b >> 4, b & 0xf] {
+                // Every nibble is a hex digit, so this always pushes one.
+                s.extend(char::from_digit(u32::from(nibble), 16));
+            }
         }
         s
     }

@@ -37,6 +37,21 @@
 //! digests in `tests/` pin the v1 byte stream against accidental
 //! drift.
 
+#![deny(
+    clippy::indexing_slicing,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::panic_in_result_fn,
+    clippy::arithmetic_side_effects,
+    clippy::cast_possible_truncation
+)]
+// `assert!` and friends too (clippy.toml `disallowed-macros`), outside tests.
+#![cfg_attr(not(test), deny(clippy::disallowed_macros))]
+
 use gpusimpow_isa::{Dim2, Instr, Kernel, LaunchConfig};
 
 use crate::codec::{get_instr, put_instr};
@@ -116,6 +131,14 @@ impl KernelTrace {
     /// Encodes the trace into the v1 byte format, digest footer
     /// included.
     pub fn encode(&self) -> Vec<u8> {
+        let mut bytes = self.encode_body();
+        let digest = TraceDigest::compute(&bytes);
+        bytes.extend_from_slice(&digest.0);
+        bytes
+    }
+
+    /// Everything [`Self::encode`] writes before the digest footer.
+    fn encode_body(&self) -> Vec<u8> {
         let mut w = Writer::new();
         w.put_header(&TRACE_MAGIC, TRACE_VERSION);
         w.put_varint(self.name.len() as u64);
@@ -155,10 +178,7 @@ impl KernelTrace {
                 w.put_varint(addr as u64);
             }
         }
-        let mut bytes = w.into_bytes();
-        let digest = TraceDigest::compute(&bytes);
-        bytes.extend_from_slice(&digest.0);
-        bytes
+        w.into_bytes()
     }
 
     /// Decodes and validates a v1 trace. Hostile input — truncation,
@@ -256,14 +276,14 @@ impl KernelTrace {
     /// bad dimensions, so they must be rejected here) and streams that
     /// actually belong to the launch.
     pub fn validate(&self) -> Result<(), TraceError> {
-        let block_threads = self.block_x as u64 * self.block_y as u64;
+        let block_threads = u64::from(self.block_x).saturating_mul(u64::from(self.block_y));
         if block_threads == 0 || block_threads > MAX_BLOCK_THREADS {
             return Err(TraceError::Malformed(format!(
                 "block ({}, {}) outside 1..={MAX_BLOCK_THREADS} threads",
                 self.block_x, self.block_y
             )));
         }
-        let grid_blocks = self.grid_x as u64 * self.grid_y as u64;
+        let grid_blocks = u64::from(self.grid_x).saturating_mul(u64::from(self.grid_y));
         if grid_blocks == 0 || grid_blocks > MAX_GRID_BLOCKS {
             return Err(TraceError::Malformed(format!(
                 "grid ({}, {}) outside 1..={MAX_GRID_BLOCKS} blocks",
@@ -276,7 +296,7 @@ impl KernelTrace {
                 self.warp_size
             )));
         }
-        let warps_per_block = (block_threads as u32).div_ceil(self.warp_size);
+        let warps_per_block = block_threads.div_ceil(u64::from(self.warp_size));
         let mut seen = std::collections::BTreeSet::new();
         for s in &self.streams {
             if s.block_x >= self.grid_x || s.block_y >= self.grid_y {
@@ -285,7 +305,7 @@ impl KernelTrace {
                     s.block_x, s.block_y, self.grid_x, self.grid_y
                 )));
             }
-            if s.warp >= warps_per_block {
+            if u64::from(s.warp) >= warps_per_block {
                 return Err(TraceError::Malformed(format!(
                     "stream warp {} outside the block's {} warps",
                     s.warp, warps_per_block
@@ -334,10 +354,7 @@ impl KernelTrace {
     /// The footer digest of this trace's encoding (its content
     /// address).
     pub fn content_digest(&self) -> TraceDigest {
-        let bytes = self.encode();
-        let mut footer = [0u8; 16];
-        footer.copy_from_slice(&bytes[bytes.len() - 16..]);
-        TraceDigest(footer)
+        TraceDigest::compute(&self.encode_body())
     }
 }
 

@@ -17,6 +17,21 @@
 //! count fields are capped before anything is allocated for them, so a
 //! corrupted prefix can never request an oversized allocation.
 
+#![deny(
+    clippy::indexing_slicing,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::panic_in_result_fn,
+    clippy::arithmetic_side_effects,
+    clippy::cast_possible_truncation
+)]
+// `assert!` and friends too (clippy.toml `disallowed-macros`), outside tests.
+#![cfg_attr(not(test), deny(clippy::disallowed_macros))]
+
 use std::fmt;
 
 /// Hard ceiling on any `u32` length prefix (frames, strings, blobs). A
@@ -138,8 +153,16 @@ impl Writer {
 
     /// Appends a `u32`-length-prefixed byte blob.
     pub fn put_bytes(&mut self, b: &[u8]) {
-        self.put_u32(b.len() as u32);
+        self.put_len(b.len());
         self.put_raw(b);
+    }
+
+    /// Appends a length or element count as a little-endian `u32`. A
+    /// value past `u32` range saturates, so the decoder rejects it
+    /// (`MAX_LEN` and every count cap sit below `u32::MAX`) instead of
+    /// reading a wrapped length that misframes the bytes after it.
+    pub fn put_len(&mut self, n: usize) {
+        self.put_u32(u32::try_from(n).unwrap_or(u32::MAX));
     }
 
     /// Appends raw bytes with no length prefix (fixed-width fields).
@@ -163,7 +186,7 @@ impl<'a> Reader<'a> {
 
     /// Bytes not yet consumed.
     pub fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
+        self.buf.len().saturating_sub(self.pos)
     }
 
     /// Bytes consumed so far.
@@ -240,11 +263,14 @@ impl<'a> Reader<'a> {
             if i == 9 && payload > 1 {
                 return Err(CodecError::Malformed(format!("varint overflow in {what}")));
             }
-            // simlint: allow(decode_arith): the shift distance is `7 * i`
-            // with `i < 10`, at most 63, so the shift itself cannot
-            // overflow; the `i == 9` guard above already rejects payload
-            // bits that would not fit the u64.
-            v |= payload << (7 * i);
+            #[allow(
+                clippy::arithmetic_side_effects,
+                reason = "the shift distance is `7 * i` with `i < 10`, at most 63, \
+                          so the shift itself cannot overflow; the `i == 9` guard \
+                          above already rejects payload bits that would not fit the u64"
+            )]
+            let shift = 7 * i;
+            v |= payload << shift;
             if byte & 0x80 == 0 {
                 return Ok(v);
             }
@@ -264,7 +290,7 @@ impl<'a> Reader<'a> {
     /// Reads a zigzag-folded signed varint.
     pub fn varint_i32(&mut self, what: &'static str) -> Result<i32, CodecError> {
         let folded = self.varint_u32(what)?;
-        Ok(((folded >> 1) as i32) ^ -((folded & 1) as i32))
+        Ok(((folded >> 1) as i32) ^ ((folded & 1) as i32).wrapping_neg())
     }
 
     /// Reads a varint element count for a list whose elements occupy

@@ -9,9 +9,10 @@
 //! counter. The kernels are chosen per pipeline stage: ALU-bound
 //! (issue + unit table), memory-bound (load/store path, global arm),
 //! divergent (SIMT stack + masked lane walk) and barrier (shared and
-//! constant arms, barrier release).
+//! constant arms, barrier release). A last pin holds the two-phase
+//! step's cross-core store visibility.
 
-use gpusimpow_isa::LaunchConfig;
+use gpusimpow_isa::{CmpOp, Kernel, KernelBuilder, LaunchConfig, Operand, Reg, SpecialReg};
 use gpusimpow_kernels::micro::{cluster_step_kernel, divergence_kernel};
 use gpusimpow_kernels::pathfinder::Pathfinder;
 use gpusimpow_kernels::vectoradd::VectorAdd;
@@ -129,5 +130,63 @@ fn stock_presets_hold_every_pin_in_every_mode() {
                 pin.work
             );
         }
+    }
+}
+
+/// Loads CTA 1 issues back to back in [`two_phase_kernel`].
+const LOADS: u8 = 32;
+
+/// CTA 0 stores 1 to the flag word at `flag`; CTA 1 issues [`LOADS`]
+/// unrolled loads of it into separate registers, then writes every
+/// loaded value to `out`.
+fn two_phase_kernel(flag: u32, out: u32) -> Kernel {
+    let mut k = KernelBuilder::new("two_phase");
+    let (cta, is_writer, addr, one) = (Reg(0), Reg(1), Reg(2), Reg(3));
+    k.s2r(cta, SpecialReg::CtaIdX);
+    k.isetp(CmpOp::Eq, is_writer, cta, Operand::imm_u32(0));
+    k.movi(addr, flag);
+    k.if_then_else(
+        is_writer,
+        |k| {
+            k.movi(one, 1);
+            k.st_global(one, addr, 0);
+        },
+        |k| {
+            for i in 0..LOADS {
+                k.ld_global(Reg(8 + i), addr, 0);
+            }
+            k.movi(addr, out);
+            for i in 0..LOADS {
+                k.st_global(Reg(8 + i), addr, 4 * i32::from(i));
+            }
+        },
+    );
+    k.exit();
+    k.build().expect("two-phase kernel is valid")
+}
+
+/// Cores tick in id order within a cycle, and CTA 0 lands on a
+/// lower-id core than CTA 1. A store committed inside `tick` rather
+/// than in the commit phase would therefore reach a load CTA 1 issues
+/// in the same cycle, and the first 1 would move one slot earlier. On
+/// the GT240 preset the loads issue several cycles apart and no store
+/// placement tried lines one up with the store, so only the GTX580 is
+/// pinned.
+#[test]
+fn cross_core_store_is_visible_one_cycle_later() {
+    let mut want = vec![0u32; 12];
+    want.resize(usize::from(LOADS), 1);
+    for dense in [false, true] {
+        let mut gpu = Gpu::new(GpuConfig::gtx580()).expect("config is valid");
+        gpu.set_dense_reference(dense);
+        let flag = gpu.alloc(4);
+        let out = gpu.alloc(4 * u32::from(LOADS));
+        gpu.h2d_u32(flag, &[0]);
+        gpu.launch(
+            &two_phase_kernel(flag.addr(), out.addr()),
+            LaunchConfig::linear(2, 32),
+        )
+        .expect("two-phase probe completes");
+        assert_eq!(gpu.d2h_u32(out, usize::from(LOADS)), want, "dense={dense}");
     }
 }
