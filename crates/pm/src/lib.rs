@@ -30,11 +30,10 @@
 //! reproduces the single-shot [`gpusimpow_power::PowerReport`] energy —
 //! windowing refines time resolution without changing totals.
 //!
-//! Activity can be traced live ([`PowerTracer::stream`]) or recorded
-//! once with [`gpusimpow_sim::WindowRecorder`] and replayed under many
-//! policies ([`PowerTracer::replay`]), which is how the `power_trace`
-//! section of `run_all_experiments` compares governors without
-//! re-simulating.
+//! Activity is recorded once with [`gpusimpow_sim::WindowRecorder`] and
+//! replayed under many policies ([`PowerTracer::replay`]), which is how
+//! the `power_trace` section of `run_all_experiments` compares governors
+//! without re-simulating.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -45,4 +44,4 @@ pub mod tracer;
 
 pub use governor::{Baseline, ClusterOndemand, Governor, Ondemand, PowerCap, WindowContext};
 pub use trace::{ComponentPowers, PowerSample, PowerTrace};
-pub use tracer::{ClusterGating, PowerTracer, StreamingTracer};
+pub use tracer::{ClusterGating, PowerTracer};

@@ -2,7 +2,7 @@
 //! [`Governor`], with optional idle-cluster gating.
 
 use gpusimpow_power::GpuChip;
-use gpusimpow_sim::{ActivitySink, ActivityWindow, LaunchReport, RecordedLaunch};
+use gpusimpow_sim::{ActivityWindow, RecordedLaunch};
 use gpusimpow_tech::clockdomain::DvfsTable;
 use gpusimpow_tech::clockdomain::OperatingPoint;
 use gpusimpow_tech::units::{Cycles, Power, Time};
@@ -109,8 +109,7 @@ impl Default for ClusterGating {
 
 /// Evaluates windowed activity into power samples for a fixed chip,
 /// DVFS table and gating setting. One tracer can replay the same
-/// recording under many governors, or trace live via
-/// [`PowerTracer::stream`].
+/// recording under many governors.
 #[derive(Debug, Clone)]
 pub struct PowerTracer {
     chip: GpuChip,
@@ -157,19 +156,6 @@ impl PowerTracer {
             trace.samples.push(sample);
         }
         trace
-    }
-
-    /// A live [`ActivitySink`] that builds traces as the simulation
-    /// runs; pass it to `Gpu::launch_with_sink`.
-    pub fn stream<G: Governor>(&self, governor: G) -> StreamingTracer<'_, G> {
-        StreamingTracer {
-            tracer: self,
-            governor,
-            prev_op: self.dvfs.nominal_index(),
-            start: Time::ZERO,
-            current: None,
-            finished: Vec::new(),
-        }
     }
 
     /// Evaluates one window: estimates its chip power at every operating
@@ -259,61 +245,6 @@ impl PowerTracer {
                 .dram()
                 .evaluate(&w.stats.to_vector(), duration)
                 .total(),
-        }
-    }
-}
-
-/// Live tracing sink returned by [`PowerTracer::stream`].
-#[derive(Debug)]
-pub struct StreamingTracer<'a, G> {
-    tracer: &'a PowerTracer,
-    governor: G,
-    prev_op: usize,
-    start: Time,
-    current: Option<PowerTrace>,
-    finished: Vec<PowerTrace>,
-}
-
-impl<G: Governor> StreamingTracer<'_, G> {
-    /// Traces of all finished launches, in launch order.
-    pub fn traces(&self) -> &[PowerTrace] {
-        &self.finished
-    }
-
-    /// Consumes the sink, returning its finished traces.
-    pub fn into_traces(self) -> Vec<PowerTrace> {
-        self.finished
-    }
-}
-
-impl<G: Governor> ActivitySink for StreamingTracer<'_, G> {
-    fn on_launch_begin(&mut self, kernel: &str, _window_cycles: u64) {
-        self.governor.reset();
-        self.prev_op = self.tracer.dvfs.nominal_index();
-        self.start = Time::ZERO;
-        self.current = Some(PowerTrace::new(kernel, self.governor.name()));
-    }
-
-    fn on_window(&mut self, window: &ActivityWindow) {
-        let trace = self
-            .current
-            .as_mut()
-            .expect("on_launch_begin precedes on_window");
-        let sample = self.tracer.eval_window(
-            &trace.kernel,
-            window,
-            self.prev_op,
-            &mut self.governor,
-            self.start,
-        );
-        self.start += sample.duration;
-        self.prev_op = sample.op_index;
-        trace.samples.push(sample);
-    }
-
-    fn on_launch_end(&mut self, _report: &LaunchReport) {
-        if let Some(trace) = self.current.take() {
-            self.finished.push(trace);
         }
     }
 }

@@ -1,25 +1,24 @@
 //! simlint — the workspace invariant checker.
 //!
 //! `rustc`, clippy and the test suite enforce a great deal; this crate
-//! keeps only the *simulator's* rules that none of them can see. Every
-//! lint here survived a mutation audit (DESIGN.md §14): a seeded
-//! violation that `cargo build`, `cargo clippy -D warnings` and
-//! `cargo test --workspace` all let through, but simlint does not.
-//! Determinism (no hash-ordered collections, no wall clock) and
-//! panic-free decoding went to clippy that way: the root `clippy.toml`
-//! and the `#![deny]` list at the top of each decode module. simlint is
-//! dependency-free: a comment/string-aware lexer ([`lexer`]) yields
-//! tokens, bracket partners and item extents, and every pass reads
-//! those. The unit and float scopes are discovered from the workspace
-//! manifest ([`scope`]).
+//! keeps only the *simulator's* rules that none of them can see. A lint
+//! stays only while a seeded violation of its rule gets through
+//! `cargo build`, `cargo clippy -D warnings` and `cargo test
+//! --workspace` but not simlint (DESIGN.md §14). Determinism (no
+//! hash-ordered collections, no wall clock) and panic-free decoding are
+//! clippy's: the root `clippy.toml` and the `#![deny]` list at the top
+//! of each decode module. simlint is dependency-free: a
+//! comment/string-aware lexer ([`lexer`]) yields tokens, bracket
+//! partners and item extents, and every pass reads those. The unit and
+//! float scopes are curated crate lists ([`scope`]).
 //!
 //! * **Float determinism** ([`floats`]): `#[cfg]`-divergent kernels
 //!   must not do float math unless pinned bit-identical to the
 //!   fallback (`float_cfg_divergence`).
 //! * **Phase discipline** ([`phase`]): the compute phase of the
 //!   two-phase core step — everything reachable from `tick`,
-//!   cross-file — must not take `&mut GpuMemory` or touch interior
-//!   mutability (`phase_*`).
+//!   cross-file — must not touch interior mutability
+//!   (`phase_interior_mut`).
 //! * **Unit safety** ([`units`]): energy/power/time arithmetic in the
 //!   power model must stay inside the `gpusimpow_tech::units` newtypes;
 //!   unwrapping to raw `f64` mid-computation is where dimensional bugs
@@ -31,10 +30,8 @@
 //!
 //! Run it as `cargo run -p simlint` from the workspace root; it prints
 //! `file:line: lint: message` per finding and exits non-zero when
-//! anything fires (`--json PATH` additionally writes a
-//! schema-versioned machine-readable report; with `--json -` the report
-//! alone goes to stdout and the finding lines to stderr). Findings are
-//! suppressed per site with a justified marker comment:
+//! anything fires. Findings are suppressed per site with a justified
+//! marker comment:
 //!
 //! ```text
 //! // simlint: allow(raw_unit_math): percent column of a report,
@@ -65,7 +62,6 @@ pub const LINTS: &[&str] = &[
     unsafety::UNDOCUMENTED_UNSAFE,
     unsafety::UNSAFE_MANIFEST_DRIFT,
     floats::FLOAT_CFG_DIVERGENCE,
-    phase::PHASE_MUT_MEMORY,
     phase::PHASE_INTERIOR_MUT,
     MISSING_JUSTIFICATION,
     UNKNOWN_LINT,
@@ -338,97 +334,4 @@ pub fn run_workspace(root: &Path) -> io::Result<WorkspaceReport> {
         unsafe_manifest,
         files_checked: paths.len(),
     })
-}
-
-/// Version of the [`json_report`] schema. Bump on any change to the
-/// object shape — CI consumers key on it.
-pub const JSON_SCHEMA_VERSION: u32 = 1;
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Renders findings as the machine-readable report the CI job uploads:
-/// a single JSON object with `schema_version`, `files_checked`,
-/// `finding_count`, and a `findings` array of
-/// `{file, line, lint, message}` rows in emission order. Hand-rolled —
-/// simlint takes no dependencies — so the shape is pinned by
-/// [`JSON_SCHEMA_VERSION`] and the round-trip test, not a serde
-/// contract.
-pub fn json_report(diagnostics: &[Diagnostic], files_checked: usize) -> String {
-    let mut out = String::new();
-    out.push_str(&format!(
-        "{{\n  \"schema_version\": {JSON_SCHEMA_VERSION},\n  \
-         \"files_checked\": {files_checked},\n  \
-         \"finding_count\": {},\n  \"findings\": [",
-        diagnostics.len()
-    ));
-    for (i, d) in diagnostics.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "\n    {{\"file\": \"{}\", \"line\": {}, \"lint\": \"{}\", \"message\": \"{}\"}}",
-            json_escape(&d.file),
-            d.line,
-            json_escape(d.lint),
-            json_escape(&d.message)
-        ));
-    }
-    if !diagnostics.is_empty() {
-        out.push_str("\n  ");
-    }
-    out.push_str("]\n}\n");
-    out
-}
-
-#[cfg(test)]
-mod json_tests {
-    use super::*;
-
-    #[test]
-    fn json_report_escapes_and_counts() {
-        let diags = vec![
-            Diagnostic {
-                file: "crates/a/src/lib.rs".to_string(),
-                line: 7,
-                lint: "float_cfg_divergence",
-                message: "uses `.unwrap()` — \"bad\"\non two lines".to_string(),
-            },
-            Diagnostic {
-                file: "crates\\b.rs".to_string(),
-                line: 1,
-                lint: "raw_unit_math",
-                message: "tab\there".to_string(),
-            },
-        ];
-        let json = json_report(&diags, 42);
-        assert!(json.contains("\"schema_version\": 1"), "{json}");
-        assert!(json.contains("\"files_checked\": 42"), "{json}");
-        assert!(json.contains("\"finding_count\": 2"), "{json}");
-        assert!(json.contains("\\\"bad\\\"\\non two lines"), "{json}");
-        assert!(json.contains("crates\\\\b.rs"), "{json}");
-        assert!(json.contains("tab\\there"), "{json}");
-    }
-
-    #[test]
-    fn json_report_with_no_findings_is_a_closed_empty_array() {
-        let json = json_report(&[], 173);
-        assert!(json.contains("\"findings\": []"), "{json}");
-        assert!(json.contains("\"finding_count\": 0"), "{json}");
-    }
 }

@@ -4,7 +4,6 @@
 //! cargo run -p simlint                              # check, exit 1 on findings
 //! cargo run -p simlint -- --root path/to/workspace
 //! cargo run -p simlint -- --update-unsafe-manifest  # rewrite UNSAFE.md
-//! cargo run -p simlint -- --json report.json        # machine-readable report
 //! ```
 
 use std::path::PathBuf;
@@ -13,7 +12,6 @@ use std::process::ExitCode;
 fn main() -> ExitCode {
     let mut root = PathBuf::from(".");
     let mut update_manifest = false;
-    let mut json_path: Option<PathBuf> = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -25,29 +23,19 @@ fn main() -> ExitCode {
                 }
             },
             "--update-unsafe-manifest" => update_manifest = true,
-            "--json" => match args.next() {
-                Some(p) => json_path = Some(PathBuf::from(p)),
-                None => {
-                    eprintln!("simlint: --json needs an output path (use - for stdout)");
-                    return ExitCode::FAILURE;
-                }
-            },
             "--help" | "-h" => {
                 println!(
-                    "usage: simlint [--root PATH] [--update-unsafe-manifest] [--json PATH]\n\
+                    "usage: simlint [--root PATH] [--update-unsafe-manifest]\n\
                      \n\
                      Checks the workspace invariants rustc, clippy and the\n\
                      test suite cannot see: unit safety (no raw f64 math on\n\
                      unwrapped quantities in the power and trace crates),\n\
-                     cfg-divergent float kernels, no memory mutation or\n\
-                     interior mutability on the tick path, and the unsafe\n\
-                     audit (SAFETY comments + UNSAFE.md inventory).\n\
-                     Determinism and panic-free decoding are clippy's\n\
-                     (clippy.toml and the decode modules' #![deny]).\n\
-                     Exits 1 when anything fires. `--json` additionally\n\
-                     writes a schema-versioned machine-readable report to\n\
-                     PATH; with `-` the report goes to stdout and the\n\
-                     finding lines to stderr."
+                     cfg-divergent float kernels, no interior mutability\n\
+                     on the tick path, and the unsafe audit (SAFETY\n\
+                     comments + UNSAFE.md inventory). Determinism and\n\
+                     panic-free decoding are clippy's (clippy.toml and the\n\
+                     decode modules' #![deny]). Exits 1 when anything\n\
+                     fires."
                 );
                 return ExitCode::SUCCESS;
             }
@@ -69,17 +57,6 @@ fn main() -> ExitCode {
         }
     };
 
-    // With the JSON report on stdout, the human-readable lines go to
-    // stderr so stdout stays one parseable document.
-    let json_to_stdout = json_path.as_ref().is_some_and(|p| p.as_os_str() == "-");
-    let say = |line: String| {
-        if json_to_stdout {
-            eprintln!("{line}");
-        } else {
-            println!("{line}");
-        }
-    };
-
     let mut diagnostics = report.diagnostics;
     if update_manifest {
         let path = root.join("UNSAFE.md");
@@ -87,28 +64,18 @@ fn main() -> ExitCode {
             eprintln!("simlint: cannot write {}: {e}", path.display());
             return ExitCode::FAILURE;
         }
-        say(format!("simlint: wrote {}", path.display()));
+        println!("simlint: wrote {}", path.display());
         diagnostics.retain(|d| d.lint != simlint::unsafety::UNSAFE_MANIFEST_DRIFT);
     }
 
-    if let Some(path) = &json_path {
-        let json = simlint::json_report(&diagnostics, report.files_checked);
-        if json_to_stdout {
-            print!("{json}");
-        } else if let Err(e) = std::fs::write(path, &json) {
-            eprintln!("simlint: cannot write {}: {e}", path.display());
-            return ExitCode::FAILURE;
-        }
-    }
-
     for d in &diagnostics {
-        say(d.to_string());
+        println!("{d}");
     }
     if diagnostics.is_empty() {
-        say(format!(
+        println!(
             "simlint: {} files checked, no findings",
             report.files_checked
-        ));
+        );
         ExitCode::SUCCESS
     } else {
         eprintln!("simlint: {} finding(s)", diagnostics.len());

@@ -11,24 +11,18 @@
 //! coupling"), and what keeps concurrent `SimPool` jobs from reaching
 //! each other.
 //!
-//! Two passes make the contract structural:
-//!
-//! * [`PHASE_MUT_MEMORY`]: a function reachable from the compute phase
-//!   must not take `&mut GpuMemory`. Only the commit API
-//!   ([`COMMIT_API`]) may. The borrow checker rejects a one-line
-//!   violation — `tick` gets its memory through the `&GpuMemory`
-//!   binding in `Gpu::launch_impl` — but an edit that widens that
-//!   binding and `tick`'s signature together compiles, and no test
-//!   notices stores committed mid-compute-phase (DESIGN.md §14). Every
-//!   write to shared memory from the tick path needs such a parameter,
-//!   so this one check also covers a tick-path call to the commit API.
-//! * [`PHASE_INTERIOR_MUT`]: compute-reachable code must not touch
-//!   interior mutability — `Cell`/`RefCell`/`Mutex`/`RwLock`/
-//!   `UnsafeCell`/atomics, whether named directly, taken as a
-//!   parameter, or read via a unit-level `static`. One core's tick
-//!   would then be visible to another's in the same cycle, and results
-//!   would depend on the order cores are walked in and on which cycles
-//!   the accelerators skip.
+//! The borrow checker holds the memory half of the contract: `tick`
+//! gets its memory through the `&GpuMemory` binding in
+//! `Gpu::launch_impl`, so nothing it reaches can write shared memory or
+//! call the commit API, and widening that binding together with
+//! `tick`'s signature fails `cross_core_store_is_visible_one_cycle_later`.
+//! This pass holds the other half, [`PHASE_INTERIOR_MUT`]:
+//! compute-reachable code must not touch interior mutability —
+//! `Cell`/`RefCell`/`Mutex`/`RwLock`/`UnsafeCell`/atomics, whether named
+//! directly, taken as a parameter, or read via a unit-level `static`.
+//! One core's tick would then be visible to another's in the same
+//! cycle, and results would depend on the order cores are walked in and
+//! on which cycles the accelerators skip.
 //!
 //! The analysis is cross-file over the tick path
 //! ([`crate::scope::tick_path`]) because the tick path criss-crosses
@@ -46,14 +40,8 @@ use std::collections::{BTreeMap, BTreeSet};
 use crate::lexer::{own_body, ItemKind, Lexed, TokKind, Token};
 use crate::{Diagnostic, SourceFile};
 
-/// `&mut GpuMemory` in a compute-phase signature.
-pub const PHASE_MUT_MEMORY: &str = "phase_mut_memory";
 /// Interior mutability reached from the compute phase.
 pub const PHASE_INTERIOR_MUT: &str = "phase_interior_mut";
-
-/// The one function allowed to take `&mut GpuMemory`: the commit
-/// entry point.
-const COMMIT_API: &str = "commit_stores";
 
 /// Interior-mutability type names.
 const INTERIOR_TYPES: &[&str] = &[
@@ -215,23 +203,6 @@ pub fn check(files: &[&SourceFile]) -> Vec<Diagnostic> {
         let item = &file.items[i];
         let fn_name = item.name.as_str();
         let params = params(lx, item.head.clone());
-        let mut raw = Vec::new();
-
-        if fn_name != COMMIT_API {
-            for (line, ty) in &params {
-                if ty.iter().any(|t| t.text == "mut") && ty.iter().any(|t| t.text == "GpuMemory") {
-                    raw.push(file.diag(
-                        *line,
-                        PHASE_MUT_MEMORY,
-                        format!(
-                            "compute-phase function `{fn_name}` takes `&mut GpuMemory`; \
-                             the tick path reads a shared snapshot — buffer stores and \
-                             apply them in `{COMMIT_API}` during the commit phase"
-                        ),
-                    ));
-                }
-            }
-        }
 
         // One interior-mutability finding per fn: the first mention
         // (interior-typed parameter, directly named type, or unit-level
@@ -253,8 +224,8 @@ pub fn check(files: &[&SourceFile]) -> Vec<Diagnostic> {
                     })
                     .map(|&t| lx.tokens[t].line)
             });
-        if let Some(line) = first {
-            raw.push(file.diag(
+        if let Some(line) = first.filter(|&line| !file.allowed(PHASE_INTERIOR_MUT, line)) {
+            out.push(file.diag(
                 line,
                 PHASE_INTERIOR_MUT,
                 format!(
@@ -265,7 +236,6 @@ pub fn check(files: &[&SourceFile]) -> Vec<Diagnostic> {
                 ),
             ));
         }
-        out.extend(raw.into_iter().filter(|d| !file.allowed(d.lint, d.line)));
     }
     out
 }

@@ -14,5 +14,6 @@ fn run(n: usize) {
     let first = regs[0];
     // simlint: allow(undocumented_unsafe)
     let p = unsafe { read() };
+    // simlint: allow(phase_mut_memory): now rustc's and the cross-core store test's
     let _ = (m, s, regs, keyed, first, p);
 }

@@ -1,4 +1,4 @@
-//! Compute-phase contract violations reached from `tick` — each must fire.
+//! Interior mutability reached from `tick` — each site must fire.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 

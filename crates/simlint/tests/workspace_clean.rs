@@ -5,7 +5,6 @@
 
 use simlint::scope::{FLOAT_CRATES, UNIT_CRATES};
 use std::path::{Path, PathBuf};
-use std::process::Command;
 
 fn workspace_root() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -43,20 +42,4 @@ fn curated_scope_crates_exist() {
             "scope lists `{krate}`, which has no src/ directory"
         );
     }
-}
-
-#[test]
-fn json_to_stdout_is_exactly_the_report() {
-    let root = workspace_root();
-    let report = simlint::run_workspace(&root).unwrap();
-    let out = Command::new(env!("CARGO_BIN_EXE_simlint"))
-        .arg("--root")
-        .arg(&root)
-        .args(["--json", "-"])
-        .output()
-        .unwrap();
-    assert_eq!(
-        String::from_utf8(out.stdout).unwrap(),
-        simlint::json_report(&report.diagnostics, report.files_checked)
-    );
 }

@@ -1,11 +1,11 @@
-//! Live power tracing with a DVFS governor — stream windowed power
-//! samples out of a running kernel and see what an ondemand governor
-//! would have done with them.
+//! Power tracing with a DVFS governor — record windowed activity out
+//! of a running kernel and see what an ondemand governor would have
+//! done with it.
 //!
-//! A [`StreamingTracer`] is an `ActivitySink`: the simulator hands it
-//! an activity delta every `window_cycles` shader cycles, the tracer
-//! prices the window with the chip power model, and the governor picks
-//! the operating point for the next window. No recording pass needed.
+//! A `WindowRecorder` is an `ActivitySink`: the simulator hands it an
+//! activity delta every `window_cycles` shader cycles. The tracer then
+//! replays the recording, prices each window with the chip power model,
+//! and lets the governor pick the operating point window by window.
 //!
 //! ```text
 //! cargo run --example power_trace
@@ -14,6 +14,7 @@
 use gpusimpow::Simulator;
 use gpusimpow_isa::{assemble, LaunchConfig};
 use gpusimpow_pm::{Baseline, Ondemand, PowerTracer};
+use gpusimpow_sim::WindowRecorder;
 
 const WINDOW_CYCLES: u64 = 512;
 
@@ -53,16 +54,19 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // ladder spans 50–100 % shader clock at 80–100 % Vdd.
     let tracer = PowerTracer::new(sim.chip().clone());
 
-    // Run the same kernel twice: once ungoverned, once under ondemand.
-    let mut base_sink = tracer.stream(Baseline);
-    sim.gpu_mut()
-        .launch_with_sink(&kernel, launch, WINDOW_CYCLES, &mut base_sink)?;
-    let base = base_sink.into_traces().remove(0);
-
-    let mut od_sink = tracer.stream(Ondemand::default());
-    sim.gpu_mut()
-        .launch_with_sink(&kernel, launch, WINDOW_CYCLES, &mut od_sink)?;
-    let governed = od_sink.into_traces().remove(0);
+    // Run the same kernel twice, recording both launches (only the
+    // first carries the pending host-to-device copies); replay the
+    // first ungoverned and the second under ondemand.
+    let mut recorder = WindowRecorder::new();
+    for _ in 0..2 {
+        sim.gpu_mut()
+            .launch_with_sink(&kernel, launch, WINDOW_CYCLES, &mut recorder)?;
+    }
+    let [first, second] = recorder.launches() else {
+        unreachable!("two launches were recorded");
+    };
+    let base = tracer.replay(first, &mut Baseline);
+    let governed = tracer.replay(second, &mut Ondemand::default());
 
     println!("{base}");
     println!("{governed}");

@@ -15,7 +15,7 @@
 //! These tests are the contract's only check. The kernels are chosen so
 //! that an allocation seeded into any loop body on the per-cycle path of
 //! `crates/sim/src/core/`, `func.rs`, `ldst.rs` or `wheel.rs` fails at
-//! least one of them (DESIGN.md §14 has the seed-by-seed table).
+//! least one of them.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
