@@ -65,9 +65,8 @@ pub struct Fig4Point {
 /// increasing number of thread blocks, measured on the testbed.
 ///
 /// The staircase is one kernel under twelve launch geometries, so it
-/// runs as a one-pass sweep ([`SimPool::run_sweep`]): the probe kernel
-/// is decoded once and every point launches against the shared table on
-/// a fresh `Gpu`, fanned out over `pool`. The full-occupancy point
+/// runs as a sweep ([`SimPool::run_sweep`]): every point launches the
+/// probe kernel on a fresh `Gpu`, fanned out over `pool`. The full-occupancy point
 /// reuses the memoized static-power probe shared with Table IV and
 /// §IV-B. The stateful testbed measurement replays the reports serially
 /// in block order, keeping the measurement-chain noise sequence — and
@@ -81,7 +80,7 @@ pub fn fig4_cluster_power(seed: u64, pool: &SimPool) -> Vec<Fig4Point> {
     let mut testbed = Testbed::new(cfg.clone(), seed);
     let kernel = micro::cluster_step_kernel(1500);
     // Full occupancy (the last point) is the shared static-power probe;
-    // the remaining points share one decode through the sweep driver.
+    // the remaining points fan out through the sweep driver.
     let sweep_configs = vec![GpuConfig::gt240(); cfg.total_cores() - 1];
     let mut reports: Vec<_> = pool
         .run_sweep(&kernel, &sweep_configs, |idx, _gpu| {

@@ -8,7 +8,7 @@ use std::net::{TcpStream, ToSocketAddrs};
 
 use gpusimpow_trace::wire::CodecError;
 
-use crate::job::{JobSpec, SweepSpec};
+use crate::job::JobSpec;
 use crate::proto::{read_frame, write_frame, JobOutcome, Request, Response, StatsSnapshot};
 use crate::wire::WireError;
 
@@ -55,20 +55,6 @@ impl Client {
     /// server error. Per-job failures are inside the outcomes.
     pub fn submit(&mut self, jobs: &[JobSpec]) -> Result<Vec<JobOutcome>, WireError> {
         match self.roundtrip(&Request::Submit(jobs.to_vec()))? {
-            Response::Results(outcomes) => Ok(outcomes),
-            other => Err(unexpected("Results", other)),
-        }
-    }
-
-    /// Submits a multi-preset sweep; returns one outcome per GPU
-    /// preset, in the sweep's preset order.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`WireError`] on transport failure or a request-level
-    /// server error. Per-job failures are inside the outcomes.
-    pub fn submit_sweep(&mut self, sweep: &SweepSpec) -> Result<Vec<JobOutcome>, WireError> {
-        match self.roundtrip(&Request::SubmitSweep(sweep.clone()))? {
             Response::Results(outcomes) => Ok(outcomes),
             other => Err(unexpected("Results", other)),
         }

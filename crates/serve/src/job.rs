@@ -616,103 +616,6 @@ impl JobSpec {
     }
 }
 
-/// Upper bound on GPU presets one sweep may expand to. There are only
-/// two presets today, but the wire field is a count, so the cap keeps a
-/// garbage frame from fanning one request into thousands of jobs.
-pub const MAX_SWEEP_GPUS: usize = 64;
-
-/// A one-pass multi-config sweep: one (kernel, governor, window) tuple
-/// evaluated across several GPU presets — the design-space-exploration
-/// question "what does this kernel cost on *each* of these chips?".
-///
-/// A sweep is *not* a new cacheable unit. [`SweepSpec::expand`] lowers
-/// it server-side into ordinary version-1 [`JobSpec`]s, one per preset
-/// in submission order, and those flow through the existing digest /
-/// cache / in-flight-dedup pipeline unchanged. A sweep member therefore
-/// hits the cache entry an individual submission of the same job would
-/// have created, and vice versa.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SweepSpec {
-    /// Kernel, parameters and grid dimensions (shared by every member).
-    pub kernel: KernelSpec,
-    /// DVFS policy pricing the traces (trace jobs only).
-    pub governor: GovernorSpec,
-    /// Activity-sampling window in shader cycles; `0` disables traces.
-    pub window_cycles: u64,
-    /// GPU presets to evaluate, in result order.
-    pub gpus: Vec<GpuPreset>,
-}
-
-impl SweepSpec {
-    /// Checks the sweep is inside the service's accepted domain.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`JobError::Invalid`] for an empty or oversized preset
-    /// list, or an out-of-domain kernel.
-    pub fn validate(&self) -> Result<(), JobError> {
-        if self.gpus.is_empty() {
-            return Err(JobError::Invalid("sweep lists no GPU presets".to_string()));
-        }
-        if self.gpus.len() > MAX_SWEEP_GPUS {
-            return Err(JobError::Invalid(format!(
-                "sweep lists {} GPU presets, cap is {MAX_SWEEP_GPUS}",
-                self.gpus.len()
-            )));
-        }
-        self.kernel.validate()
-    }
-
-    /// Lowers the sweep into one ordinary [`JobSpec`] per preset, in
-    /// the sweep's preset order. Each job's digest is exactly what an
-    /// individual submission of that job would produce.
-    pub fn expand(&self) -> Vec<JobSpec> {
-        self.gpus
-            .iter()
-            .map(|&gpu| JobSpec {
-                kernel: self.kernel.clone(),
-                gpu,
-                governor: self.governor,
-                window_cycles: self.window_cycles,
-            })
-            .collect()
-    }
-
-    /// Encodes the sweep body (protocol use; sweeps are never digested
-    /// or cached themselves, so this is not a canonical encoding).
-    pub(crate) fn encode(&self, w: &mut Writer) {
-        self.governor.encode(w);
-        w.put_u64(self.window_cycles);
-        self.kernel.encode(w);
-        w.put_len(self.gpus.len());
-        for gpu in &self.gpus {
-            w.put_u8(gpu.tag());
-        }
-    }
-
-    /// Decodes and validates a sweep body.
-    pub(crate) fn decode(r: &mut Reader<'_>) -> Result<SweepSpec, CodecError> {
-        let governor = GovernorSpec::decode(r)?;
-        let window_cycles = r.u64("sweep window cycles")?;
-        let kernel = KernelSpec::decode(r)?;
-        let count = r.u32("sweep gpu count")? as usize;
-        let mut gpus = Vec::with_capacity(count.min(MAX_SWEEP_GPUS));
-        for _ in 0..count {
-            gpus.push(GpuPreset::from_tag(r.u8("sweep gpu tag")?)?);
-        }
-        let sweep = SweepSpec {
-            kernel,
-            governor,
-            window_cycles,
-            gpus,
-        };
-        sweep
-            .validate()
-            .map_err(|e| CodecError::Malformed(e.to_string()))?;
-        Ok(sweep)
-    }
-}
-
 /// One window of a job's power trace, flattened to wire-friendly
 /// scalars (exact `f64` bit patterns on the wire).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -1077,66 +980,6 @@ mod tests {
         assert_eq!(a, b);
         assert_eq!(a.reports.len(), 1);
         assert!(a.reports[0].report.total_power().watts() > 0.0);
-    }
-
-    #[test]
-    fn sweep_expands_to_per_preset_jobs_with_individual_digests() {
-        let sweep = SweepSpec {
-            kernel: KernelSpec::ClusterStep {
-                iterations: 64,
-                blocks: 2,
-                threads: 64,
-            },
-            governor: GovernorSpec::Ondemand,
-            window_cycles: 1_000,
-            gpus: vec![GpuPreset::Gt240, GpuPreset::Gtx580, GpuPreset::Gt240],
-        };
-        let jobs = sweep.expand();
-        assert_eq!(jobs.len(), 3);
-        for (job, &gpu) in jobs.iter().zip(&sweep.gpus) {
-            // Each member is exactly the job an individual submission
-            // would have built — same canonical bytes, same digest.
-            let individual = JobSpec {
-                kernel: sweep.kernel.clone(),
-                gpu,
-                governor: sweep.governor,
-                window_cycles: sweep.window_cycles,
-            };
-            assert_eq!(job, &individual);
-            assert_eq!(job.canonical_bytes(), individual.canonical_bytes());
-            assert_eq!(job.digest(), individual.digest());
-        }
-    }
-
-    #[test]
-    fn sweep_validation_rejects_out_of_domain_sweeps() {
-        let good_kernel = KernelSpec::ClusterStep {
-            iterations: 8,
-            blocks: 1,
-            threads: 32,
-        };
-        let empty = SweepSpec {
-            kernel: good_kernel.clone(),
-            governor: GovernorSpec::Baseline,
-            window_cycles: 0,
-            gpus: Vec::new(),
-        };
-        assert!(matches!(empty.validate(), Err(JobError::Invalid(_))));
-        let oversized = SweepSpec {
-            gpus: vec![GpuPreset::Gt240; MAX_SWEEP_GPUS + 1],
-            ..empty.clone()
-        };
-        assert!(matches!(oversized.validate(), Err(JobError::Invalid(_))));
-        let bad_kernel = SweepSpec {
-            kernel: KernelSpec::Divergence {
-                depth: 6,
-                blocks: 1,
-                threads: 32,
-            },
-            gpus: vec![GpuPreset::Gt240],
-            ..empty
-        };
-        assert!(matches!(bad_kernel.validate(), Err(JobError::Invalid(_))));
     }
 
     #[test]

@@ -40,7 +40,7 @@ pub mod wire;
 
 pub use client::Client;
 pub use digest::JobDigest;
-pub use job::{run_job, GovernorSpec, GpuPreset, JobResult, JobSpec, KernelSpec, SweepSpec};
+pub use job::{run_job, GovernorSpec, GpuPreset, JobResult, JobSpec, KernelSpec};
 pub use proto::{JobOutcome, Request, Response, ResultSource, StatsSnapshot};
 pub use server::{Server, ServerConfig};
 pub use store::{ResultStore, StoreConfig};

@@ -51,7 +51,7 @@ use gpusimpow_tech::units::{Power, Time};
 use gpusimpow_trace::wire::{CodecError, Reader, Writer, MAX_LEN};
 
 use crate::digest::JobDigest;
-use crate::job::{JobResult, JobSpec, SweepSpec, TraceSample, TraceSummary};
+use crate::job::{JobResult, JobSpec, TraceSample, TraceSummary};
 use crate::wire::WireError;
 
 /// Version of the result encoding, stored alongside every cached
@@ -67,7 +67,6 @@ const MSG_SUBMIT: u8 = 0x01;
 const MSG_STATS: u8 = 0x02;
 const MSG_SHUTDOWN: u8 = 0x03;
 const MSG_PING: u8 = 0x04;
-const MSG_SUBMIT_SWEEP: u8 = 0x05;
 
 const MSG_RESULTS: u8 = 0x81;
 const MSG_STATS_REPLY: u8 = 0x82;
@@ -150,12 +149,6 @@ pub enum Request {
     /// Run (or fetch) a batch of jobs; answered by
     /// [`Response::Results`] with one outcome per job, in order.
     Submit(Vec<JobSpec>),
-    /// Run one kernel across several GPU presets in one request. The
-    /// server expands the sweep into ordinary jobs
-    /// ([`SweepSpec::expand`]) and answers with [`Response::Results`]
-    /// in preset order — members share cache slots with individually
-    /// submitted jobs.
-    SubmitSweep(SweepSpec),
     /// Fetch the server's counters.
     Stats,
     /// Ask the server to stop accepting connections and exit.
@@ -175,10 +168,6 @@ impl Request {
                 for job in jobs {
                     w.put_bytes(&job.canonical_bytes());
                 }
-            }
-            Request::SubmitSweep(sweep) => {
-                w.put_u8(MSG_SUBMIT_SWEEP);
-                sweep.encode(&mut w);
             }
             Request::Stats => w.put_u8(MSG_STATS),
             Request::Shutdown => w.put_u8(MSG_SHUTDOWN),
@@ -204,7 +193,6 @@ impl Request {
                 }
                 Request::Submit(jobs)
             }
-            MSG_SUBMIT_SWEEP => Request::SubmitSweep(SweepSpec::decode(&mut r)?),
             MSG_STATS => Request::Stats,
             MSG_SHUTDOWN => Request::Shutdown,
             MSG_PING => Request::Ping,
@@ -661,12 +649,6 @@ mod tests {
     fn request_roundtrip() {
         let reqs = vec![
             Request::Submit(vec![tiny_job(0), tiny_job(512)]),
-            Request::SubmitSweep(SweepSpec {
-                kernel: tiny_job(0).kernel,
-                governor: GovernorSpec::PowerCap { cap_mw: 42_000 },
-                window_cycles: 256,
-                gpus: vec![GpuPreset::Gtx580, GpuPreset::Gt240],
-            }),
             Request::Stats,
             Request::Shutdown,
             Request::Ping,
@@ -677,28 +659,16 @@ mod tests {
         }
         assert!(Request::decode(&[0xFF]).is_err());
         assert!(Request::decode(&[]).is_err());
-    }
-
-    #[test]
-    fn sweep_request_decode_rejects_out_of_domain_sweeps() {
-        let empty = Request::SubmitSweep(SweepSpec {
-            kernel: tiny_job(0).kernel,
-            governor: GovernorSpec::Baseline,
-            window_cycles: 0,
-            gpus: Vec::new(),
-        });
-        assert!(Request::decode(&empty.encode()).is_err());
-        let bad_kernel = Request::SubmitSweep(SweepSpec {
-            kernel: KernelSpec::ClusterStep {
-                iterations: 0, // iterations must be >= 1
-                blocks: 1,
-                threads: 32,
-            },
-            governor: GovernorSpec::Baseline,
-            window_cycles: 0,
-            gpus: vec![GpuPreset::Gt240],
-        });
-        assert!(Request::decode(&bad_kernel.encode()).is_err());
+        // Tag 0x05 is retired (it was the server-side sweep request):
+        // a frame that still carries it is an unknown tag.
+        let mut retired = vec![0x05];
+        retired.extend_from_slice(&tiny_job(0).canonical_bytes());
+        match Request::decode(&retired) {
+            Err(WireError::Codec(CodecError::Malformed(msg))) => {
+                assert!(msg.contains("0x05"), "got: {msg}");
+            }
+            other => panic!("expected a malformed-tag error, got {other:?}"),
+        }
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! One accept-loop thread plus one thread per connection (std-only; no
 //! async runtime exists in this container, and simulation jobs are
 //! milliseconds-to-seconds of CPU work, so per-connection threads are
-//! the right tool). All connections share one [`Shared`] state:
+//! the right tool). All connections share one `Shared` state:
 //!
 //! - a single mutex around the cache *and* the in-flight table, so the
 //!   hit-or-claim decision for a digest is atomic;
@@ -17,7 +17,7 @@
 //! ## In-flight deduplication
 //!
 //! When a batch finds a digest that is neither cached nor in flight, it
-//! *claims* it by installing an [`InflightSlot`] and becomes that
+//! *claims* it by installing an `InflightSlot` and becomes that
 //! digest's owner: it simulates, publishes the result into the slot,
 //! inserts it into the store and removes the claim. Any other
 //! connection (or later job in the same batch) that meets the claimed
@@ -274,12 +274,6 @@ fn handle_connection(mut stream: TcpStream, shared: &Arc<Shared>) {
         };
         let response = match Request::decode(&payload) {
             Ok(Request::Submit(jobs)) => Response::Results(handle_batch(jobs, shared)),
-            // A sweep is just a server-side expansion: the per-preset
-            // jobs flow through the same cache/dedup pipeline, so sweep
-            // members and individually submitted jobs share slots.
-            Ok(Request::SubmitSweep(sweep)) => {
-                Response::Results(handle_batch(sweep.expand(), shared))
-            }
             Ok(Request::Stats) => Response::Stats(snapshot(shared)),
             Ok(Request::Ping) => Response::Pong,
             Ok(Request::Shutdown) => {

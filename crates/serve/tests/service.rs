@@ -7,7 +7,7 @@ use std::sync::{Arc, Barrier};
 use gpusimpow_serve::proto::decode_result;
 use gpusimpow_serve::{
     Client, GovernorSpec, GpuPreset, JobSpec, KernelSpec, ResultSource, Server, ServerConfig,
-    StoreConfig, SweepSpec,
+    StoreConfig,
 };
 
 fn quick_spec(iterations: u32) -> JobSpec {
@@ -254,9 +254,9 @@ fn trace_job_matches_local_evaluation_of_the_captured_run() {
     server.join();
 }
 
-/// A multi-preset sweep is pure server-side expansion: its outcomes
-/// are byte-identical to individually submitted per-preset jobs, and
-/// sweep members share cache slots with individual submissions in both
+/// A multi-preset sweep is one `Submit` batch of per-preset jobs: its
+/// outcomes are byte-identical to individually submitted jobs, and
+/// batch members share cache slots with individual submissions in both
 /// directions.
 #[test]
 fn sweep_matches_individual_submissions_and_shares_the_cache() {
@@ -271,13 +271,14 @@ fn sweep_matches_individual_submissions_and_shares_the_cache() {
         .remove(0);
     assert_eq!(seeded.source, ResultSource::Simulated);
 
-    let sweep = SweepSpec {
-        kernel: gt240.kernel.clone(),
-        governor: gt240.governor,
-        window_cycles: gt240.window_cycles,
-        gpus: vec![GpuPreset::Gt240, GpuPreset::Gtx580],
-    };
-    let outcomes = client.submit_sweep(&sweep).unwrap();
+    let sweep = [
+        gt240.clone(),
+        JobSpec {
+            gpu: GpuPreset::Gtx580,
+            ..gt240.clone()
+        },
+    ];
+    let outcomes = client.submit(&sweep).unwrap();
     assert_eq!(outcomes.len(), 2);
 
     // The GT240 member hits the individually seeded cache entry with
@@ -289,10 +290,10 @@ fn sweep_matches_individual_submissions_and_shares_the_cache() {
 
     // Every sweep outcome equals what submitting that member alone
     // returns (now all memory hits — the cache is shared both ways).
-    for (outcome, member) in outcomes.iter().zip(sweep.expand()) {
+    for (outcome, member) in outcomes.iter().zip(&sweep) {
         assert_eq!(outcome.digest, member.digest());
         let individual = client
-            .submit(std::slice::from_ref(&member))
+            .submit(std::slice::from_ref(member))
             .unwrap()
             .remove(0);
         assert_eq!(individual.source, ResultSource::MemoryHit);

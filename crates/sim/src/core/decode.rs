@@ -1,7 +1,7 @@
 //! Instruction predecode: the per-PC metadata table the issue stage
 //! reads instead of re-deriving operand lists every attempt. Runs once
-//! per launch (or once per sweep), so it is the ledger's *predecode*
-//! layer rather than a `Core::tick` row.
+//! per launch, so it is the ledger's *predecode* layer rather than a
+//! `Core::tick` row.
 
 use gpusimpow_isa::{Instr, InstrClass, Kernel, Reg};
 
@@ -15,7 +15,7 @@ use crate::config::GpuConfig;
 /// part of the cycle loop; everything the issue stage needs is computed
 /// here exactly once per kernel instruction.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DecodedInstr {
+pub(crate) struct DecodedInstr {
     /// The architectural instruction.
     pub instr: Instr,
     /// Execution class (pipeline selector).
@@ -54,14 +54,12 @@ fn bank_conflicts(srcs: &[Reg], regfile_banks: usize) -> u8 {
 }
 
 impl DecodedInstr {
-    /// Configuration-independent part of the decode: everything except
-    /// `bank_conflicts`, which is left at zero. Also returns the source
-    /// list so callers can derive the bank conflicts for any bank count.
-    fn decode_base(instr: Instr) -> (Self, [Reg; 4], usize) {
-        let class = instr.class();
-        let dst = instr.dst();
+    /// Decodes one instruction against `cfg` (bank conflicts depend on
+    /// the register-file bank count).
+    pub fn decode(instr: Instr, cfg: &GpuConfig) -> Self {
         let mut srcs = [Reg(0); 4];
         let n = instr.srcs_into(&mut srcs);
+        let dst = instr.dst();
         let mut dep_mask: u64 = 0;
         for r in &srcs[..n] {
             dep_mask |= 1u64 << r.index().min(63);
@@ -69,27 +67,15 @@ impl DecodedInstr {
         if let Some(d) = dst {
             dep_mask |= 1u64 << d.index().min(63);
         }
-        (
-            DecodedInstr {
-                instr,
-                class,
-                dst,
-                n_srcs: n as u8,
-                dep_mask,
-                bank_conflicts: 0,
-                drains: matches!(instr, Instr::Exit | Instr::Bar),
-            },
-            srcs,
-            n,
-        )
-    }
-
-    /// Decodes one instruction against `cfg` (bank conflicts depend on
-    /// the register-file bank count).
-    pub fn decode(instr: Instr, cfg: &GpuConfig) -> Self {
-        let (mut di, srcs, n) = Self::decode_base(instr);
-        di.bank_conflicts = bank_conflicts(&srcs[..n], cfg.regfile_banks);
-        di
+        DecodedInstr {
+            instr,
+            class: instr.class(),
+            dst,
+            n_srcs: n as u8,
+            dep_mask,
+            bank_conflicts: bank_conflicts(&srcs[..n], cfg.regfile_banks),
+            drains: matches!(instr, Instr::Exit | Instr::Bar),
+        }
     }
 
     /// Decodes a whole kernel into a PC-indexed table.
@@ -98,61 +84,6 @@ impl DecodedInstr {
             .code()
             .iter()
             .map(|&i| Self::decode(i, cfg))
-            .collect()
-    }
-}
-
-/// Configuration-independent predecode of a whole kernel, shared across
-/// the GPU configurations of a sweep.
-///
-/// [`DecodedInstr`] depends on the configuration through exactly one
-/// field — `bank_conflicts`, a function of `cfg.regfile_banks` — so a
-/// sweep decodes each kernel once with [`PredecodedKernel::new`] and
-/// stamps out one PC-indexed table per *distinct bank count* with
-/// [`PredecodedKernel::specialize`] (both stock presets use 16 banks,
-/// so a GT240 + GTX580 sweep shares a single table).
-#[derive(Debug, Clone)]
-pub struct PredecodedKernel {
-    /// Bank-count-independent decode (`bank_conflicts` zeroed).
-    base: Vec<DecodedInstr>,
-    /// Per-instruction source lists for re-deriving bank conflicts.
-    srcs: Vec<([Reg; 4], u8)>,
-}
-
-impl PredecodedKernel {
-    /// Pre-decodes every instruction of `kernel` once.
-    pub fn new(kernel: &Kernel) -> Self {
-        let mut base = Vec::with_capacity(kernel.code().len());
-        let mut srcs = Vec::with_capacity(kernel.code().len());
-        for &instr in kernel.code() {
-            let (di, s, n) = DecodedInstr::decode_base(instr);
-            base.push(di);
-            srcs.push((s, n as u8));
-        }
-        PredecodedKernel { base, srcs }
-    }
-
-    /// Number of pre-decoded instructions.
-    pub fn len(&self) -> usize {
-        self.base.len()
-    }
-
-    /// `true` when the kernel has no instructions.
-    pub fn is_empty(&self) -> bool {
-        self.base.is_empty()
-    }
-
-    /// Specializes the shared predecode for one configuration. The
-    /// result is bit-identical to [`DecodedInstr::decode_kernel`] on
-    /// the same kernel and configuration.
-    pub fn specialize(&self, cfg: &GpuConfig) -> Vec<DecodedInstr> {
-        self.base
-            .iter()
-            .zip(&self.srcs)
-            .map(|(&di, &(srcs, n))| DecodedInstr {
-                bank_conflicts: bank_conflicts(&srcs[..n as usize], cfg.regfile_banks),
-                ..di
-            })
             .collect()
     }
 }

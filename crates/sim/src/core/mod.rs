@@ -102,7 +102,7 @@ mod issue;
 mod mem;
 mod retire;
 
-pub use decode::{DecodedInstr, PredecodedKernel};
+pub(crate) use decode::DecodedInstr;
 use execute::LaneScratch;
 
 /// Per-launch context shared by all cores.

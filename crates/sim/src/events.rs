@@ -8,7 +8,8 @@
 //! [`ActivityStats`](crate::ActivityStats), its hand-written
 //! `delta_from`/`AddAssign` field lists, the per-component power
 //! modules, and the tracer/report renderers. The registry replaces all
-//! of those lists with **one** declarative table, [`for_each_event!`]:
+//! of those lists with **one** declarative table,
+//! [`for_each_event!`](crate::for_each_event):
 //!
 //! * [`EventKind`] — one variant per energy-bearing event, in a fixed
 //!   dense order;
@@ -269,7 +270,8 @@ macro_rules! define_registry {
         ///
         /// The discriminant is the event's dense index into an
         /// [`ActivityVector`]; [`EventKind::ALL`] lists every event in
-        /// that order. Generated from [`for_each_event!`].
+        /// that order. Generated from
+        /// [`for_each_event!`](crate::for_each_event).
         #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
         pub enum EventKind {
             $( #[doc = $doc] $variant, )*

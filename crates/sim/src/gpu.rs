@@ -113,7 +113,7 @@ pub struct ScopedActivity {
 
 impl ScopedActivity {
     /// The cluster a chip-wide core id belongs to.
-    pub fn cluster_of(&self, core: usize) -> usize {
+    fn cluster_of(&self, core: usize) -> usize {
         core / self.cores_per_cluster
     }
 
@@ -310,17 +310,8 @@ impl Gpu {
     ///
     /// Returns [`SimError::Config`] if the configuration is inconsistent.
     pub fn new(config: GpuConfig) -> Result<Self, SimError> {
-        Self::with_memory(config, DEFAULT_MEM_BYTES)
-    }
-
-    /// Builds a GPU with an explicit device-memory size.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::Config`] if the configuration is inconsistent.
-    pub fn with_memory(config: GpuConfig, mem_bytes: usize) -> Result<Self, SimError> {
         config.validate()?;
-        let mut memory = GpuMemory::new(mem_bytes);
+        let mut memory = GpuMemory::new(DEFAULT_MEM_BYTES);
         let const_base = memory.alloc(CONST_CAPACITY).addr();
         let cores = (0..config.total_cores())
             .map(|id| Core::new(id, id / config.cores_per_cluster, &config))
@@ -346,11 +337,6 @@ impl Gpu {
     /// The configuration this GPU was built with.
     pub fn config(&self) -> &GpuConfig {
         &self.config
-    }
-
-    /// Borrow the device memory (host-side verification).
-    pub fn memory(&self) -> &GpuMemory {
-        &self.memory
     }
 
     /// Overrides the deadlock watchdog (cycles).
@@ -494,37 +480,13 @@ impl Gpu {
         kernel: &Kernel,
         launch: LaunchConfig,
     ) -> Result<LaunchReport, SimError> {
-        self.launch_outer(kernel, launch, None, None)
-    }
-
-    /// Runs `kernel` like [`Gpu::launch`], reusing a pre-decoded
-    /// instruction table instead of decoding the kernel again.
-    ///
-    /// `decoded` must come from
-    /// [`PredecodedKernel::specialize`](crate::core::PredecodedKernel::specialize)
-    /// (or [`DecodedInstr::decode_kernel`]) for *this* GPU's
-    /// configuration and *this* kernel; a table of the wrong length is
-    /// ignored and the kernel is decoded locally. This is the per-config
-    /// entry point of [`SimPool::run_sweep`](crate::SimPool::run_sweep),
-    /// which pays the decode cost once for N configurations.
-    ///
-    /// # Errors
-    ///
-    /// As [`Gpu::launch`].
-    pub fn launch_decoded(
-        &mut self,
-        kernel: &Kernel,
-        launch: LaunchConfig,
-        decoded: &[DecodedInstr],
-    ) -> Result<LaunchReport, SimError> {
-        self.launch_outer(kernel, launch, Some(decoded), None)
+        self.launch_outer(kernel, launch, None)
     }
 
     fn launch_outer(
         &mut self,
         kernel: &Kernel,
         launch: LaunchConfig,
-        decoded: Option<&[DecodedInstr]>,
         replay: Option<&ReplaySource<'_>>,
     ) -> Result<LaunchReport, SimError> {
         // Taking the slot lets `launch_impl` borrow the sink and the GPU
@@ -533,7 +495,7 @@ impl Gpu {
         let sampling = slot
             .as_mut()
             .map(|s| (s.window_cycles, s.sink.as_mut() as &mut dyn ActivitySink));
-        let result = self.launch_impl(kernel, launch, sampling, decoded, replay);
+        let result = self.launch_impl(kernel, launch, sampling, replay);
         self.attached = slot;
         result
     }
@@ -541,8 +503,8 @@ impl Gpu {
     // --- trace capture & replay -----------------------------------------------
 
     /// Enables or disables warp-stream capture for subsequent live
-    /// launches. While enabled, every [`Gpu::launch`] /
-    /// [`Gpu::launch_decoded`] additionally records the per-warp
+    /// launches. While enabled, every [`Gpu::launch`] additionally
+    /// records the per-warp
     /// instruction, branch-mask and memory-address streams the pipeline
     /// consumes and banks them as a [`KernelTrace`] (drain with
     /// [`Gpu::take_traces`]). Capture never perturbs results: the
@@ -596,29 +558,6 @@ impl Gpu {
     /// [`SimError::Replay`] when the trace is rejected up front or
     /// diverges from the pipeline mid-run; otherwise as [`Gpu::launch`].
     pub fn launch_replay(&mut self, trace: &KernelTrace) -> Result<LaunchReport, SimError> {
-        self.launch_replay_outer(trace, None)
-    }
-
-    /// Replays a trace like [`Gpu::launch_replay`], reusing a
-    /// pre-decoded instruction table (the sweep entry point; see
-    /// [`Gpu::launch_decoded`] for the table contract).
-    ///
-    /// # Errors
-    ///
-    /// As [`Gpu::launch_replay`].
-    pub fn launch_replay_decoded(
-        &mut self,
-        trace: &KernelTrace,
-        decoded: &[DecodedInstr],
-    ) -> Result<LaunchReport, SimError> {
-        self.launch_replay_outer(trace, Some(decoded))
-    }
-
-    fn launch_replay_outer(
-        &mut self,
-        trace: &KernelTrace,
-        decoded: Option<&[DecodedInstr]>,
-    ) -> Result<LaunchReport, SimError> {
         if trace.warp_size != self.config.warp_size as u32 {
             return Err(SimError::Replay(format!(
                 "trace was recorded with warp size {}, this GPU runs {}",
@@ -635,7 +574,7 @@ impl Gpu {
             .map_err(|e| SimError::Replay(format!("trace rejected: {e}")))?;
         let launch = trace.launch_config();
         let source = ReplaySource::new(trace);
-        self.launch_outer(&kernel, launch, decoded, Some(&source))
+        self.launch_outer(&kernel, launch, Some(&source))
     }
 
     /// Attaches a sampling sink that observes *every* subsequent
@@ -691,7 +630,7 @@ impl Gpu {
                 "sampling window must be at least one cycle".to_string(),
             ));
         }
-        self.launch_impl(kernel, launch, Some((window_cycles, sink)), None, None)
+        self.launch_impl(kernel, launch, Some((window_cycles, sink)), None)
     }
 
     fn launch_impl(
@@ -699,7 +638,6 @@ impl Gpu {
         kernel: &Kernel,
         launch: LaunchConfig,
         mut sampling: Option<(u64, &mut dyn ActivitySink)>,
-        predecoded: Option<&[DecodedInstr]>,
         replay: Option<&ReplaySource<'_>>,
     ) -> Result<LaunchReport, SimError> {
         self.check_launch(kernel, launch)?;
@@ -709,22 +647,14 @@ impl Gpu {
         let cfg = self.config.clone();
         // Decode every instruction once per launch — the issue hot path
         // reads metadata from this table instead of re-deriving operand
-        // lists and bank conflicts each cycle — unless the caller
-        // already shares a table across launches (sweeps).
-        let decoded_local;
-        let decoded: &[DecodedInstr] = match predecoded {
-            Some(d) if d.len() == kernel.code().len() => d,
-            _ => {
-                decoded_local = DecodedInstr::decode_kernel(kernel, &cfg);
-                &decoded_local
-            }
-        };
+        // lists and bank conflicts each cycle.
+        let decoded = DecodedInstr::decode_kernel(kernel, &cfg);
         let ctx = LaunchCtx {
             kernel,
             launch,
             const_base: self.const_base,
             const_bytes: (kernel.const_words().len() * 4).max(4) as u32,
-            decoded,
+            decoded: &decoded,
             replay,
             dense: self.dense_reference,
         };

@@ -70,7 +70,7 @@ pub(crate) mod uncore;
 pub(crate) mod wheel;
 
 pub use config::{ConfigError, DramConfig, GpuConfig, L2Config, WarpSchedPolicy};
-pub use core::{DecodedInstr, PredecodedKernel, MAX_LANES};
+pub use core::MAX_LANES;
 pub use events::{ActivityVector, ComponentId, EventKind, Scope};
 pub use gpu::{Gpu, LaunchReport, ScopedActivity, SimError};
 pub use mem::{DevicePtr, GpuMemory};

@@ -13,7 +13,6 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 use crate::config::GpuConfig;
-use crate::core::{DecodedInstr, PredecodedKernel};
 use crate::gpu::{Gpu, LaunchReport, SimError};
 use gpusimpow_isa::{Kernel, LaunchConfig};
 use gpusimpow_trace::KernelTrace;
@@ -106,24 +105,16 @@ impl SimPool {
             .collect()
     }
 
-    /// Runs one kernel under N GPU configurations in a single pass.
-    ///
-    /// The kernel is pre-decoded **once** ([`PredecodedKernel::new`]) and
-    /// specialized once per *distinct* register-file bank count — the
-    /// only configuration-dependent decode field — so a sweep over M
-    /// configs that share a bank count (both stock presets use 16) pays
-    /// for one decode and one specialization total, instead of M full
-    /// decodes. Per-config back-end state stays fully private: each job
-    /// builds its own [`Gpu`], runs the caller's `stage` closure (host
-    /// program: allocations, copies, launch parameters), then launches
-    /// through [`Gpu::launch_decoded`] against the shared table. Jobs
-    /// fan out over the pool's threads and results return in config
+    /// Runs one kernel under N GPU configurations: one [`Gpu::launch`]
+    /// per config, fanned out over the pool's threads, results in config
     /// order.
     ///
-    /// `stage` prepares one GPU and returns the launch geometry; it is
-    /// called once per config with that config's index in `configs`
-    /// (ladders that vary launch geometry key off the index) and may
-    /// inspect the GPU's configuration to scale inputs.
+    /// Each job builds its own [`Gpu`], runs the caller's `stage`
+    /// closure (host program: allocations, copies, launch parameters),
+    /// then launches. `stage` is called once per config with that
+    /// config's index in `configs` (ladders that vary launch geometry
+    /// key off the index) and may inspect the GPU's configuration to
+    /// scale inputs.
     ///
     /// # Errors
     ///
@@ -138,57 +129,17 @@ impl SimPool {
     where
         S: Fn(usize, &mut Gpu) -> Result<LaunchConfig, SimError> + Sync,
     {
-        self.sweep(kernel, configs, |idx, gpu, table| {
+        self.sweep(configs, |idx, gpu| {
             let launch = stage(idx, gpu)?;
-            gpu.launch_decoded(kernel, launch, table)
+            gpu.launch(kernel, launch)
         })
     }
 
-    /// The shared front end of the sweeps: decodes `kernel` once,
-    /// specializes the table per distinct register-file bank count, and
-    /// fans one job per config out over the pool. Each job builds its
-    /// own [`Gpu`] and hands it to `launch` together with its config's
-    /// index and table.
-    fn sweep<L>(
-        &self,
-        kernel: &Kernel,
-        configs: &[GpuConfig],
-        launch: L,
-    ) -> Vec<Result<LaunchReport, SimError>>
-    where
-        L: Fn(usize, &mut Gpu, &[DecodedInstr]) -> Result<LaunchReport, SimError> + Sync,
-    {
-        let predecoded = PredecodedKernel::new(kernel);
-        let mut tables: Vec<(usize, Vec<DecodedInstr>)> = Vec::new();
-        for cfg in configs {
-            if !tables.iter().any(|(banks, _)| *banks == cfg.regfile_banks) {
-                tables.push((cfg.regfile_banks, predecoded.specialize(cfg)));
-            }
-        }
-        let tables = &tables;
-        let launch = &launch;
-        let jobs: Vec<(usize, GpuConfig)> = configs.iter().cloned().enumerate().collect();
-        self.run(jobs, move |(idx, cfg)| {
-            let banks = cfg.regfile_banks;
-            let table = &tables
-                .iter()
-                .find(|(b, _)| *b == banks)
-                .expect("every config's bank count was specialized")
-                .1;
-            let mut gpu = Gpu::new(cfg)?;
-            launch(idx, &mut gpu, table)
-        })
-    }
-
-    /// Replays one captured trace under N GPU configurations in a
-    /// single pass — the trace-frontend counterpart of
-    /// [`SimPool::run_sweep`]. The kernel image is reconstructed and
-    /// pre-decoded **once** from the trace and shared across all
-    /// configs (specialized per distinct register-file bank count);
-    /// each job then builds its own [`Gpu`], runs the caller's `stage`
-    /// closure (watchdogs, sinks — replay needs no host
-    /// allocations or copies, so `stage` returns no launch geometry),
-    /// and replays through [`Gpu::launch_replay_decoded`].
+    /// Replays one captured trace under N GPU configurations: one
+    /// [`Gpu::launch_replay`] per config, fanned out as in
+    /// [`SimPool::run_sweep`]. `stage` prepares each GPU (watchdogs,
+    /// sinks — replay needs no host allocations or copies, so it
+    /// returns no launch geometry).
     ///
     /// Because the recorded streams are configuration-independent for a
     /// fixed warp size, each config's report is bit-identical to an
@@ -197,9 +148,9 @@ impl SimPool {
     ///
     /// # Errors
     ///
-    /// A trace rejected up front fails every slot with
-    /// [`SimError::Replay`]; per-config failures stay in their own
-    /// slot, as in [`SimPool::run_sweep`].
+    /// A rejected trace fails every slot with [`SimError::Replay`];
+    /// per-config failures stay in their own slot, as in
+    /// [`SimPool::run_sweep`].
     pub fn run_sweep_replay<S>(
         &self,
         trace: &KernelTrace,
@@ -209,17 +160,20 @@ impl SimPool {
     where
         S: Fn(usize, &mut Gpu) -> Result<(), SimError> + Sync,
     {
-        let kernel = match trace.to_kernel() {
-            Ok(kernel) => kernel,
-            Err(e) => {
-                let err = SimError::Replay(format!("trace rejected: {e}"));
-                return configs.iter().map(|_| Err(err.clone())).collect();
-            }
-        };
-        self.sweep(&kernel, configs, |idx, gpu, table| {
+        self.sweep(configs, |idx, gpu| {
             stage(idx, gpu)?;
-            gpu.launch_replay_decoded(trace, table)
+            gpu.launch_replay(trace)
         })
+    }
+
+    /// Fans one job per config out over the pool: each builds a fresh
+    /// [`Gpu`] and hands it to `launch` with its config's index.
+    fn sweep<L>(&self, configs: &[GpuConfig], launch: L) -> Vec<Result<LaunchReport, SimError>>
+    where
+        L: Fn(usize, &mut Gpu) -> Result<LaunchReport, SimError> + Sync,
+    {
+        let jobs: Vec<(usize, GpuConfig)> = configs.iter().cloned().enumerate().collect();
+        self.run(jobs, |(idx, cfg)| launch(idx, &mut Gpu::new(cfg)?))
     }
 }
 

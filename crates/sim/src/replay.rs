@@ -5,7 +5,7 @@
 //! `Bra`, and the byte address of every active lane of every `Ld`/`St`.
 //! Everything else the timing model touches — scheduling, scoreboards,
 //! caches, coalescing, bank conflicts, DRAM — is a pure function of
-//! those streams plus the static kernel image. [`Tracer`] exploits
+//! those streams plus the static kernel image. `Tracer` exploits
 //! that: in **capture** mode it records the three streams as the live
 //! frontend produces them (zero effect on stats or timing), and in
 //! **replay** mode it feeds them back so the whole functional value

@@ -6,7 +6,7 @@
 //! themselves (for `// SAFETY:` audits and `simlint: allow(...)`
 //! markers). This lexer stops at the token level: identifiers, single
 //! punctuation characters, literals and lifetimes, plus the partner of
-//! every bracket. On top of that, [`items`] finds the extent of every
+//! every bracket. On top of that, `items` finds the extent of every
 //! `fn`, `impl`, `mod` and `trait`: its attributes, its keyword and its
 //! matching brace. That is all the structure the passes read.
 //!

@@ -289,7 +289,7 @@ fn collect_rs_files(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
 }
 
 /// Checks the whole workspace rooted at `root`: every file
-/// [`collect_rs_files`] yields, parsed once and handed to every pass,
+/// `collect_rs_files` yields, parsed once and handed to every pass,
 /// the cross-file phase pass over the tick path, and `UNSAFE.md` drift.
 pub fn run_workspace(root: &Path) -> io::Result<WorkspaceReport> {
     let mut paths = Vec::new();

@@ -35,8 +35,6 @@
 
 use std::fmt;
 
-use crate::wire::CodecError;
-
 /// FNV-1a 64-bit offset basis (lane 0).
 const OFFSET0: u64 = 0xcbf2_9ce4_8422_2325;
 /// FNV-1a 64-bit prime (lane 0 multiplier).
@@ -91,29 +89,6 @@ impl Digest {
         }
         s
     }
-
-    /// Parses the 32-character hex form.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CodecError::Malformed`] unless `hex` is exactly 32
-    /// lowercase/uppercase hex digits.
-    pub fn from_hex(hex: &str) -> Result<Digest, CodecError> {
-        let bad =
-            || CodecError::Malformed(format!("digest hex must be 32 hex digits, got {hex:?}"));
-        if hex.len() != 32 {
-            return Err(bad());
-        }
-        let mut out = [0u8; 16];
-        for (byte, pair) in out.iter_mut().zip(hex.as_bytes().chunks_exact(2)) {
-            let nibble = |i: usize| pair.get(i).and_then(|&c| char::from(c).to_digit(16));
-            let (Some(hi), Some(lo)) = (nibble(0), nibble(1)) else {
-                return Err(bad());
-            };
-            *byte = u8::try_from(hi << 4 | lo).map_err(|_| bad())?;
-        }
-        Ok(Digest(out))
-    }
 }
 
 impl fmt::Display for Digest {
@@ -153,17 +128,12 @@ mod tests {
     }
 
     #[test]
-    fn hex_roundtrip() {
+    fn hex_form_is_32_lowercase_digits() {
         let d = Digest::compute(b"roundtrip");
         let hex = d.to_hex();
         assert_eq!(hex.len(), 32);
+        assert!(hex.chars().all(|c| c.is_ascii_hexdigit()));
         assert_eq!(hex, hex.to_lowercase());
         assert_eq!(hex, d.to_string());
-        assert_eq!(Digest::from_hex(&hex).unwrap(), d);
-        assert_eq!(Digest::from_hex(&hex.to_uppercase()).unwrap(), d);
-        assert!(Digest::from_hex("xyz").is_err());
-        assert!(Digest::from_hex(&hex[..30]).is_err());
-        assert!(Digest::from_hex(&format!("g{}", &hex[1..])).is_err());
-        assert!(Digest::from_hex(&"µ".repeat(16)).is_err());
     }
 }

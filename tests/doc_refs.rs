@@ -6,6 +6,10 @@
 //!   `crates/`, `{a,b}` lists expand, and `*` matches any one entry; a
 //!   bare `name.rs` must match a file name somewhere in the tree;
 //! * a `file.rs::name` whose file has no `fn name`;
+//! * a `Type::name` item path whose `Type` is no struct, enum, trait,
+//!   type alias or `use … as Type` of the tree (nor one of a few std
+//!   types), or whose `name` is no `fn`, `const`, field or enum variant
+//!   anywhere in the tree;
 //! * a `name!` macro that is not a std macro and has no `macro_rules!
 //!   name` in the tree;
 //! * an `--only=` section missing from the `name: "…"` rows of
@@ -60,6 +64,9 @@ const STD_MACROS: &[&str] = &[
     "write",
     "writeln",
 ];
+
+/// Std types the docs cite by item path (`Instant::now`).
+const STD_TYPES: &[&str] = &["Instant", "SystemTime"];
 
 /// Every file and directory of the tree, and the text of its `.rs` and
 /// `Cargo.toml` files.
@@ -129,6 +136,39 @@ impl Tree {
         })
     }
 
+    /// Some `.rs` file declares `ty` as a struct, enum, trait or type
+    /// alias, or renames an import to it (`use … as ty`).
+    fn defines_type(&self, ty: &str) -> bool {
+        ["struct", "enum", "trait", "type", "as"].iter().any(|kw| {
+            let item = format!("{kw} {ty}");
+            self.sources.iter().any(|(_, text)| defines(text, &item))
+        })
+    }
+
+    /// Some `.rs` file declares `name` as a `fn`, a `const`, a field or
+    /// an enum variant: a line that opens, past its visibility, with
+    /// `name` and then `:`, `,`, `(`, ` {`, ` =` or nothing.
+    fn defines_member(&self, name: &str) -> bool {
+        let (as_fn, as_const) = (format!("fn {name}"), format!("const {name}"));
+        self.sources.iter().any(|(_, text)| {
+            defines(text, &as_fn)
+                || defines(text, &as_const)
+                || text.lines().any(|line| {
+                    let line = line.trim_start();
+                    let line = ["pub(crate) ", "pub(super) ", "pub "]
+                        .iter()
+                        .find_map(|vis| line.strip_prefix(vis))
+                        .unwrap_or(line);
+                    line.strip_prefix(name).is_some_and(|rest| {
+                        rest.is_empty()
+                            || (rest.starts_with([':', ',', '(']) && !rest.starts_with("::"))
+                            || rest.starts_with(" {")
+                            || rest.starts_with(" =")
+                    })
+                })
+        })
+    }
+
     fn text_of(&self, path: &str) -> Option<&str> {
         self.sources
             .iter()
@@ -168,6 +208,37 @@ fn defines(text: &str, item: &str) -> bool {
         .any(|(at, _)| !text[at + item.len()..].starts_with(is_ident))
 }
 
+/// The `(Type, name)` pairs of the item paths in `span`: an identifier
+/// that starts upper-case, `::`, then an identifier or a `{a, b}` list.
+/// `power::chip::GpuChip::evaluate` gives `(GpuChip, evaluate)`.
+fn item_paths(span: &str) -> Vec<(&str, &str)> {
+    let ident_len = |s: &str| s.find(|c| !is_ident(c)).unwrap_or(s.len());
+    let mut out = Vec::new();
+    for (at, _) in span.match_indices("::") {
+        let head = &span[..at];
+        let start = head.rfind(|c| !is_ident(c)).map_or(0, |i| i + 1);
+        let ty = &head[start..];
+        if !ty.starts_with(|c: char| c.is_ascii_uppercase()) {
+            continue;
+        }
+        let tail = &span[at + 2..];
+        let names: Vec<&str> = match tail.strip_prefix('{') {
+            Some(list) => list[..list.find('}').unwrap_or(list.len())]
+                .split(',')
+                .map(str::trim)
+                .collect(),
+            None => vec![&tail[..ident_len(tail)]],
+        };
+        out.extend(
+            names
+                .into_iter()
+                .filter(|name| !name.is_empty())
+                .map(|name| (ty, name)),
+        );
+    }
+    out
+}
+
 /// One markdown doc split into lines, with fenced code blocks marked.
 struct Doc {
     name: &'static str,
@@ -179,6 +250,10 @@ impl Doc {
     fn read(root: &Path, name: &'static str) -> Doc {
         let text =
             fs::read_to_string(root.join(name)).unwrap_or_else(|e| panic!("read {name}: {e}"));
+        Doc::parse(name, &text)
+    }
+
+    fn parse(name: &'static str, text: &str) -> Doc {
         let mut fenced = false;
         let mut lines = Vec::new();
         for (i, line) in text.lines().enumerate() {
@@ -357,6 +432,16 @@ fn check_doc(tree: &Tree, sections: &BTreeSet<String>, doc: &Doc) -> Vec<String>
                 }
             }
         }
+        for (ty, name) in item_paths(&span) {
+            let why = if tree.defines_type(ty) {
+                (!tree.defines_member(name)).then(|| format!("`{name}` is defined nowhere"))
+            } else {
+                (!STD_TYPES.contains(&ty)).then(|| format!("`{ty}` is no type of the tree"))
+            };
+            if let Some(why) = why {
+                fail(line_no, format!("`{ty}::{name}`: {why}"));
+            }
+        }
         for name in macros_in(&span) {
             let defined = format!("macro_rules! {name}");
             let exists = STD_MACROS.contains(&name)
@@ -369,10 +454,8 @@ fn check_doc(tree: &Tree, sections: &BTreeSet<String>, doc: &Doc) -> Vec<String>
     out
 }
 
-#[test]
-fn every_name_the_docs_cite_exists() {
-    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
-    let tree = Tree::walk(root);
+/// The `--only=` section names of `crates/bench/src/report.rs`.
+fn sections(tree: &Tree) -> BTreeSet<String> {
     let report = tree
         .text_of("crates/bench/src/report.rs")
         .expect("crates/bench/src/report.rs holds the section table");
@@ -383,6 +466,14 @@ fn every_name_the_docs_cite_exists() {
         .map(str::to_string)
         .collect();
     assert!(!sections.is_empty(), "no `name: \"…\"` rows in report.rs");
+    sections
+}
+
+#[test]
+fn every_name_the_docs_cite_exists() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let tree = Tree::walk(root);
+    let sections = sections(&tree);
 
     let failures: Vec<String> = DOCS
         .iter()
@@ -393,5 +484,27 @@ fn every_name_the_docs_cite_exists() {
         "{} dangling name(s) in the docs:\n{}",
         failures.len(),
         failures.join("\n")
+    );
+}
+
+/// The item-path rule catches a missing method of a live type and a
+/// method of a missing type, and passes the live paths next to them.
+#[test]
+fn stale_item_paths_are_reported() {
+    let tree = Tree::walk(Path::new(env!("CARGO_MANIFEST_DIR")));
+    let doc = Doc::parse(
+        "seeded.md",
+        "Sweeps call `Gpu::launch_many`, and the service lowers\n\
+         `SweepPlan::expand`. Live: `Gpu::launch`, `SimError::Replay`,\n\
+         `Core::class_next`, `EventKind::COUNT`, `Instant::now`,\n\
+         `PowerTrace::{to_csv, to_chrome_trace}`.\n",
+    );
+    let failures = check_doc(&tree, &sections(&tree), &doc);
+    assert_eq!(
+        failures,
+        [
+            "seeded.md:1: `Gpu::launch_many`: `launch_many` is defined nowhere",
+            "seeded.md:2: `SweepPlan::expand`: `SweepPlan` is no type of the tree",
+        ]
     );
 }

@@ -227,6 +227,23 @@ fn replay_is_deterministic_across_thread_counts() {
     }
 }
 
+/// Every slot of a replay sweep over a rejected trace — a repeated
+/// config included — fails with a [`SimError::Replay`] naming `why`,
+/// at pool widths 1 and 4.
+fn assert_sweep_rejects(trace: &KernelTrace, why: &str) {
+    let configs = [GpuConfig::gt240(), GpuConfig::gtx580(), GpuConfig::gt240()];
+    for threads in [1, 4] {
+        let slots = SimPool::new(threads).run_sweep_replay(trace, &configs, |_, _| Ok(()));
+        assert_eq!(slots.len(), configs.len());
+        for slot in slots {
+            match slot {
+                Err(SimError::Replay(msg)) => assert!(msg.contains(why), "got: {msg}"),
+                other => panic!("{threads} threads: expected a replay error, got {other:?}"),
+            }
+        }
+    }
+}
+
 #[test]
 fn warp_size_mismatch_is_rejected_up_front() {
     let mut trace = synth::occupancy_family(1, 1, 4);
@@ -236,6 +253,22 @@ fn warp_size_mismatch_is_rejected_up_front() {
         Err(SimError::Replay(msg)) => assert!(msg.contains("warp size"), "got: {msg}"),
         other => panic!("expected a replay error, got {other:?}"),
     }
+    assert_sweep_rejects(&trace, "warp size");
+}
+
+#[test]
+fn invalid_trace_fails_every_sweep_slot() {
+    // A grid with no blocks fails `KernelTrace::validate`; an empty code
+    // image fails `KernelTrace::to_kernel`.
+    let mut no_grid = synth::occupancy_family(1, 1, 4);
+    no_grid.grid_x = 0;
+    assert!(no_grid.validate().is_err());
+    assert_sweep_rejects(&no_grid, "trace rejected");
+
+    let mut no_code = synth::occupancy_family(1, 1, 4);
+    no_code.code.clear();
+    assert!(no_code.to_kernel().is_err());
+    assert_sweep_rejects(&no_code, "trace rejected");
 }
 
 #[test]
