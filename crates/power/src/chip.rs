@@ -16,7 +16,6 @@ use crate::components::uncore::{L2Power, McPower, NocPower, PciePower};
 use crate::components::wcu::WcuPower;
 use crate::dram::DramPower;
 use crate::empirical;
-use crate::registry::EnergyMap;
 use crate::report::{
     ChipBreakdown, ClusterPowerRow, CoreBreakdown, PowerReport, PowerSplit, ScopedPowerReport,
 };
@@ -287,33 +286,6 @@ impl GpuChip {
         }
     }
 
-    /// The event-priced energy maps of the four per-core components, in
-    /// Table V row order (WCU, register file, execution units, LDST).
-    /// These are the maps both [`GpuChip::evaluate`] and
-    /// [`GpuChip::evaluate_scoped`] iterate for the core rows.
-    pub fn core_energy_maps(&self) -> [&EnergyMap; 4] {
-        [
-            self.wcu.energy_map(),
-            self.regfile.energy_map(),
-            self.exec.energy_map(),
-            self.ldst.energy_map(),
-        ]
-    }
-
-    /// The event-priced energy maps of the uncore components (NoC, MC,
-    /// PCIe transfers, and L2 when present).
-    pub fn uncore_energy_maps(&self) -> Vec<&EnergyMap> {
-        let mut maps = vec![
-            self.noc.energy_map(),
-            self.mc.energy_map(),
-            self.pcie.energy_map(),
-        ];
-        if let Some(l2) = &self.l2 {
-            maps.push(l2.energy_map());
-        }
-        maps
-    }
-
     /// Evaluates runtime power *with per-cluster attribution*: the same
     /// core-component energy maps applied to each cluster's scoped
     /// [`ActivityVector`](gpusimpow_sim::ActivityVector) instead of the
@@ -370,6 +342,10 @@ impl GpuChip {
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::disallowed_methods,
+    reason = "tests compare raw magnitudes against published numbers"
+)]
 mod tests {
     use super::*;
 
@@ -419,13 +395,18 @@ mod tests {
 
         // GTX580 so the L2 map is present (the GT240 has no L2).
         let chip = GpuChip::new(&GpuConfig::gtx580()).unwrap();
-        let mut priced: BTreeSet<Ev> = BTreeSet::new();
-        for map in chip.core_energy_maps() {
-            priced.extend(map.events());
-        }
-        for map in chip.uncore_energy_maps() {
-            priced.extend(map.events());
-        }
+        let l2 = chip.l2.as_ref().expect("the GTX580 has an L2");
+        let maps = [
+            chip.wcu.energy_map(),
+            chip.regfile.energy_map(),
+            chip.exec.energy_map(),
+            chip.ldst.energy_map(),
+            chip.noc.energy_map(),
+            chip.mc.energy_map(),
+            chip.pcie.energy_map(),
+            l2.energy_map(),
+        ];
+        let mut priced: BTreeSet<Ev> = maps.iter().flat_map(|map| map.events()).collect();
         priced.extend(DramPower::EVENTS.iter().copied());
 
         // The documented allowlists live next to `EnergyMap` in

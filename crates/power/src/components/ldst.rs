@@ -186,6 +186,10 @@ impl LdstPower {
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::disallowed_methods,
+    reason = "tests compare raw magnitudes against published numbers"
+)]
 mod tests {
     use super::*;
 

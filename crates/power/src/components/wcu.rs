@@ -236,6 +236,10 @@ impl WcuPower {
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::disallowed_methods,
+    reason = "tests compare raw magnitudes against published numbers"
+)]
 mod tests {
     use super::*;
 

@@ -79,7 +79,7 @@ impl DramPower {
     ///
     /// Panics if `time` is not positive.
     pub fn evaluate(&self, activity: &ActivityVector, time: Time) -> DramPowerBreakdown {
-        assert!(time.seconds() > 0.0, "kernel window must have a duration");
+        assert!(time > Time::ZERO, "kernel window must have a duration");
         let per = |e: Energy, n: u64| -> Power { e * n as f64 / time };
         // Fraction of wall time any channel drives its data bus.
         let bus_busy = if activity[Ev::DramCycles] == 0 {
@@ -106,6 +106,10 @@ impl DramPower {
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::disallowed_methods,
+    reason = "tests compare raw magnitudes against published numbers"
+)]
 mod tests {
     use super::*;
     use gpusimpow_sim::GpuConfig;

@@ -184,6 +184,10 @@ pub fn scaled_leakage(p: Power, target: &TechNode) -> Power {
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::disallowed_methods,
+    reason = "tests compare raw magnitudes against published numbers"
+)]
 mod tests {
     use super::*;
 

@@ -169,6 +169,10 @@ impl EnergyMap {
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::disallowed_methods,
+    reason = "tests compare raw magnitudes against published numbers"
+)]
 mod tests {
     use super::*;
     use gpusimpow_sim::EventKind as Ev;

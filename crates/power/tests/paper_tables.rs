@@ -2,6 +2,10 @@
 //! (static power & area) and Table V (blackscholes power breakdown on
 //! the GT240). These are the calibration anchors of the model: if they
 //! drift, EXPERIMENTS.md is stale.
+#![allow(
+    clippy::disallowed_methods,
+    reason = "tests compare raw magnitudes against the paper's published numbers"
+)]
 
 use gpusimpow_kernels::blackscholes::BlackScholes;
 use gpusimpow_kernels::Benchmark;

@@ -201,9 +201,15 @@ pub fn eval_fp_lanes(op: FpOp, a: &[u32], b: &[u32], out: &mut [u32]) {
 pub fn eval_ffma_lanes(a: &[u32], b: &[u32], c: &[u32], out: &mut [u32]) {
     #[cfg(target_arch = "x86_64")]
     if fma_x86::supported() {
+        #[allow(
+            unsafe_code,
+            reason = "calls the AVX+FMA row kernel after the runtime probe"
+        )]
         // SAFETY: `supported()` confirmed the avx and fma target
         // features at runtime on this CPU.
-        unsafe { fma_x86::ffma_rows(a, b, c, out) };
+        unsafe {
+            fma_x86::ffma_rows(a, b, c, out)
+        };
         return;
     }
     map3(a, b, c, out, eval_ffma);
@@ -211,21 +217,26 @@ pub fn eval_ffma_lanes(a: &[u32], b: &[u32], c: &[u32], out: &mut [u32]) {
 
 /// Hardware fused-multiply-add row kernel (x86-64, AVX+FMA).
 #[cfg(target_arch = "x86_64")]
+#[allow(
+    unsafe_code,
+    reason = "the AVX+FMA row kernel is unsafe to call, and its 8-lane loads take raw pointers"
+)]
 mod fma_x86 {
     use super::{eval_ffma, CANONICAL_NAN};
     use std::arch::x86_64::*;
-    use std::sync::atomic::{AtomicU8, Ordering};
+    use std::sync::atomic::Ordering;
 
     /// Cached runtime feature probe: 0 = unknown, 1 = no, 2 = yes.
-    static HW: AtomicU8 = AtomicU8::new(0);
+    #[allow(
+        clippy::disallowed_types,
+        reason = "write-once monotone probe: every thread computes the same answer from the \
+                  same CPU, so racing ticks can only agree; no simulated state flows through it"
+    )]
+    static HW: std::sync::atomic::AtomicU8 = std::sync::atomic::AtomicU8::new(0);
 
     /// Whether this CPU executes the AVX+FMA row kernel.
     #[inline]
     pub fn supported() -> bool {
-        // simlint: allow(phase_interior_mut): the cached probe is
-        // write-once monotone — every thread computes the same answer
-        // from the same CPU, so racing ticks can only agree; no
-        // simulated state flows through it.
         match HW.load(Ordering::Relaxed) {
             0 => {
                 let yes = is_x86_feature_detected!("avx") && is_x86_feature_detected!("fma");
@@ -247,8 +258,6 @@ mod fma_x86 {
     /// [`supported`] returned `true`.
     // SAFETY: contract above; `eval_ffma_lanes` is the only caller.
     #[target_feature(enable = "avx,fma")]
-    // simlint: allow(float_cfg_divergence): pinned bit-identical to the
-    // scalar fallback by `lane_rows_match_scalar_helpers_bit_for_bit`.
     pub unsafe fn ffma_rows(a: &[u32], b: &[u32], c: &[u32], out: &mut [u32]) {
         let n = out.len().min(a.len()).min(b.len()).min(c.len());
         let canon = _mm256_castsi256_ps(_mm256_set1_epi32(CANONICAL_NAN as i32));
@@ -415,42 +424,91 @@ mod tests {
     }
 
     /// Bit patterns that stress every edge of the scalar helpers:
-    /// wrap-around, signedness flips, NaN/Inf/denormal f32 values.
-    fn edge_rows() -> (Vec<u32>, Vec<u32>, Vec<u32>) {
-        let specials = [
-            0u32,
-            1,
-            2,
-            31,
-            32,
-            u32::MAX,
-            i32::MAX as u32,
-            i32::MIN as u32,
-            1.0f32.to_bits(),
-            (-1.0f32).to_bits(),
-            f32::NAN.to_bits(),
-            f32::INFINITY.to_bits(),
-            f32::NEG_INFINITY.to_bits(),
-            f32::MIN_POSITIVE.to_bits() >> 1, // denormal
-            0.5f32.to_bits(),
-            1e20f32.to_bits(),
-        ];
-        let mut x = 0x1234_5678u64;
-        let mut next = move || {
+    /// wrap-around, signedness flips, NaN payloads of both signs
+    /// (`i32::MAX`, `u32::MAX`), ±0, ±inf and subnormals.
+    const SPECIALS: [u32; 16] = [
+        0,
+        1,
+        2,
+        31,
+        32,
+        u32::MAX,
+        i32::MAX as u32,
+        i32::MIN as u32,
+        1.0f32.to_bits(),
+        (-1.0f32).to_bits(),
+        f32::NAN.to_bits(),
+        f32::INFINITY.to_bits(),
+        f32::NEG_INFINITY.to_bits(),
+        f32::MIN_POSITIVE.to_bits() >> 1, // denormal
+        0.5f32.to_bits(),
+        1e20f32.to_bits(),
+    ];
+
+    /// A xorshift64 bit stream.
+    fn xorshift(mut x: u64) -> impl FnMut() -> u32 {
+        move || {
             x ^= x << 13;
             x ^= x >> 7;
             x ^= x << 17;
             x as u32
-        };
+        }
+    }
+
+    /// 64-lane rows of [`SPECIALS`] and random bits.
+    fn edge_rows() -> (Vec<u32>, Vec<u32>, Vec<u32>) {
+        let mut next = xorshift(0x1234_5678);
         let mut a = Vec::new();
         let mut b = Vec::new();
         let mut c = Vec::new();
         for i in 0..64 {
-            a.push(specials[i % specials.len()]);
-            b.push(specials[(i * 7 + 3) % specials.len()]);
+            a.push(SPECIALS[i % SPECIALS.len()]);
+            b.push(SPECIALS[(i * 7 + 3) % SPECIALS.len()]);
             c.push(next());
         }
         (a, b, c)
+    }
+
+    /// [`eval_ffma_lanes`] against per-lane [`eval_ffma`] at every row
+    /// length from 0 to 20 and a few longer ones, so the AVX+FMA row
+    /// kernel's 8-lane body, its `i + 8 <= n` bound and its scalar tail
+    /// all run. Lanes mix xorshift bit patterns, [`SPECIALS`], and
+    /// addends that cancel the rounded product, where a fused and an
+    /// unfused multiply-add differ.
+    #[test]
+    fn ffma_rows_match_scalar_at_every_length() {
+        let mut next = xorshift(0x9E37_79B9_7F4A_7C15);
+        for n in (0..=20).chain([31, 64, 67, 100]) {
+            let (mut a, mut b, mut c) = (Vec::new(), Vec::new(), Vec::new());
+            for _ in 0..n {
+                let cancel = next().is_multiple_of(4);
+                let mut pick = || match next() % 4 {
+                    0 => SPECIALS[next() as usize % SPECIALS.len()],
+                    _ => next(),
+                };
+                let (x, y) = (pick(), pick());
+                let z = if cancel {
+                    (-(f32::from_bits(x) * f32::from_bits(y))).to_bits()
+                } else {
+                    pick()
+                };
+                a.push(x);
+                b.push(y);
+                c.push(z);
+            }
+            let mut out = vec![0xDEAD_BEEF; n];
+            eval_ffma_lanes(&a, &b, &c, &mut out);
+            for i in 0..n {
+                assert_eq!(
+                    out[i],
+                    eval_ffma(a[i], b[i], c[i]),
+                    "ffma row of {n}, lane {i}: {:#010x} * {:#010x} + {:#010x}",
+                    a[i],
+                    b[i],
+                    c[i]
+                );
+            }
+        }
     }
 
     #[test]

@@ -9,8 +9,6 @@
 //! (see `Gpu::launch_impl` and `DESIGN.md` §10).
 
 use std::panic::resume_unwind;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 use crate::config::GpuConfig;
 use crate::gpu::{Gpu, LaunchReport, SimError};
@@ -55,12 +53,20 @@ impl SimPool {
     /// than one thread, and returns the outputs in input order.
     ///
     /// A panicking job propagates to the caller once the scope unwinds.
+    #[allow(
+        clippy::disallowed_types,
+        reason = "the work queue is shared between pool threads, never between the cores of a \
+                  launch; each job owns its own `Gpu`, and results return by input index"
+    )]
     pub fn run<I, T, F>(&self, inputs: Vec<I>, f: F) -> Vec<T>
     where
         I: Send,
         T: Send,
         F: Fn(I) -> T + Sync,
     {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        use std::sync::Mutex;
+
         let n = inputs.len();
         if self.threads <= 1 || n <= 1 {
             return inputs.into_iter().map(f).collect();

@@ -58,8 +58,8 @@ fn seeded_testbed_measurements_are_reproducible() {
     assert_eq!(m1[0].repeats, m2[0].repeats);
 }
 
-/// Golden anchor for the determinism-affecting refactors clippy and
-/// simlint police (ordered collections in the hot path, unit-newtype
+/// Golden anchor for the determinism-affecting refactors clippy
+/// polices (ordered collections in the hot path, unit-newtype
 /// adoption in the power model): one representative kernel must keep
 /// *exactly* these counts, time bits and power bits. If an
 /// order-randomised structure sneaks back into `crates/sim`, or a

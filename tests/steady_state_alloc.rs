@@ -32,25 +32,29 @@ static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 /// The counter is process-wide: tests hold this while they measure.
 static SERIAL: Mutex<()> = Mutex::new(());
 
+#[allow(
+    unsafe_code,
+    reason = "counting every heap allocation needs a `GlobalAlloc`, an unsafe trait"
+)]
 // SAFETY: pure pass-through to `System` plus a relaxed counter bump;
 // every layout/pointer contract is forwarded to the system allocator
 // unchanged, so its guarantees carry over verbatim.
 unsafe impl GlobalAlloc for CountingAlloc {
-    // SAFETY: delegates to `System.alloc` with the caller's layout.
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
+        // SAFETY: delegates to `System.alloc` with the caller's layout.
+        unsafe { System.alloc(layout) }
     }
 
-    // SAFETY: delegates to `System.dealloc` with the caller's pointer.
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
+        // SAFETY: delegates to `System.dealloc` with the caller's pointer.
+        unsafe { System.dealloc(ptr, layout) }
     }
 
-    // SAFETY: delegates to `System.realloc` with the caller's pointer.
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
+        // SAFETY: delegates to `System.realloc` with the caller's pointer.
+        unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
 
