@@ -5,7 +5,7 @@ use gpusimpow_isa::LaunchConfig;
 use gpusimpow_kernels::micro;
 use gpusimpow_measure::static_est::{self, ExtrapolationResult};
 use gpusimpow_measure::{per_op_energy, KernelExec, Testbed};
-use gpusimpow_power::components::wcu::WcuPower;
+use gpusimpow_power::components::wcu;
 use gpusimpow_power::GpuChip;
 use gpusimpow_sim::{Gpu, GpuConfig, SimPool};
 
@@ -202,10 +202,11 @@ pub fn table5_scoped() -> gpusimpow_power::ScopedPowerReport {
 /// power (mW) of each memory and logic block inside the WCU.
 pub fn table5_wcu_memories() -> Vec<(&'static str, f64)> {
     let (sim, report) = blackscholes_on_gt240();
-    let wcu = WcuPower::new(sim.config(), sim.chip().tech()).expect("wcu builds");
+    let wcu = wcu::build(sim.config(), sim.chip().tech()).expect("wcu builds");
     let time_s = report.launch.time_s;
     let cores = sim.config().total_cores() as f64;
-    wcu.memory_breakdown(&report.launch.stats.to_vector())
+    wcu.map
+        .grouped(&report.launch.stats.to_vector())
         .into_iter()
         .map(|(name, e)| (name, e.joules() / time_s / cores * 1e3))
         .collect()

@@ -13,8 +13,7 @@
 //! * [`crossbar::Crossbar`] — operand-collector, shared-memory and NoC
 //!   crossbars;
 //! * [`logic`] — priority encoders (warp schedulers), instruction
-//!   decoders, D-flip-flop buffers (the coalescer tables) and FSMs;
-//! * [`clocknet::ClockNetwork`] — per-domain clock trees.
+//!   decoders, D-flip-flop buffers (the coalescer tables) and FSMs.
 //!
 //! Every model evaluates to a [`costs::CircuitCosts`] bundle of area,
 //! per-access energy and leakage, which the `gpusimpow-power` crate
@@ -27,7 +26,6 @@
 pub mod array;
 pub mod cache;
 pub mod cam;
-pub mod clocknet;
 pub mod costs;
 pub mod crossbar;
 pub mod logic;
@@ -35,7 +33,6 @@ pub mod logic;
 pub use array::{SramArray, SramSpec};
 pub use cache::{Cache, CacheSpec};
 pub use cam::TaggedTable;
-pub use clocknet::ClockNetwork;
 pub use costs::CircuitCosts;
 pub use crossbar::Crossbar;
 pub use logic::{DffBuffer, Fsm, InstructionDecoder, PriorityEncoder};

@@ -1,6 +1,6 @@
 //! The chip representation: builds every component model from a
-//! [`GpuConfig`] and evaluates area, leakage, peak power and runtime
-//! power (the GPGPU-Pow half of Fig. 1).
+//! [`GpuConfig`] and evaluates area, leakage and runtime power (the
+//! GPGPU-Pow half of Fig. 1).
 
 use std::fmt;
 
@@ -9,11 +9,7 @@ use gpusimpow_tech::clockdomain::ClockDomains;
 use gpusimpow_tech::node::{TechError, TechNode};
 use gpusimpow_tech::units::{Area, Cycles, Energy, Freq, Power};
 
-use crate::components::exec::ExecPower;
-use crate::components::ldst::LdstPower;
-use crate::components::regfile::RegFilePower;
-use crate::components::uncore::{L2Power, McPower, NocPower, PciePower};
-use crate::components::wcu::WcuPower;
+use crate::components::{exec, ldst, regfile, uncore, wcu, Component};
 use crate::dram::DramPower;
 use crate::empirical;
 use crate::report::{
@@ -55,20 +51,17 @@ impl From<&'static str> for ChipError {
     }
 }
 
-/// The evaluated GPU chip: one power model per architecture component.
+/// The evaluated GPU chip: one [`Component`] per architecture block.
 #[derive(Debug, Clone)]
 pub struct GpuChip {
     config: GpuConfig,
     tech: TechNode,
     clocks: ClockDomains,
-    wcu: WcuPower,
-    regfile: RegFilePower,
-    exec: ExecPower,
-    ldst: LdstPower,
-    noc: NocPower,
-    l2: Option<L2Power>,
-    mc: McPower,
-    pcie: PciePower,
+    /// Per-core blocks in [`CoreBreakdown`] order: WCU, register file,
+    /// execution units, LDST unit.
+    core: [Component; 4],
+    /// Chip-wide blocks: NoC, L2, memory controllers, PCIe.
+    uncore: [Component; 4],
     dram: DramPower,
     undiff_static_per_core: Power,
     undiff_area_per_core: Area,
@@ -92,17 +85,20 @@ impl GpuChip {
             config.shader_ratio,
             Freq::from_mhz(config.dram_mhz),
         );
-        let wcu = WcuPower::new(config, &tech)?;
-        let regfile = RegFilePower::new(config, &tech)?;
-        let exec = ExecPower::new(config, &tech);
-        let ldst = LdstPower::new(config, &tech)?;
-        let noc = NocPower::new(config, &tech)?;
-        let l2 = L2Power::new(config, &tech)?;
-        let mc = McPower::new(config, &tech)?;
-        let pcie = PciePower::new(config, &tech);
-        let dram = DramPower::new(config);
+        let core = [
+            wcu::build(config, &tech)?,
+            regfile::build(config, &tech)?,
+            exec::build(config, &tech),
+            ldst::build(config, &tech)?,
+        ];
+        let uncore = [
+            uncore::noc(config, &tech)?,
+            uncore::l2(config, &tech)?,
+            uncore::mc(config, &tech)?,
+            uncore::pcie(&tech),
+        ];
 
-        let modelled_core_area = wcu.area() + regfile.area() + exec.area() + ldst.area();
+        let modelled_core_area: Area = core.iter().map(|c| c.area).sum();
         let undiff_area_per_core = modelled_core_area * empirical::UNDIFF_AREA_FACTOR;
         let undiff_static_per_core =
             empirical::scaled_leakage(empirical::UNDIFF_STATIC_PER_MM2, &tech)
@@ -112,15 +108,9 @@ impl GpuChip {
             config: config.clone(),
             tech,
             clocks,
-            wcu,
-            regfile,
-            exec,
-            ldst,
-            noc,
-            l2,
-            mc,
-            pcie,
-            dram,
+            core,
+            uncore,
+            dram: DramPower::new(config),
             undiff_static_per_core,
             undiff_area_per_core,
         })
@@ -143,58 +133,24 @@ impl GpuChip {
 
     /// Area of one SIMT core including its undifferentiated share.
     pub fn core_area(&self) -> Area {
-        self.wcu.area()
-            + self.regfile.area()
-            + self.exec.area()
-            + self.ldst.area()
-            + self.undiff_area_per_core
+        self.core.iter().map(|c| c.area).sum::<Area>() + self.undiff_area_per_core
     }
 
     /// Total die area (Table IV's "Area" row).
     pub fn area(&self) -> Area {
         let cores = self.core_area() * self.config.total_cores() as f64;
-        let l2 = self.l2.as_ref().map(L2Power::area).unwrap_or(Area::ZERO);
-        (cores + self.noc.area() + l2 + self.mc.area() + self.pcie.area())
-            * empirical::CHIP_AREA_OVERHEAD
+        self.uncore.iter().fold(cores, |sum, c| sum + c.area) * empirical::CHIP_AREA_OVERHEAD
     }
 
     /// Per-core static power.
     pub fn core_static_power(&self) -> Power {
-        self.wcu.leakage()
-            + self.regfile.leakage()
-            + self.exec.leakage()
-            + self.ldst.leakage()
-            + self.undiff_static_per_core
+        self.core.iter().map(|c| c.leakage).sum::<Power>() + self.undiff_static_per_core
     }
 
     /// Total chip static power (Table IV's "Static" row; excludes DRAM).
     pub fn static_power(&self) -> Power {
         let cores = self.core_static_power() * self.config.total_cores() as f64;
-        let l2 = self
-            .l2
-            .as_ref()
-            .map(L2Power::leakage)
-            .unwrap_or(Power::ZERO);
-        cores + self.noc.leakage() + l2 + self.mc.leakage() + self.pcie.leakage()
-    }
-
-    /// Peak dynamic power: every unit switching at its maximum rate.
-    pub fn peak_dynamic_power(&self) -> Power {
-        let shader = self.clocks.shader();
-        let uncore = self.clocks.uncore();
-        let per_core = (self.wcu.peak_cycle_energy()
-            + self.regfile.peak_cycle_energy(&self.config)
-            + self.exec.peak_cycle_energy()
-            + self.ldst.peak_cycle_energy(&self.config))
-            * shader;
-        let cores = per_core * self.config.total_cores() as f64
-            + empirical::CORE_BASE * self.config.total_cores() as f64
-            + empirical::CLUSTER_OVERHEAD * self.config.clusters as f64
-            + empirical::GLOBAL_SCHEDULER;
-        cores
-            + self.noc.peak_cycle_energy(&self.config) * uncore
-            + self.mc.peak_power(&self.config)
-            + empirical::PCIE_ACTIVE
+        self.uncore.iter().fold(cores, |sum, c| sum + c.leakage)
     }
 
     /// The off-chip DRAM model.
@@ -216,20 +172,6 @@ impl GpuChip {
         let n_cores = self.config.total_cores() as f64;
         let activity = stats.to_vector();
 
-        // --- dynamic energies (chip-wide, from the event registry) -------
-        let wcu_e = self.wcu.dynamic_energy(&activity);
-        let rf_e = self.regfile.dynamic_energy(&activity);
-        let exec_e = self.exec.dynamic_energy(&activity);
-        let ldst_e = self.ldst.dynamic_energy(&activity);
-        let noc_e = self.noc.dynamic_energy(&activity);
-        let l2_e = self
-            .l2
-            .as_ref()
-            .map(|l2| l2.dynamic_energy(&activity))
-            .unwrap_or(Energy::ZERO);
-        let mc_e = self.mc.dynamic_energy(&activity);
-        let pcie_e = self.pcie.dynamic_energy(&activity, time);
-
         // --- empirical base power -----------------------------------------
         //
         // Per-core base (Table V's 0.199 W) goes into the core breakdown;
@@ -245,14 +187,17 @@ impl GpuChip {
         let chip_sched_dynamic = empirical::GLOBAL_SCHEDULER * any_busy
             + empirical::MODEL_CLUSTER_OVERHEAD * avg_busy_clusters;
 
-        let core_dyn = |e: Energy| -> Power { e / time / n_cores };
-
+        // Dynamic energies are chip-wide, from the event registry; the
+        // core rows report one core's share.
+        let energy = |c: &Component| c.map.dynamic_energy(&activity);
+        let per_core = |c: &Component| PowerSplit::new(c.leakage, energy(c) / time / n_cores);
+        let [wcu, regfile, exec, ldst] = &self.core;
         let core = CoreBreakdown {
             base: PowerSplit::new(Power::ZERO, core_base_dynamic / n_cores),
-            wcu: PowerSplit::new(self.wcu.leakage(), core_dyn(wcu_e)),
-            regfile: PowerSplit::new(self.regfile.leakage(), core_dyn(rf_e)),
-            exec: PowerSplit::new(self.exec.leakage(), core_dyn(exec_e)),
-            ldstu: PowerSplit::new(self.ldst.leakage(), core_dyn(ldst_e)),
+            wcu: per_core(wcu),
+            regfile: per_core(regfile),
+            exec: per_core(exec),
+            ldstu: per_core(ldst),
             undiff: PowerSplit::new(self.undiff_static_per_core, Power::ZERO),
         };
         let cores_total = {
@@ -262,18 +207,15 @@ impl GpuChip {
                 c.dynamic_power * n_cores + chip_sched_dynamic,
             )
         };
+        let chip_wide = |c: &Component, e: Energy| PowerSplit::new(c.leakage, e / time);
+        let [noc, l2, mc, pcie] = &self.uncore;
         let chip = ChipBreakdown {
             cores: cores_total,
-            noc: PowerSplit::new(self.noc.leakage(), noc_e / time),
-            mc: PowerSplit::new(self.mc.leakage(), mc_e / time),
-            pcie: PowerSplit::new(self.pcie.leakage(), pcie_e / time),
-            l2: PowerSplit::new(
-                self.l2
-                    .as_ref()
-                    .map(L2Power::leakage)
-                    .unwrap_or(Power::ZERO),
-                l2_e / time,
-            ),
+            noc: chip_wide(noc, energy(noc)),
+            mc: chip_wide(mc, energy(mc)),
+            // The controller's active power runs for the whole window.
+            pcie: chip_wide(pcie, empirical::PCIE_ACTIVE * time + energy(pcie)),
+            l2: chip_wide(l2, energy(l2)),
         };
         let dram = self.dram.evaluate(&activity, time);
         PowerReport {
@@ -315,13 +257,10 @@ impl GpuChip {
             let vc = scoped.cluster_vector(c);
             let avg_busy_cores = scoped.cluster_core_busy(c) as f64 / cycles;
             let busy_fraction = scoped.cluster_busy.get(c).copied().unwrap_or(0) as f64 / cycles;
+            let energy: Energy = self.core.iter().map(|k| k.map.dynamic_energy(&vc)).sum();
             let dynamic = empirical::CORE_BASE * avg_busy_cores
                 + empirical::MODEL_CLUSTER_OVERHEAD * busy_fraction
-                + (self.wcu.dynamic_energy(&vc)
-                    + self.regfile.dynamic_energy(&vc)
-                    + self.exec.dynamic_energy(&vc)
-                    + self.ldst.dynamic_energy(&vc))
-                    / time;
+                + energy / time;
             clusters.push(ClusterPowerRow {
                 cluster: c,
                 power: PowerSplit::new(static_per_cluster, dynamic),
@@ -354,7 +293,6 @@ mod tests {
         let chip = GpuChip::new(&GpuConfig::gt240()).unwrap();
         assert!(chip.area().mm2() > 10.0);
         assert!(chip.static_power().watts() > 1.0);
-        assert!(chip.peak_dynamic_power().watts() > chip.static_power().watts());
     }
 
     #[test]
@@ -395,18 +333,9 @@ mod tests {
 
         // GTX580 so the L2 map is present (the GT240 has no L2).
         let chip = GpuChip::new(&GpuConfig::gtx580()).unwrap();
-        let l2 = chip.l2.as_ref().expect("the GTX580 has an L2");
-        let maps = [
-            chip.wcu.energy_map(),
-            chip.regfile.energy_map(),
-            chip.exec.energy_map(),
-            chip.ldst.energy_map(),
-            chip.noc.energy_map(),
-            chip.mc.energy_map(),
-            chip.pcie.energy_map(),
-            l2.energy_map(),
-        ];
-        let mut priced: BTreeSet<Ev> = maps.iter().flat_map(|map| map.events()).collect();
+        let mut priced: BTreeSet<Ev> = (chip.core.iter().chain(&chip.uncore))
+            .flat_map(|c| c.map.events())
+            .collect();
         priced.extend(DramPower::EVENTS.iter().copied());
 
         // The documented allowlists live next to `EnergyMap` in

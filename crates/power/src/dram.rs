@@ -98,11 +98,6 @@ impl DramPower {
             refresh: per(self.refresh_energy, activity[Ev::DramRefreshes]),
         }
     }
-
-    /// Background power alone (the static share of the DRAM).
-    pub fn background(&self) -> Power {
-        self.background_per_channel * self.channels
-    }
 }
 
 #[cfg(test)]
@@ -124,7 +119,7 @@ mod tests {
         let b = d.evaluate(&ActivityVector::new(), Time::from_millis(1.0));
         assert_eq!(b.activate.watts(), 0.0);
         assert_eq!(b.read.watts(), 0.0);
-        assert!((b.total() / d.background() - 1.0).abs() < 1e-9);
+        assert!((b.total() / b.background - 1.0).abs() < 1e-9);
     }
 
     #[test]

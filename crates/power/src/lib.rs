@@ -6,23 +6,26 @@
 //! architecture tier here), combining analytical models for regular
 //! components with empirical models for irregular ones:
 //!
-//! * [`components::wcu`] — warp control unit (WST, I-cache, decoder,
-//!   instruction buffer, scoreboard, reconvergence stacks, schedulers);
-//! * [`components::regfile`] — banked register file with operand
-//!   collectors and crossbar;
-//! * [`components::exec`] — execution units, anchored on the paper's
-//!   measured 40 pJ/INT-op and 75 pJ/FP-op;
-//! * [`components::ldst`] — AGUs, coalescer (D-FF storage + FSM),
-//!   SMEM/L1, constant cache;
-//! * [`components::uncore`] — NoC, L2, memory controllers, PCIe;
+//! * [`components`] — one [`components::Component`] (area, leakage,
+//!   energy map) per hardware block, each built in its own module:
+//!   * [`components::wcu`] — warp control unit (WST, I-cache, decoder,
+//!     instruction buffer, scoreboard, reconvergence stacks, schedulers);
+//!   * [`components::regfile`] — banked register file with operand
+//!     collectors and crossbar;
+//!   * [`components::exec`] — execution units, anchored on the paper's
+//!     measured 40 pJ/INT-op and 75 pJ/FP-op;
+//!   * [`components::ldst`] — AGUs, coalescer (D-FF storage + FSM),
+//!     SMEM/L1, constant cache;
+//!   * [`components::uncore`] — NoC, L2, memory controllers, PCIe;
 //! * [`dram`] — Micron-methodology GDDR5 device power;
 //! * [`registry`] — event-priced [`registry::EnergyMap`]s connecting the
 //!   simulator's typed event registry to the component models (and
 //!   powering the per-cluster attribution in
 //!   [`report::ScopedPowerReport`]);
 //! * [`empirical`] — every measured/calibrated anchor with provenance;
-//! * [`chip`] — the assembled [`chip::GpuChip`] producing area, static
-//!   power, peak dynamic power and per-kernel [`report::PowerReport`]s.
+//! * [`chip`] — the assembled [`chip::GpuChip`], folding area and static
+//!   power over its components and producing per-kernel
+//!   [`report::PowerReport`]s.
 //!
 //! # Examples
 //!

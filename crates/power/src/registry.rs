@@ -131,11 +131,6 @@ impl EnergyMap {
         EnergyMap { terms }
     }
 
-    /// The terms, in evaluation order.
-    pub fn terms(&self) -> &[EnergyTerm] {
-        &self.terms
-    }
-
     /// Total dynamic energy under `activity`: the terms summed in
     /// declaration order (see the module docs on float identity).
     pub fn dynamic_energy(&self, activity: &ActivityVector) -> Energy {

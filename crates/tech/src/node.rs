@@ -163,11 +163,6 @@ impl TechNode {
         Ok(self)
     }
 
-    /// Junction temperature in kelvin.
-    pub fn temperature_k(&self) -> f64 {
-        self.temperature_k
-    }
-
     /// Gate capacitance per micrometre of transistor width.
     pub fn gate_cap_per_um(&self) -> Capacitance {
         self.gate_cap_per_um

@@ -509,17 +509,6 @@ impl Freq {
     pub const fn mhz(self) -> f64 {
         self.0 / 1e6
     }
-
-    /// The clock period of this frequency.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the frequency is zero.
-    #[inline]
-    pub fn period(self) -> Time {
-        assert!(self.0 > 0.0, "period of zero frequency");
-        Time(1.0 / self.0)
-    }
 }
 
 impl Voltage {
@@ -719,18 +708,6 @@ mod tests {
         let a = Area::from_um2(1_000_000.0);
         assert!((a.mm2() - 1.0).abs() < 1e-12);
         assert!((a.um2() - 1_000_000.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn period_of_frequency() {
-        let t = Freq::from_mhz(550.0).period();
-        assert!((t.nanos() - 1.0 / 0.55).abs() < 1e-9);
-    }
-
-    #[test]
-    #[should_panic(expected = "period of zero frequency")]
-    fn period_of_zero_frequency_panics() {
-        let _ = Freq::new(0.0).period();
     }
 
     #[test]

@@ -12,10 +12,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut sim = Simulator::gt240()?;
     println!("simulating on: {}", sim.config());
     println!(
-        "chip representation: {:.0} mm², {:.1} W static, {:.0} W peak dynamic\n",
+        "chip representation: {:.0} mm², {:.1} W static\n",
         sim.chip().area().mm2(),
-        sim.chip().static_power().watts(),
-        sim.chip().peak_dynamic_power().watts()
+        sim.chip().static_power().watts()
     );
 
     // 2. Run a self-verifying benchmark (vectorAdd from the CUDA SDK
